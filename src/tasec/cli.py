@@ -16,44 +16,32 @@ or check failure, 2 usage error, 3 no crossover in the bracket.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import RngStream, Scenario
 from .errors import (ConvergenceError, DegenerateNormalizationError,
                      NoCrossoverError, UnsupportedSchemeError)
-from .experiments import (SweepSpec, SweptParameter, db_to_linear,
-                          find_crossover, run_sweep)
+from .experiments import (DEFAULT_BRACKET_DB, SweepSpec, SweptParameter,
+                          db_to_linear, find_crossover, run_sweep)
 from .secrecy import (asc_btas_closed, asc_etas_closed, asc_quadrature, mc_asc)
 from .selection import TasScheme
 from .verification import run_verification
-
-_UINT64_MAX = 2**64 - 1
-
-DEFAULTS = {
-    "method": "closed",
-    "trials": 1_000_000,
-    "seed": 42,
-    "antennas": [2],
-    "gamma_b_db": 10.0,
-    "gamma_e_db": 10.0,
-    "threads": 1,
-    "bracket_db": [-30.0, 30.0],
-    "normalize_otas": False,
-    "mc_overlay": False,
-    "out": None,
-    "scheme": None,
-    "swept": None,
-    "from_db": None,
-    "to_db": None,
-    "points": None,
-}
 
 SWEEP_CSV_HEADER = ("swept_value_db", "gamma_b0_db", "gamma_e0_db", "M",
                     "scheme", "method", "asc", "std_error", "trials")
 ASC_CSV_HEADER = ("scheme", "method", "gamma_b0_db", "gamma_e0_db", "M",
                   "asc", "std_error", "trials")
 CROSSOVER_CSV_HEADER = ("gamma_b0_db", "M", "crossover_ratio_db", "residual")
+
+# The methods `asc` offers per scheme: only btas/etas have closed forms, and
+# otas couples the two links, so it has no product-form quadrature either.
+_ASC_METHODS = {
+    TasScheme.OTAS: ("mc",),
+    TasScheme.BTAS: ("closed", "quad", "mc"),
+    TasScheme.ETAS: ("closed", "quad", "mc"),
+    TasScheme.RANDOM: ("quad", "mc"),
+}
+_METHOD_NAMES = {"closed": "closed-form", "quad": "quadrature", "mc": "Monte Carlo"}
 
 
 class UsageError(Exception):
@@ -65,32 +53,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    schemes: list[TasScheme]
-    gamma_b_db: float
-    gamma_e_db: float
-    antennas: list[int]
-    method: str
-    trials: int
-    seed: int
-    threads: int
-    swept: SweptParameter | None
-    from_db: float | None
-    to_db: float | None
-    points: int | None
-    normalize_otas: bool
-    mc_overlay: bool
-    bracket_db: tuple[float, float]
-    out: str | None
-
-
 # ----------------------------------------------------------------------------
 # Parsing
 # ----------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+def _finite_db(text: str) -> float:
+    """Type of the dB flags: a NaN or infinite value is a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite dB value: {text!r}")
+    return value
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name. Every flag's
+    default, type and choices live here; the config file reuses them."""
     parser = _Parser(prog="tasec", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True,
@@ -98,101 +75,81 @@ def _build_parser() -> _Parser:
 
     def add_base(p):
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker bound for Monte Carlo chunks (output-invariant)")
 
     def add_gamma_b(p):
-        p.add_argument("--gamma-b-db", type=float, default=None,
+        p.add_argument("--gamma-b-db", type=_finite_db, default=10.0,
                        help="legitimate reference SNR [dB]")
 
+    def add_gamma_e(p):
+        p.add_argument("--gamma-e-db", type=_finite_db, default=10.0,
+                       help="eavesdropper reference SNR [dB]")
+
     def add_antennas(p, repeatable):
-        p.add_argument("-M", "--antennas", type=int, action="append", default=None,
+        p.add_argument("-M", "--antennas", type=int, action="append", default=[2],
                        help="transmit antenna count"
                             + (" (repeatable)" if repeatable else ""))
 
     def add_rng(p):
-        p.add_argument("--trials", type=int, default=None,
+        p.add_argument("--trials", type=int, default=1_000_000,
                        help="Monte Carlo trial count")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=int, default=42,
                        help="64-bit unsigned RNG seed")
 
     def add_schemes(p):
-        p.add_argument("--scheme", choices=[s.value for s in TasScheme],
-                       action="append", default=None)
+        p.add_argument("--scheme", dest="schemes", choices=[s.value for s in TasScheme],
+                       action="append", default=[])
 
     p_asc = sub.add_parser("asc", help="single-point average secrecy capacity")
     add_base(p_asc)
     add_gamma_b(p_asc)
-    p_asc.add_argument("--gamma-e-db", type=float, default=None,
-                       help="eavesdropper reference SNR [dB]")
+    add_gamma_e(p_asc)
     add_antennas(p_asc, repeatable=False)
     add_rng(p_asc)
     add_schemes(p_asc)
-    p_asc.add_argument("--method", choices=["closed", "quad", "mc"], default=None)
-    p_asc.add_argument("--out", default=None, help="output path (default stdout)")
+    p_asc.add_argument("--method", choices=list(_METHOD_NAMES), default="closed")
+    p_asc.add_argument("--out", help="output path (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over one dB axis")
     add_base(p_sweep)
     add_gamma_b(p_sweep)
-    p_sweep.add_argument("--gamma-e-db", type=float, default=None,
-                         help="eavesdropper reference SNR [dB]")
+    add_gamma_e(p_sweep)
     add_antennas(p_sweep, repeatable=True)
     add_rng(p_sweep)
     add_schemes(p_sweep)
     p_sweep.add_argument("--swept", choices=[s.value for s in SweptParameter],
-                         default=None, help="which axis the grid walks")
-    p_sweep.add_argument("--from-db", type=float, default=None, dest="from_db")
-    p_sweep.add_argument("--to-db", type=float, default=None, dest="to_db")
-    p_sweep.add_argument("--points", type=int, default=None)
-    p_sweep.add_argument("--normalize-otas", action="store_true", default=None,
+                         help="which axis the grid walks")
+    p_sweep.add_argument("--from-db", type=_finite_db, dest="from_db")
+    p_sweep.add_argument("--to-db", type=_finite_db, dest="to_db")
+    p_sweep.add_argument("--points", type=int)
+    p_sweep.add_argument("--normalize-otas", action="store_true",
                          help="divide every row by the O-TAS Monte Carlo value")
-    p_sweep.add_argument("--mc-overlay", action="store_true", default=None,
+    p_sweep.add_argument("--mc-overlay", action="store_true",
                          help="also emit Monte Carlo rows for closed-form schemes")
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out")
 
     p_cross = sub.add_parser("crossover",
                              help="B-TAS/E-TAS crossover ratio for one operating point")
     add_base(p_cross)
     add_gamma_b(p_cross)
     add_antennas(p_cross, repeatable=False)
-    p_cross.add_argument("--bracket-db", type=float, nargs=2, default=None,
-                         metavar=("LO", "HI"))
-    p_cross.add_argument("--out", default=None)
+    p_cross.add_argument("--bracket-db", type=_finite_db, nargs=2,
+                         default=DEFAULT_BRACKET_DB, metavar=("LO", "HI"))
+    p_cross.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run the self-check suite")
     add_base(p_verify)
     add_rng(p_verify)
-    return parser
+    return parser, sub.choices
 
 
-_CONFIG_PARSERS = {
-    "scheme": lambda v: [s.strip() for s in v.split(",") if s.strip()],
-    "gamma_b_db": float,
-    "gamma_e_db": float,
-    "antennas": lambda v: [int(s) for s in v.replace(",", " ").split()],
-    "method": str,
-    "trials": int,
-    "seed": int,
-    "threads": int,
-    "swept": str,
-    "from_db": float,
-    "to_db": float,
-    "points": int,
-    "normalize_otas": lambda v: _parse_bool(v),
-    "mc_overlay": lambda v: _parse_bool(v),
-    "bracket_db": lambda v: [float(s) for s in v.replace(",", " ").split()],
-    "out": str,
-}
-
-_SUBCOMMAND_KEYS = {
-    "asc": {"scheme", "gamma_b_db", "gamma_e_db", "antennas", "method",
-            "trials", "seed", "threads", "out"},
-    "sweep": {"scheme", "gamma_b_db", "gamma_e_db", "antennas", "trials",
-              "seed", "threads", "swept", "from_db", "to_db", "points",
-              "normalize_otas", "mc_overlay", "out"},
-    "crossover": {"gamma_b_db", "antennas", "bracket_db", "threads", "out"},
-    "verify": {"trials", "seed", "threads"},
-}
+def _config_keys(command: _Parser) -> dict[str, argparse.Action]:
+    """A subcommand's config-file keys: its long flags without the leading
+    dashes and with the other dashes replaced by underscores."""
+    return {flag[2:].replace("-", "_"): action
+            for action in command._actions for flag in action.option_strings
+            if flag.startswith("--") and flag not in ("--help", "--config")}
 
 
 def _parse_bool(value: str) -> bool:
@@ -204,9 +161,25 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _read_config_file(path: str, allowed: set[str]) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; keys are long-flag
-    names with dashes replaced by underscores."""
+def _config_value(action: argparse.Action, text: str):
+    """Parse a config value with the flag's own type and choices. Repeatable
+    and multi-value flags take a comma- or space-separated list."""
+    if action.nargs == 0:
+        return _parse_bool(text)
+    many = action.nargs is not None or isinstance(action, argparse._AppendAction)
+    values = [(action.type or str)(item)
+              for item in (text.replace(",", " ").split() if many else [text])]
+    for value in values:
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"invalid choice {value!r} "
+                             f"(choose from {', '.join(action.choices)})")
+    if isinstance(action.nargs, int) and len(values) != action.nargs:
+        raise ValueError(f"needs exactly {action.nargs} values, got {len(values)}")
+    return values if many else values[0]
+
+
+def _read_config_file(path: str, keys: dict[str, argparse.Action]) -> dict:
+    """Flat `key = value` lines; '#' starts a comment. Returns values by dest."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -221,131 +194,92 @@ def _read_config_file(path: str, allowed: set[str]) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in allowed:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](value)
-        except ValueError as exc:
+            values[keys[key].dest] = _config_value(keys[key], value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(
                 f"{path}:{lineno}: bad value for {key!r}: {value!r} ({exc})") from exc
     return values
 
 
-def _merge(flag_value, config: dict, key: str):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key)
+def parse_config(argv: list[str], config_file: str | None = None) -> argparse.Namespace:
+    """Flags beat the config file, which beats the parser's defaults.
 
-
-def parse_config(argv: list[str], config_file: str | None = None) -> RunConfig:
-    """Flags beat the config file, which beats built-in defaults."""
-    ns = _build_parser().parse_args(argv)
-    sub = ns.subcommand
-    allowed = _SUBCOMMAND_KEYS[sub]
-    path = getattr(ns, "config", None) or config_file
-    config = _read_config_file(path, allowed) if path else {}
-
-    def get(key):
-        return _merge(getattr(ns, key, None), config, key)
-
-    schemes_raw = get("scheme") if "scheme" in allowed else None
+    The namespace also carries the library objects the run needs (`scenario`
+    for asc, `spec` for sweep), built here so that their errors are usage
+    errors.
+    """
+    parser, commands = _build_parser()
+    name = parser.parse_args(argv).subcommand
+    command = commands[name]
+    keys = _config_keys(command)
+    # Parse the flags again into a namespace that already holds every dest:
+    # argparse then fills in no defaults and `append` starts from an empty
+    # list, so a dest still None after parsing was not given on the command line.
+    ns = argparse.Namespace(subcommand=name, config=None,
+                            **{action.dest: None for action in keys.values()})
+    command.parse_args(argv[argv.index(name) + 1:], ns)
+    path = ns.config or config_file
+    config = _read_config_file(path, keys) if path else {}
+    for action in keys.values():
+        if getattr(ns, action.dest) is None:
+            setattr(ns, action.dest, config.get(action.dest, action.default))
     try:
-        schemes = [TasScheme(s) for s in schemes_raw] if schemes_raw else []
+        _build(ns)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    swept_raw = get("swept") if "swept" in allowed else None
-    try:
-        swept = SweptParameter(swept_raw) if swept_raw else None
-    except ValueError as exc:
-        raise UsageError(f"invalid swept axis {swept_raw!r}") from exc
-
-    bracket = get("bracket_db")
-    if len(bracket) != 2:
-        raise UsageError(f"bracket_db needs exactly two values, got {bracket!r}")
-
-    cfg = RunConfig(
-        subcommand=sub,
-        schemes=schemes,
-        gamma_b_db=float(get("gamma_b_db")),
-        gamma_e_db=float(get("gamma_e_db")),
-        antennas=[int(m) for m in get("antennas")],
-        method=get("method") or "closed",
-        trials=int(get("trials")),
-        seed=int(get("seed")),
-        threads=int(get("threads")),
-        swept=swept,
-        from_db=get("from_db") if "from_db" in allowed else None,
-        to_db=get("to_db") if "to_db" in allowed else None,
-        points=get("points") if "points" in allowed else None,
-        normalize_otas=bool(get("normalize_otas")),
-        mc_overlay=bool(get("mc_overlay")),
-        bracket_db=(float(bracket[0]), float(bracket[1])),
-        out=get("out") if "out" in allowed else None,
-    )
-    _validate(cfg)
-    return cfg
+    return ns
 
 
-def _validate(cfg: RunConfig) -> None:
-    if not 0 <= cfg.seed <= _UINT64_MAX:
-        raise UsageError(f"seed must be an unsigned 64-bit integer, got {cfg.seed}")
-    if cfg.threads < 1:
-        raise UsageError(f"threads must be >= 1, got {cfg.threads}")
-    for m in cfg.antennas:
-        if m < 1:
-            raise UsageError(f"-M must be >= 1, got {m}")
-    if not (math.isfinite(cfg.gamma_b_db) and math.isfinite(cfg.gamma_e_db)):
-        raise UsageError("SNR values must be finite dB numbers")
+def _build(ns: argparse.Namespace) -> None:
+    """Build the library objects of the run, and check what they do not."""
+    if ns.threads < 1:
+        raise UsageError(f"threads must be >= 1, got {ns.threads}")
+    if "seed" in ns:
+        RngStream(ns.seed)  # rejects seeds outside the unsigned 64-bit range
 
-    if cfg.subcommand == "asc":
-        if len(cfg.schemes) != 1:
+    if ns.subcommand == "asc":
+        if len(ns.schemes) != 1:
             raise UsageError("asc needs exactly one --scheme")
-        if len(cfg.antennas) != 1:
+        if len(ns.antennas) != 1:
             raise UsageError("asc takes a single -M")
-        scheme = cfg.schemes[0]
-        if scheme is TasScheme.OTAS and cfg.method in ("closed", "quad"):
-            raise UsageError(f"{cfg.method}-form unavailable for otas"
-                             if cfg.method == "closed"
-                             else "quadrature unavailable for otas")
-        if scheme is TasScheme.RANDOM and cfg.method == "closed":
-            raise UsageError("closed-form unavailable for random")
-        if cfg.method == "mc" and cfg.trials < 2:
-            raise UsageError(f"--trials must be >= 2 for mc, got {cfg.trials}")
+        scheme = TasScheme(ns.schemes[0])
+        ns.schemes = [scheme]
+        if ns.method not in _ASC_METHODS[scheme]:
+            raise UsageError(f"{_METHOD_NAMES[ns.method]} unavailable for {scheme.value}")
+        if ns.method == "mc" and ns.trials < 2:
+            raise UsageError(f"--trials must be >= 2 for mc, got {ns.trials}")
+        ns.scenario = Scenario(db_to_linear(ns.gamma_b_db),
+                               db_to_linear(ns.gamma_e_db), ns.antennas[0])
 
-    elif cfg.subcommand == "sweep":
-        if not cfg.schemes:
-            raise UsageError("sweep needs at least one --scheme")
-        for name, value in (("--swept", cfg.swept), ("--from-db", cfg.from_db),
-                            ("--to-db", cfg.to_db), ("--points", cfg.points)):
+    elif ns.subcommand == "sweep":
+        for flag, value in (("--swept", ns.swept), ("--from-db", ns.from_db),
+                            ("--to-db", ns.to_db), ("--points", ns.points)):
             if value is None:
-                raise UsageError(f"sweep requires {name}")
-        if cfg.points < 2:
-            raise UsageError(f"--points must be >= 2, got {cfg.points}")
-        if not cfg.from_db < cfg.to_db:
-            raise UsageError(
-                f"--from-db must be below --to-db, got {cfg.from_db} / {cfg.to_db}")
-        needs_mc = (TasScheme.OTAS in cfg.schemes or TasScheme.RANDOM in cfg.schemes
-                    or cfg.normalize_otas or cfg.mc_overlay)
-        if needs_mc and cfg.trials < 2:
-            raise UsageError(f"--trials must be >= 2 when a Monte Carlo path "
-                             f"is requested, got {cfg.trials}")
+                raise UsageError(f"sweep requires {flag}")
+        fixed = ns.gamma_e_db if ns.swept == SweptParameter.GAMMA_B_DB.value \
+            else ns.gamma_b_db
+        ns.spec = SweepSpec(
+            swept=ns.swept, start_db=ns.from_db, stop_db=ns.to_db,
+            points=ns.points, fixed_gamma_db=fixed, antennas=ns.antennas,
+            schemes=ns.schemes, mc_trials=ns.trials, seed=ns.seed,
+            normalize_to_otas=ns.normalize_otas, mc_overlay=ns.mc_overlay)
 
-    elif cfg.subcommand == "crossover":
-        if len(cfg.antennas) != 1:
+    elif ns.subcommand == "crossover":
+        if len(ns.antennas) != 1:
             raise UsageError("crossover takes a single -M")
-        if cfg.antennas[0] < 2:
+        if ns.antennas[0] < 2:
             raise UsageError("crossover needs -M >= 2: with one antenna the "
                              "schemes coincide everywhere")
-        lo, hi = cfg.bracket_db
+        lo, hi = ns.bracket_db
         if not lo < hi:
             raise UsageError(f"--bracket-db needs LO < HI, got {lo} {hi}")
 
-    elif cfg.subcommand == "verify":
-        if cfg.trials < 2:
-            raise UsageError(f"--trials must be >= 2, got {cfg.trials}")
+    elif ns.subcommand == "verify":
+        if ns.trials < 2:
+            raise UsageError(f"--trials must be >= 2, got {ns.trials}")
 
 
 # ----------------------------------------------------------------------------
@@ -374,10 +308,8 @@ def _emit_csv(header, rows, out_path) -> None:
 # Subcommands
 # ----------------------------------------------------------------------------
 
-def cmd_asc(cfg: RunConfig) -> int:
-    scheme = cfg.schemes[0]
-    scenario = Scenario(db_to_linear(cfg.gamma_b_db), db_to_linear(cfg.gamma_e_db),
-                        cfg.antennas[0])
+def cmd_asc(cfg: argparse.Namespace) -> int:
+    scheme, scenario = cfg.schemes[0], cfg.scenario
     if cfg.method == "closed":
         est = asc_btas_closed(scenario) if scheme is TasScheme.BTAS \
             else asc_etas_closed(scenario)
@@ -392,18 +324,8 @@ def cmd_asc(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    fixed = cfg.gamma_e_db if cfg.swept is SweptParameter.GAMMA_B_DB else cfg.gamma_b_db
-    spec = SweepSpec(
-        swept=cfg.swept, start_db=cfg.from_db, stop_db=cfg.to_db,
-        points=cfg.points, fixed_gamma_db=fixed,
-        antennas=tuple(cfg.antennas), schemes=tuple(cfg.schemes),
-        mc_trials=cfg.trials if (cfg.normalize_otas or cfg.mc_overlay
-                                 or TasScheme.OTAS in cfg.schemes
-                                 or TasScheme.RANDOM in cfg.schemes) else 0,
-        seed=cfg.seed, normalize_to_otas=cfg.normalize_otas,
-        mc_overlay=cfg.mc_overlay)
-    rows = run_sweep(spec, threads=cfg.threads)
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    rows = run_sweep(cfg.spec, threads=cfg.threads)
     _emit_csv(SWEEP_CSV_HEADER,
               [(r.swept_value_db, r.gamma_b0_db, r.gamma_e0_db, r.antennas,
                 r.scheme, r.method, r.asc, r.std_error, r.trials) for r in rows],
@@ -411,7 +333,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_crossover(cfg: RunConfig) -> int:
+def cmd_crossover(cfg: argparse.Namespace) -> int:
     result = find_crossover(cfg.gamma_b_db, cfg.antennas[0], cfg.bracket_db)
     row = (result.gamma_b0_db, result.antennas, result.crossover_ratio_db,
            result.residual)
@@ -419,7 +341,7 @@ def cmd_crossover(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     results = run_verification(trials=cfg.trials, seed=cfg.seed,
                                threads=cfg.threads)
     width = max(len(r.name) for r in results)

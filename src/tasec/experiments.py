@@ -45,7 +45,12 @@ def db_to_linear(x_db: float) -> float:
     """Power ratio of a dB value: 10^(x/10)."""
     if not math.isfinite(x_db):
         raise ValueError(f"dB value must be finite, got {x_db!r}")
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"dB value {x_db!r} is out of range: 10^({x_db!r}/10) overflows a float"
+        ) from None
 
 
 @dataclass(frozen=True)

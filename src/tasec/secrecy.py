@@ -39,10 +39,6 @@ MC_CHUNK_SIZE = 65_536
 # Largest antenna count accepted by the alternating closed-form sum.
 MAX_CLOSED_FORM_ANTENNAS = 64
 
-# Fault-injection hook for the self-check suite: flipping this to -1.0
-# negates every term of the alternating sum and must make verification fail.
-_BTAS_TERM_SIGN = 1.0
-
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_INTERVALS = 2000
 
@@ -75,13 +71,19 @@ class AscEstimate:
             raise ValueError(f"{self.method.value} estimates carry no trials/std_error")
 
 
+def secrecy_capacity(gamma_b, gamma_e):
+    """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio,
+    elementwise over arrays of instantaneous SNRs."""
+    return np.maximum(0.0, np.log2((1.0 + gamma_b) / (1.0 + gamma_e)))
+
+
 def instantaneous_cs(gamma_b: float, gamma_e: float) -> float:
-    """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio."""
+    """Secrecy capacity of one pair of instantaneous SNRs."""
     for name, g in (("gamma_b", gamma_b), ("gamma_e", gamma_e)):
         if not (isinstance(g, (int, float)) and not isinstance(g, bool)) \
                 or math.isnan(g) or math.isinf(g) or g < 0:
             raise ValueError(f"{name} must be finite and >= 0, got {g!r}")
-    return max(0.0, math.log2((1.0 + gamma_b) / (1.0 + gamma_e)))
+    return float(secrecy_capacity(gamma_b, gamma_e))
 
 
 # ----------------------------------------------------------------------------
@@ -107,7 +109,7 @@ def _chunk_moments(scenario: Scenario, scheme: TasScheme, rng: RngStream,
     rows = np.arange(size)
     gamma_b = scenario.gamma_b0 * bob[rows, idx]
     gamma_e = scenario.gamma_e0 * eve[rows, idx]
-    cs = np.maximum(0.0, np.log2((1.0 + gamma_b) / (1.0 + gamma_e)))
+    cs = secrecy_capacity(gamma_b, gamma_e)
     mean = float(cs.mean())
     m2 = float(np.sum((cs - mean) ** 2))
     return size, mean, m2
@@ -242,7 +244,7 @@ def asc_btas_closed(scenario: Scenario) -> AscEstimate:
     total = 0.0
     for k in range(1, m + 1):
         binom *= (m - k + 1) / k
-        sign = _BTAS_TERM_SIGN if k % 2 == 1 else -_BTAS_TERM_SIGN
+        sign = 1.0 if k % 2 == 1 else -1.0
         total += binom * sign * delta_e(k * inv_gb, inv_ge + k * inv_gb)
     # Clamp: for near-degenerate SNRs the sum of correctly-rounded terms can
     # land an ulp below zero.

@@ -48,6 +48,8 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
     The random scheme consumes `rng` after the gains were drawn.
     """
     if scheme is TasScheme.OTAS:
+        # The log of the ratio is monotone, so comparing the ratio itself
+        # picks the same antenna without transcendental calls.
         ratio = (1.0 + scenario.gamma_b0 * bob_gains) / (1.0 + scenario.gamma_e0 * eve_gains)
         return np.argmax(ratio, axis=1)
     if scheme is TasScheme.BTAS:
@@ -71,14 +73,13 @@ def _check_matching(scenario: Scenario, realization: ChannelRealization) -> None
 def select_otas(scenario: Scenario, realization: ChannelRealization) -> Selection:
     """Secrecy-optimal selection: maximize the per-antenna SNR ratio.
 
-    The log of the ratio is monotone, so comparing the ratio itself picks the
-    same antenna without transcendental calls. The argmax is returned even
-    when no antenna beats ratio 1; the capacity clamp downstream handles it.
+    The argmax is returned even when no antenna beats ratio 1; the capacity
+    clamp downstream handles it.
     """
     _check_matching(scenario, realization)
-    ratio = (1.0 + scenario.gamma_b0 * realization.bob_gains) \
-        / (1.0 + scenario.gamma_e0 * realization.eve_gains)
-    return Selection(int(np.argmax(ratio)), TasScheme.OTAS)
+    idx = select_indices(TasScheme.OTAS, scenario, realization.bob_gains[None, :],
+                         realization.eve_gains[None, :])
+    return Selection(int(idx[0]), TasScheme.OTAS)
 
 
 def select_btas(realization: ChannelRealization) -> Selection:

@@ -13,7 +13,7 @@ import numpy as np
 from .channel import RngStream, Scenario, draw_gain_blocks
 from .experiments import db_to_linear
 from .secrecy import (MC_CHUNK_SIZE, asc_btas_closed, asc_etas_closed,
-                      asc_otas_mc, asc_quadrature, mc_asc)
+                      asc_otas_mc, asc_quadrature, mc_asc, secrecy_capacity)
 from .selection import TasScheme, select_indices
 
 GRID_DB = (-10.0, 0.0, 10.0, 20.0, 30.0)
@@ -93,8 +93,7 @@ def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
         size = min(MC_CHUNK_SIZE, realizations - done)
         stream = base.substream(_BRANCH_DOMINANCE, chunk)
         bob, eve = draw_gain_blocks(scenario, stream, size)
-        ratio = (1.0 + scenario.gamma_b0 * bob) / (1.0 + scenario.gamma_e0 * eve)
-        cs = np.maximum(0.0, np.log2(ratio))
+        cs = secrecy_capacity(scenario.gamma_b0 * bob, scenario.gamma_e0 * eve)
         rows = np.arange(size)
         best = cs[rows, select_indices(TasScheme.OTAS, scenario, bob, eve)]
         for scheme in others:

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-import tasec.secrecy as secrecy
+from tasec import cli
 from tasec.cli import (ASC_CSV_HEADER, SWEEP_CSV_HEADER, UsageError, main,
                        parse_config)
 from tasec.selection import TasScheme
+
+from faults import negate_btas_terms
 
 
 def run_cli(args, capsys):
@@ -49,6 +51,97 @@ def test_config_file_and_precedence(tmp_path):
     assert cfg.seed == 9              # config beats default
     assert cfg.antennas == [4]
     assert cfg.gamma_e_db == 10.0     # untouched default
+
+
+# Every config key of each subcommand, with one value as flags and the same
+# value as a config file writes it. No value is the flag's default, so a key
+# the config layer dropped would show. The other keys of the subcommand are
+# given as flags, so each run is complete.
+ROUND_TRIP = {
+    "asc": {
+        "scheme": (["--scheme", "etas"], "etas"),
+        "method": (["--method", "quad"], "quad"),
+        "gamma_b_db": (["--gamma-b-db", "3.5"], "3.5"),
+        "gamma_e_db": (["--gamma-e-db", "-2"], "-2"),
+        "antennas": (["-M", "4"], "4"),
+        "trials": (["--trials", "5000"], "5000"),
+        "seed": (["--seed", "7"], "7"),
+        "threads": (["--threads", "2"], "2"),
+        "out": (["--out", "asc.csv"], "asc.csv"),
+    },
+    "sweep": {
+        "scheme": (["--scheme", "btas", "--scheme", "otas"], "btas, otas"),
+        "gamma_b_db": (["--gamma-b-db", "3.5"], "3.5"),
+        "gamma_e_db": (["--gamma-e-db", "-2"], "-2"),
+        "antennas": (["-M", "4", "-M", "16"], "4 16"),
+        "trials": (["--trials", "5000"], "5000"),
+        "seed": (["--seed", "7"], "7"),
+        "threads": (["--threads", "2"], "2"),
+        "swept": (["--swept", "ratio"], "ratio"),
+        "from_db": (["--from-db", "-6"], "-6"),
+        "to_db": (["--to-db", "6"], "6"),
+        "points": (["--points", "3"], "3"),
+        "normalize_otas": (["--normalize-otas"], "yes"),
+        "mc_overlay": (["--mc-overlay"], "on"),
+        "out": (["--out", "sweep.csv"], "sweep.csv"),
+    },
+    "crossover": {
+        "gamma_b_db": (["--gamma-b-db", "12"], "12"),
+        "antennas": (["-M", "4"], "4"),
+        "bracket_db": (["--bracket-db", "-20", "25"], "-20, 25"),
+        "threads": (["--threads", "2"], "2"),
+        "out": (["--out", "cross.csv"], "cross.csv"),
+    },
+    "verify": {
+        "trials": (["--trials", "5000"], "5000"),
+        "seed": (["--seed", "7"], "7"),
+        "threads": (["--threads", "2"], "2"),
+    },
+}
+
+
+def _parsed(argv, config=None):
+    ns = vars(parse_config(argv + (["--config", str(config)] if config else [])))
+    ns.pop("config")
+    return ns
+
+
+@pytest.mark.parametrize("subcommand", sorted(ROUND_TRIP))
+def test_config_keys_are_the_long_flags(subcommand):
+    _, commands = cli._build_parser()
+    assert set(cli._config_keys(commands[subcommand])) == set(ROUND_TRIP[subcommand])
+
+
+@pytest.mark.parametrize("subcommand,key", [(sub, key) for sub in sorted(ROUND_TRIP)
+                                            for key in ROUND_TRIP[sub]])
+def test_config_value_parses_like_its_flag(tmp_path, subcommand, key):
+    table = ROUND_TRIP[subcommand]
+    rest = [token for other, (flags, _) in table.items() if other != key
+            for token in flags]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {table[key][1]}\n")
+    from_flags = _parsed([subcommand, *rest, *table[key][0]])
+    assert _parsed([subcommand, *rest], config) == from_flags
+
+
+@pytest.mark.parametrize("word,expected", [
+    ("1", True), ("true", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("no", False), ("OFF", False)])
+def test_config_boolean_spellings(tmp_path, word, expected):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"mc_overlay = {word}\n")
+    argv = ["sweep", "--swept", "ratio", "--from-db", "-6", "--to-db", "6",
+            "--points", "2", "--scheme", "btas", "--trials", "64"]
+    assert _parsed(argv, config)["mc_overlay"] is expected
+
+
+def test_repeatable_flag_replaces_config_list(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("antennas = 4, 16\n")
+    argv = ["sweep", "--swept", "ratio", "--from-db", "-6", "--to-db", "6",
+            "--points", "2", "--scheme", "btas", "-M", "8"]
+    assert _parsed(argv, config)["antennas"] == [8]
+    assert _parsed(argv[:-2], config)["antennas"] == [4, 16]
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -223,6 +316,18 @@ def test_computation_error_exit_code(capsys):
     assert "65" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["asc", "--scheme", "etas", "--gamma-b-db", "4000"],
+    ["crossover", "--gamma-b-db", "4000", "-M", "8"],
+    ["sweep", "--swept", "gamma-b", "--from-db", "0", "--to-db", "4000",
+     "--points", "2", "--scheme", "btas"],
+])
+def test_out_of_range_db_is_an_error(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code in (1, 2)
+    assert "4000" in err
+
+
 def test_degenerate_normalization_exit_code(capsys):
     # a vanishing legitimate SNR drives the O-TAS reference to exactly zero
     code, _, err = run_cli(
@@ -246,7 +351,7 @@ def test_verify_passes_and_prints_table(capsys):
 
 
 def test_verify_detects_injected_sign_fault(monkeypatch, capsys):
-    monkeypatch.setattr(secrecy, "_BTAS_TERM_SIGN", -1.0)
+    negate_btas_terms(monkeypatch)
     code, out, _ = run_cli(["verify", "--trials", "4096"], capsys)
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())

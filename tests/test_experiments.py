@@ -26,6 +26,8 @@ def test_db_to_linear():
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
     with pytest.raises(ValueError):
         db_to_linear(float("inf"))
+    with pytest.raises(ValueError, match="4000"):
+        db_to_linear(4000.0)
 
 
 # ----------------------------------------------------------------------------

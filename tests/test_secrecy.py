@@ -4,7 +4,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-import tasec.secrecy as secrecy
 from tasec.channel import RngStream, Scenario
 from tasec.errors import UnsupportedSchemeError
 from tasec.secrecy import (AscEstimate, Method, asc_btas_closed,
@@ -12,6 +11,7 @@ from tasec.secrecy import (AscEstimate, Method, asc_btas_closed,
                            instantaneous_cs, mc_asc)
 from tasec.selection import TasScheme
 
+from faults import negate_btas_terms
 from oracles import asc_integral_oracle
 
 # Single-antenna ASC at unit SNRs, frozen by high-precision evaluation of
@@ -230,8 +230,8 @@ def test_btas_sign_fault_hook_breaks_agreement(monkeypatch):
 
     scenario = Scenario(1.0, 1.0, 2)
     healthy = asc_btas_closed(scenario).value
-    monkeypatch.setattr(secrecy, "_BTAS_TERM_SIGN", -1.0)
+    negate_btas_terms(monkeypatch)
     assert asc_btas_closed(scenario).value != healthy
     assert not check_closed_vs_quadrature().passed
-    monkeypatch.setattr(secrecy, "_BTAS_TERM_SIGN", 1.0)
+    monkeypatch.undo()
     assert asc_btas_closed(scenario).value == healthy
