@@ -1,8 +1,9 @@
 """Link-budget bookkeeping and reproducible Rayleigh channel draws.
 
 Fading gains are the squared magnitudes of unit-mean complex Gaussian
-coefficients, i.e. g = u^2 + v^2 with u, v ~ N(0, 1/2), so every gain is
-Exponential(1). Phases are never materialized; nothing downstream needs them.
+coefficients, which are Exponential(1). They are drawn as Exp(1) directly
+(numpy's ziggurat sampler) rather than as u^2 + v^2 from two Gaussians; the
+law is the same. Phases are never materialized; nothing downstream needs them.
 """
 
 import math
@@ -132,14 +133,15 @@ def reference_snrs(budget: LinkBudget) -> tuple[float, float]:
 def draw_gain_blocks(scenario: Scenario, rng: RngStream,
                      count: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` realizations at once; returns (bob, eve) arrays of shape
-    (count, M). Consumes the stream in a fixed order (Bob's normals first)."""
+    (count, M) of Exp(1) gains, drawn directly with `standard_exponential`.
+    Consumes the stream in a fixed order: Bob's block first, then Eve's."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     gen = rng.generator
     m = scenario.num_antennas
     shape = (count, m)
-    bob = 0.5 * (gen.standard_normal(shape) ** 2 + gen.standard_normal(shape) ** 2)
-    eve = 0.5 * (gen.standard_normal(shape) ** 2 + gen.standard_normal(shape) ** 2)
+    bob = gen.standard_exponential(shape)
+    eve = gen.standard_exponential(shape)
     return bob, eve
 
 

@@ -99,6 +99,13 @@ class SweepSpec:
             raise ValueError(
                 "mc_trials >= 2 required: this sweep requests a Monte Carlo "
                 "path (otas/random scheme, overlay, or normalization)")
+        # The grid is linear in dB, so its two ends bound every SNR it reaches.
+        for value_db in (self.start_db, self.stop_db):
+            for x_db in _grid_point_dbs(self, value_db):
+                if db_to_linear(x_db) == 0.0:
+                    raise ValueError(
+                        f"dB value {x_db!r} is out of range: "
+                        f"10^({x_db!r}/10) underflows to 0")
 
     @property
     def needs_mc(self) -> bool:

@@ -33,8 +33,9 @@ from .selection import TasScheme, select_indices
 _LN2 = math.log(2.0)
 
 # Trials per substream chunk; fixed so that results never depend on how the
-# chunks are scheduled across workers.
-MC_CHUNK_SIZE = 65_536
+# chunks are scheduled across workers. A (chunk, M) float64 gain block stays
+# in cache, and short runs still split into several chunks for the workers.
+MC_CHUNK_SIZE = 16_384
 
 # Largest antenna count accepted by the alternating closed-form sum.
 MAX_CLOSED_FORM_ANTENNAS = 64

@@ -103,6 +103,22 @@ def test_single_draw_matches_block_draw():
     assert np.array_equal(single.eve_gains, eve[0])
 
 
+@pytest.mark.parametrize("seed,stream_id,branch,count,m", [
+    (0, 0, (), 1, 1),
+    (42, 5, (3,), 17, 8),
+    (2 ** 64 - 1, 7, (0, 1, 2), 1000, 3),
+])
+def test_draw_contract_exp1_bob_then_eve(seed, stream_id, branch, count, m):
+    # Pins the Monte Carlo stream: a change to it must fail here, not shift
+    # every estimate silently.
+    rng = RngStream(seed, stream_id).substream(*branch)
+    bob, eve = draw_gain_blocks(Scenario(1.0, 1.0, m), rng, count)
+    key = np.random.SeedSequence(seed, spawn_key=(stream_id, *branch))
+    gen = np.random.Generator(np.random.Philox(key))
+    assert np.array_equal(bob, gen.standard_exponential((count, m)))
+    assert np.array_equal(eve, gen.standard_exponential((count, m)))
+
+
 def test_unit_mean_gains():
     scenario = Scenario(1.0, 1.0, 1)
     bob, _ = draw_gain_blocks(scenario, RngStream(2024, 0), 1_000_000)

@@ -1,6 +1,8 @@
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +330,17 @@ def test_out_of_range_db_is_an_error(args, capsys):
     assert "4000" in err
 
 
+@pytest.mark.parametrize("grid", [["--from-db", "0", "--to-db", "4000"],
+                                  ["--from-db", "-4000", "--to-db", "0"]])
+@pytest.mark.parametrize("scheme", ["btas", "otas"])
+def test_out_of_range_sweep_grid_fails_before_any_row(grid, scheme, capsys):
+    code, out, err = run_cli(["sweep", "--swept", "gamma-b", *grid, "--points",
+                              "2", "--scheme", scheme, "--trials", "1000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "4000" in err
+
+
 def test_degenerate_normalization_exit_code(capsys):
     # a vanishing legitimate SNR drives the O-TAS reference to exactly zero
     code, _, err = run_cli(
@@ -367,6 +380,16 @@ def test_verify_respects_configured_trials(capsys):
 # ----------------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------------
+
+def test_module_entry_point_from_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "tasec", "--help"],
+                            capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": pythonpath})
+    assert result.returncode == 0
+    assert "verify" in result.stdout
+
 
 def test_console_entry_point():
     exe = shutil.which("tasec")

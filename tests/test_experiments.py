@@ -59,6 +59,31 @@ def test_spec_validation():
     assert spec.schemes == (TasScheme.BTAS, TasScheme.ETAS)
 
 
+@pytest.mark.parametrize("swept,start_db,stop_db,fixed_db,bad_db,fault", [
+    ("gamma-b", 0.0, 4000.0, 10.0, 4000.0, "overflows"),
+    ("gamma-b", -4000.0, 0.0, 10.0, -4000.0, "underflows"),
+    ("gamma-b", 0.0, 10.0, 4000.0, 4000.0, "overflows"),
+    ("gamma-e", 0.0, 4000.0, 10.0, 4000.0, "overflows"),
+    ("gamma-e", -4000.0, 0.0, 10.0, -4000.0, "underflows"),
+    ("gamma-e", 0.0, 10.0, -4000.0, -4000.0, "underflows"),
+    # the eavesdropper sits at fixed + ratio, out of range where the ratio alone is not
+    ("ratio", 0.0, 3000.0, 300.0, 3300.0, "overflows"),
+    ("ratio", -3000.0, 0.0, -300.0, -3300.0, "underflows"),
+    ("ratio", 0.0, 10.0, 4000.0, 4000.0, "overflows"),
+])
+def test_spec_rejects_out_of_range_grid(swept, start_db, stop_db, fixed_db,
+                                        bad_db, fault):
+    with pytest.raises(ValueError, match=f"{bad_db!r}.*{fault}"):
+        closed_spec(swept=swept, start_db=start_db, stop_db=stop_db,
+                    fixed_gamma_db=fixed_db)
+
+
+def test_spec_accepts_grid_edges_in_range():
+    for swept in ("gamma-b", "gamma-e", "ratio"):
+        closed_spec(swept=swept, start_db=-3000.0, stop_db=3000.0,
+                    fixed_gamma_db=0.0)
+
+
 def test_sweep_cardinality_contract():
     rows = run_sweep(closed_spec(points=2))
     assert len(rows) == 2

@@ -6,9 +6,9 @@ import pytest
 
 from tasec.channel import RngStream, Scenario
 from tasec.errors import UnsupportedSchemeError
-from tasec.secrecy import (AscEstimate, Method, asc_btas_closed,
-                           asc_etas_closed, asc_otas_mc, asc_quadrature,
-                           instantaneous_cs, mc_asc)
+from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
+                           asc_btas_closed, asc_etas_closed, asc_otas_mc,
+                           asc_quadrature, instantaneous_cs, mc_asc)
 from tasec.selection import TasScheme
 
 from faults import negate_btas_terms
@@ -200,6 +200,27 @@ def test_mc_thread_count_does_not_change_result():
     parallel = mc_asc(scenario, TasScheme.OTAS, 200_000, RngStream(7, 2), threads=8)
     assert serial.value == parallel.value
     assert serial.std_error == parallel.std_error
+
+
+@pytest.mark.parametrize("trials", [2, MC_CHUNK_SIZE, MC_CHUNK_SIZE + 1,
+                                    3 * MC_CHUNK_SIZE + 17])
+def test_chunk_layout_only_last_chunk_partial(trials):
+    layout = _chunk_layout(trials)
+    assert sum(size for _, size in layout) == trials
+    assert [index for index, _ in layout] == list(range(len(layout)))
+    assert all(size == MC_CHUNK_SIZE for _, size in layout[:-1])
+    assert 1 <= layout[-1][1] <= MC_CHUNK_SIZE
+
+
+@pytest.mark.parametrize("scheme", [TasScheme.OTAS, TasScheme.RANDOM])
+def test_mc_thread_count_does_not_change_uneven_layout(scheme):
+    # four chunks, the last one partial: three workers get unequal shares
+    scenario = Scenario(10.0, 3.0, 4)
+    trials = 3 * MC_CHUNK_SIZE + 17
+    runs = [mc_asc(scenario, scheme, trials, RngStream(7, 3), threads=threads)
+            for threads in (1, 2, 3)]
+    assert all(r.value == runs[0].value for r in runs)
+    assert all(r.std_error == runs[0].std_error for r in runs)
 
 
 def test_mc_deterministic_for_fixed_stream():
