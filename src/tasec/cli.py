@@ -23,7 +23,8 @@ from .errors import (ConvergenceError, DegenerateNormalizationError,
                      NoCrossoverError, UnsupportedSchemeError)
 from .experiments import (DEFAULT_BRACKET_DB, SweepSpec, SweptParameter,
                           db_to_linear, find_crossover, run_sweep)
-from .secrecy import (asc_btas_closed, asc_etas_closed, asc_quadrature, mc_asc)
+from .secrecy import (ROUTES, Method, asc_btas_closed, asc_etas_closed,
+                      asc_quadrature, mc_asc)
 from .selection import TasScheme
 from .verification import run_verification
 
@@ -33,14 +34,6 @@ ASC_CSV_HEADER = ("scheme", "method", "gamma_b0_db", "gamma_e0_db", "M",
                   "asc", "std_error", "trials")
 CROSSOVER_CSV_HEADER = ("gamma_b0_db", "M", "crossover_ratio_db", "residual")
 
-# The methods `asc` offers per scheme: only btas/etas have closed forms, and
-# otas couples the two links, so it has no product-form quadrature either.
-_ASC_METHODS = {
-    TasScheme.OTAS: ("mc",),
-    TasScheme.BTAS: ("closed", "quad", "mc"),
-    TasScheme.ETAS: ("closed", "quad", "mc"),
-    TasScheme.RANDOM: ("quad", "mc"),
-}
 _METHOD_NAMES = {"closed": "closed-form", "quad": "quadrature", "mc": "Monte Carlo"}
 
 
@@ -247,7 +240,7 @@ def _build(ns: argparse.Namespace) -> None:
             raise UsageError("asc takes a single -M")
         scheme = TasScheme(ns.schemes[0])
         ns.schemes = [scheme]
-        if ns.method not in _ASC_METHODS[scheme]:
+        if Method(ns.method) not in ROUTES[scheme]:
             raise UsageError(f"{_METHOD_NAMES[ns.method]} unavailable for {scheme.value}")
         if ns.method == "mc" and ns.trials < 2:
             raise UsageError(f"--trials must be >= 2 for mc, got {ns.trials}")

@@ -2,13 +2,14 @@
 
 A sweep walks one dB-valued axis (legitimate SNR, eavesdropper SNR, or their
 ratio) over a linear-in-dB grid and emits one row per grid point, antenna
-count, scheme and method. The sub-optimal schemes use their closed forms;
-the optimal and random schemes are estimated by Monte Carlo on substreams
-derived from (grid index, antenna index, scheme), so repeated runs of the
-same spec are byte-identical regardless of worker count.
+count, scheme and method. A scheme uses its closed form where
+`secrecy.ROUTES` has one; the others (otas, random) are estimated by Monte
+Carlo on substreams derived from (grid index, antenna index, scheme), so
+repeated runs of the same spec are byte-identical regardless of worker count.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from .channel import RngStream, Scenario
 from .errors import DegenerateNormalizationError, NoCrossoverError
-from .secrecy import (AscEstimate, asc_btas_closed, asc_etas_closed, mc_asc)
+from .secrecy import (ROUTES, AscEstimate, Method, asc_btas_closed,
+                      asc_etas_closed, mc_asc)
 from .selection import TasScheme
 
 
@@ -53,6 +55,13 @@ def db_to_linear(x_db: float) -> float:
         ) from None
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int: numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Definition of one sweep: axis, dB grid, antenna counts, schemes,
@@ -61,7 +70,11 @@ class SweepSpec:
     `fixed_gamma_db` is the non-swept reference SNR; when sweeping the ratio
     it is the legitimate reference SNR and the eavesdropper reference is
     fixed + ratio. `mc_overlay` additionally emits Monte Carlo rows for the
-    closed-form schemes as validation overlays.
+    closed-form schemes as validation overlays. `normalize_to_otas` divides
+    each row's `asc` and `std_error` by the O-TAS Monte Carlo value at its
+    point: `std_error` is then the row's own error over that value, the
+    O-TAS row's is the O-TAS estimate's relative standard error q, and a
+    row's full error is hypot(std_error, asc * q).
     """
 
     swept: SweptParameter
@@ -78,7 +91,9 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "swept", SweptParameter(self.swept))
-        object.__setattr__(self, "antennas", tuple(int(m) for m in self.antennas))
+        object.__setattr__(self, "antennas",
+                           tuple(_integer(m, "antenna count") for m in self.antennas))
+        object.__setattr__(self, "mc_trials", _integer(self.mc_trials, "mc_trials"))
         object.__setattr__(self, "schemes",
                            tuple(TasScheme(s) for s in self.schemes))
         if not (math.isfinite(self.start_db) and math.isfinite(self.stop_db)
@@ -109,7 +124,8 @@ class SweepSpec:
 
     @property
     def needs_mc(self) -> bool:
-        return (TasScheme.OTAS in self.schemes or TasScheme.RANDOM in self.schemes
+        """A scheme without a closed form, or overlay, or normalization."""
+        return (any(Method.CLOSED not in ROUTES[s] for s in self.schemes)
                 or self.normalize_to_otas or self.mc_overlay)
 
 
@@ -148,7 +164,8 @@ def _grid_point_dbs(spec: SweepSpec, value_db: float) -> tuple[float, float]:
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate the sweep; rows come out ordered by
-    (swept value, antennas, scheme, method)."""
+    (swept value, antennas, scheme, method). A scheme's closed form where
+    one exists, else Monte Carlo; normalized `std_error` as in SweepSpec."""
     antennas = tuple(sorted(set(spec.antennas)))
     schemes = tuple(sorted(set(spec.schemes), key=lambda s: s.value))
     values = np.linspace(spec.start_db, spec.stop_db, spec.points)
@@ -160,46 +177,34 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
         for mi, m in enumerate(antennas):
             scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
 
-            otas_est = None
-            if spec.normalize_to_otas or TasScheme.OTAS in schemes:
-                otas_est = mc_asc(scenario, TasScheme.OTAS, spec.mc_trials,
-                                  base.substream(pi, mi, _SCHEME_BRANCH[TasScheme.OTAS]),
-                                  threads=threads)
-            denom = None
-            if spec.normalize_to_otas:
-                if otas_est.value <= 0.0:
-                    raise DegenerateNormalizationError(
-                        f"O-TAS estimate is zero at swept={value_db} dB, M={m}; "
-                        "cannot normalize")
-                denom = otas_est.value
+            def mc(scheme: TasScheme) -> AscEstimate:
+                return mc_asc(scenario, scheme, spec.mc_trials,
+                              base.substream(pi, mi, _SCHEME_BRANCH[scheme]),
+                              threads=threads)
+
+            otas_est = mc(TasScheme.OTAS) \
+                if spec.normalize_to_otas or TasScheme.OTAS in schemes else None
+            denom = otas_est.value if spec.normalize_to_otas else 1.0
+            if denom <= 0.0:
+                raise DegenerateNormalizationError(
+                    f"O-TAS estimate is zero at swept={value_db} dB, M={m}; "
+                    "cannot normalize")
 
             for scheme in schemes:
-                estimates: list[AscEstimate] = []
                 if scheme is TasScheme.OTAS:
-                    estimates.append(otas_est)
-                elif scheme is TasScheme.RANDOM:
-                    estimates.append(mc_asc(scenario, scheme, spec.mc_trials,
-                                            base.substream(pi, mi, _SCHEME_BRANCH[scheme]),
-                                            threads=threads))
-                else:
+                    estimates = [otas_est]
+                elif Method.CLOSED in ROUTES[scheme]:
                     closed = asc_btas_closed(scenario) if scheme is TasScheme.BTAS \
                         else asc_etas_closed(scenario)
-                    estimates.append(closed)
-                    if spec.mc_overlay:
-                        estimates.append(mc_asc(scenario, scheme, spec.mc_trials,
-                                                base.substream(pi, mi, _SCHEME_BRANCH[scheme]),
-                                                threads=threads))
-                for est in estimates:
-                    asc = est.value
-                    std_error = est.std_error
-                    if denom is not None:
-                        asc = asc / denom
-                        if std_error is not None:
-                            std_error = std_error / denom
+                    estimates = [closed, mc(scheme)] if spec.mc_overlay else [closed]
+                else:
+                    estimates = [mc(scheme)]
+                for est in estimates:  # x / 1.0 == x, so plain rows are unchanged
+                    std_error = None if est.std_error is None else est.std_error / denom
                     rows.append(SweepRow(
                         swept_value_db=value_db, gamma_b0_db=gb_db,
                         gamma_e0_db=ge_db, antennas=m, scheme=scheme.value,
-                        method=est.method.value, asc=asc,
+                        method=est.method.value, asc=est.value / denom,
                         std_error=std_error, trials=est.trials))
     return rows
 

@@ -11,8 +11,9 @@ and, independently, through numerical quadrature of
 
     asc = (1/ln 2) int_0^inf F_E(x) [1 - F_B(x)] / (1 + x) dx
 
-with the per-scheme link CDFs. The optimal scheme couples the two links, so
-it is evaluated by Monte Carlo only. MC runs are chunked onto derived
+with the link CDFs of `selection.link_laws`. The optimal scheme couples the
+two links; this package has no closed form or product-form quadrature for it
+and evaluates it by Monte Carlo (ROUTES). MC runs are chunked onto derived
 substreams so the estimate is a pure function of (scenario, scheme, trials,
 seed, stream) no matter how many workers execute the chunks.
 """
@@ -21,14 +22,14 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
 from .channel import RngStream, Scenario, draw_gain_blocks
-from .errors import UnsupportedSchemeError
 from .expint import delta_e
 from .quadrature import integrate_half_line
-from .selection import TasScheme, select_indices
+from .selection import TasScheme, link_laws, select_indices
 
 _LN2 = math.log(2.0)
 
@@ -40,14 +41,21 @@ MC_CHUNK_SIZE = 16_384
 # Largest antenna count accepted by the alternating closed-form sum.
 MAX_CLOSED_FORM_ANTENNAS = 64
 
-QUAD_ABS_TOL = 1e-10
-QUAD_MAX_INTERVALS = 2000
-
 
 class Method(str, Enum):
     CLOSED = "closed"
     QUAD = "quad"
     MC = "mc"
+
+
+# The routes each scheme offers: only btas/etas have closed forms, and otas
+# couples the two links, so it has no product-form quadrature either.
+ROUTES = {
+    TasScheme.OTAS: (Method.MC,),
+    TasScheme.BTAS: (Method.CLOSED, Method.QUAD, Method.MC),
+    TasScheme.ETAS: (Method.CLOSED, Method.QUAD, Method.MC),
+    TasScheme.RANDOM: (Method.QUAD, Method.MC),
+}
 
 
 @dataclass(frozen=True)
@@ -155,10 +163,7 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
     else:
         results = [job(entry) for entry in layout]
 
-    total = results[0]
-    for chunk in results[1:]:
-        total = _merge_moments(total, chunk)
-    n, mean, m2 = total
+    n, mean, m2 = reduce(_merge_moments, results)  # in chunk order
     std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return AscEstimate(value=mean, method=Method.MC, trials=trials,
                        std_error=std_error)
@@ -166,9 +171,9 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
 
 def asc_otas_mc(scenario: Scenario, trials: int, rng: RngStream,
                 threads: int = 1) -> AscEstimate:
-    """ASC of the optimal scheme. Monte Carlo is the only evaluation path
-    here: the selected antenna's two SNRs are dependent, which breaks both
-    the product-form quadrature and the closed forms."""
+    """ASC of the optimal scheme by Monte Carlo. This package has no closed
+    form or product-form quadrature for it: the selected antenna's two SNRs
+    are dependent, which breaks the product form both of them rest on."""
     return mc_asc(scenario, TasScheme.OTAS, trials, rng, threads=threads)
 
 
@@ -176,50 +181,15 @@ def asc_otas_mc(scenario: Scenario, trials: int, rng: RngStream,
 # Quadrature of the general ASC integral
 # ----------------------------------------------------------------------------
 
-def _integrand_factories(scenario: Scenario, scheme: TasScheme):
-    """Per-scheme (F_E, 1-F_B) callables, vectorized and cancellation-safe."""
-    gb, ge = scenario.gamma_b0, scenario.gamma_e0
-    m = scenario.num_antennas
-
-    def cdf_exp(x, beta):
-        return -np.expm1(-x / beta)
-
-    def sf_exp(x, beta):
-        return np.exp(-x / beta)
-
-    def sf_max(x, beta):
-        # 1 - (1 - exp(-x/beta))^m without cancellation in the deep tail.
-        with np.errstate(divide="ignore"):
-            return -np.expm1(m * np.log1p(-np.exp(-x / beta)))
-
-    def cdf_min(x, beta):
-        return -np.expm1(-(m / beta) * x)
-
-    if scheme is TasScheme.BTAS:
-        return (lambda x: cdf_exp(x, ge)), (lambda x: sf_max(x, gb))
-    if scheme is TasScheme.ETAS:
-        return (lambda x: cdf_min(x, ge)), (lambda x: sf_exp(x, gb))
-    if scheme is TasScheme.RANDOM:
-        return (lambda x: cdf_exp(x, ge)), (lambda x: sf_exp(x, gb))
-    raise UnsupportedSchemeError(
-        f"no product-form CDFs for scheme {scheme.value!r}: the selected "
-        "antenna's SNRs are dependent")
-
-
 def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
-    """ASC by adaptive quadrature of the product-form integral.
-
-    Valid for the schemes whose selected-antenna SNRs stay independent
-    (btas, etas, random); the optimal scheme raises UnsupportedSchemeError.
-    """
-    scheme = TasScheme(scheme)
-    f_eve, sf_bob = _integrand_factories(scenario, scheme)
+    """ASC by adaptive quadrature of the product-form integral over the
+    scheme's `link_laws`; otas raises UnsupportedSchemeError."""
+    f_eve, sf_bob = link_laws(scheme, scenario)
 
     def integrand(x):
         return f_eve(x) * sf_bob(x) / (1.0 + x)
 
-    value = integrate_half_line(integrand, abs_tol=QUAD_ABS_TOL,
-                                max_intervals=QUAD_MAX_INTERVALS) / _LN2
+    value = integrate_half_line(integrand) / _LN2
     return AscEstimate(value=max(0.0, value), method=Method.QUAD)
 
 

@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelRealization, RngStream, Scenario
+from .errors import UnsupportedSchemeError
 
 
 class TasScheme(str, Enum):
@@ -99,8 +100,43 @@ def select_random(scenario: Scenario, rng: RngStream) -> Selection:
 
 
 # ----------------------------------------------------------------------------
-# Gain CDFs: single link and the max/min order statistics of M i.i.d. links.
+# Gain CDFs: single link and the max/min order statistics of M i.i.d. links,
+# each stated once as a vectorized kernel that cdf_* and link_laws evaluate.
 # ----------------------------------------------------------------------------
+
+def _cdf_exp(x, beta):
+    return -np.expm1(-x / beta)
+
+
+def _sf_exp(x, beta):
+    return np.exp(-x / beta)
+
+
+def _sf_max(x, beta, m):
+    # 1 - (1 - exp(-x/beta))^m without cancellation in the deep tail.
+    with np.errstate(divide="ignore"):
+        return -np.expm1(m * np.log1p(-np.exp(-x / beta)))
+
+
+def _cdf_min(x, beta, m):
+    return -np.expm1(-(m / beta) * x)
+
+
+def link_laws(scheme: TasScheme, scenario: Scenario):
+    """Vectorized (F_E, 1 - F_B) of the selected antenna's two SNRs, for the
+    schemes whose selection keeps the links independent (not otas)."""
+    scheme = TasScheme(scheme)
+    gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
+    if scheme is TasScheme.BTAS:
+        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_max(x, gb, m))
+    if scheme is TasScheme.ETAS:
+        return (lambda x: _cdf_min(x, ge, m)), (lambda x: _sf_exp(x, gb))
+    if scheme is TasScheme.RANDOM:
+        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_exp(x, gb))
+    raise UnsupportedSchemeError(
+        f"no product-form CDFs for scheme {scheme.value!r}: the selected "
+        "antenna's SNRs are dependent")
+
 
 def _check_beta(beta: float) -> None:
     if not (beta > 0 and math.isfinite(beta)):
@@ -117,7 +153,7 @@ def cdf_exponential(x: float, beta: float) -> float:
     _check_beta(beta)
     if x <= 0.0:
         return 0.0
-    return -math.expm1(-x / beta)
+    return float(_cdf_exp(x, beta))
 
 
 def cdf_max_order(x: float, beta: float, m: int) -> float:
@@ -137,4 +173,4 @@ def cdf_min_order(x: float, beta: float, m: int) -> float:
     _check_order(m)
     if x <= 0.0:
         return 0.0
-    return -math.expm1(-(m * x) / beta)
+    return float(_cdf_min(x, beta, m))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import RngStream, Scenario, draw_gain_blocks
 from .experiments import db_to_linear
-from .secrecy import (MC_CHUNK_SIZE, asc_btas_closed, asc_etas_closed,
+from .secrecy import (_chunk_layout, asc_btas_closed, asc_etas_closed,
                       asc_otas_mc, asc_quadrature, mc_asc, secrecy_capacity)
 from .selection import TasScheme, select_indices
 
@@ -86,11 +86,8 @@ def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
     scenario = _scenario(10.0, 10.0, 8)
     base = RngStream(seed)
     violations = 0
-    done = 0
-    chunk = 0
     others = (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM)
-    while done < realizations:
-        size = min(MC_CHUNK_SIZE, realizations - done)
+    for chunk, size in _chunk_layout(realizations):
         stream = base.substream(_BRANCH_DOMINANCE, chunk)
         bob, eve = draw_gain_blocks(scenario, stream, size)
         cs = secrecy_capacity(scenario.gamma_b0 * bob, scenario.gamma_e0 * eve)
@@ -99,8 +96,6 @@ def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
         for scheme in others:
             idx = select_indices(scheme, scenario, bob, eve, rng=stream)
             violations += int(np.count_nonzero(cs[rows, idx] > best))
-        done += size
-        chunk += 1
     return CheckResult(
         "otas-dominance", violations == 0,
         f"{realizations} realizations x {len(others)} rival schemes, "

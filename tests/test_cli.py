@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from tasec import cli
+from tasec.channel import Scenario
 from tasec.cli import (ASC_CSV_HEADER, SWEEP_CSV_HEADER, UsageError, main,
                        parse_config)
+from tasec.errors import UnsupportedSchemeError
+from tasec.secrecy import ROUTES, Method, asc_quadrature
 from tasec.selection import TasScheme
 
 from faults import negate_btas_terms
@@ -187,6 +190,24 @@ def test_otas_quad_rejected(capsys):
 def test_random_closed_rejected(capsys):
     code, _, err = run_cli(["asc", "--scheme", "random", "--method", "closed"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("scheme", list(TasScheme))
+def test_route_table_matches_library(scheme, method, capsys):
+    code, out, err = run_cli(["asc", "--scheme", scheme.value, "--method",
+                              method.value, "--trials", "20"], capsys)
+    if method in ROUTES[scheme]:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith(f"{scheme.value},{method.value},")
+    else:
+        assert code == 2 and out == ""
+        assert "unavailable for " + scheme.value in err
+    if Method.QUAD in ROUTES[scheme]:
+        assert asc_quadrature(Scenario(1.0, 1.0, 2), scheme).method is Method.QUAD
+    else:
+        with pytest.raises(UnsupportedSchemeError):
+            asc_quadrature(Scenario(1.0, 1.0, 2), scheme)
 
 
 # ----------------------------------------------------------------------------

@@ -57,6 +57,18 @@ def test_spec_validation():
         closed_spec(normalize_to_otas=True, mc_trials=1)
     spec = closed_spec(schemes=("btas", "etas"))
     assert spec.schemes == (TasScheme.BTAS, TasScheme.ETAS)
+    # Counts are integers: no silent truncation of floats or bools.
+    for antennas in ((2.7,), (2.0,), (True,), (4, False), ("2",)):
+        with pytest.raises(ValueError, match="antenna count must be an integer"):
+            closed_spec(antennas=antennas)
+    for trials in (2.5, 1e5, True):
+        with pytest.raises(ValueError, match="mc_trials must be an integer"):
+            closed_spec(schemes=(TasScheme.OTAS,), mc_trials=trials)
+    spec = closed_spec(antennas=(np.int64(4), np.int32(2)),
+                       schemes=(TasScheme.OTAS,), mc_trials=np.int64(4))
+    assert spec.antennas == (4, 2) and type(spec.antennas[0]) is int
+    assert spec.mc_trials == 4 and type(spec.mc_trials) is int
+    assert [r.antennas for r in run_sweep(spec)] == [2, 4] * 3
 
 
 @pytest.mark.parametrize("swept,start_db,stop_db,fixed_db,bad_db,fault", [

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tasec.channel import ChannelRealization, RngStream, Scenario, draw_gain_blocks
+from tasec.errors import UnsupportedSchemeError
 from tasec.selection import (TasScheme, cdf_exponential, cdf_max_order,
-                             cdf_min_order, select_btas, select_etas,
+                             cdf_min_order, link_laws, select_btas, select_etas,
                              select_indices, select_otas, select_random)
 
 from oracles import ks_statistic
@@ -96,6 +97,10 @@ def test_batch_selectors_match_scalar():
         assert select_otas(scenario, real).antenna == otas_idx[i]
         assert select_btas(real).antenna == btas_idx[i]
         assert select_etas(real).antenna == etas_idx[i]
+        # Equal fresh streams: the scalar draw is the one-row batch draw.
+        random_idx = select_indices(TasScheme.RANDOM, scenario, bob[i:i + 1],
+                                    eve[i:i + 1], rng=RngStream(32, i))
+        assert select_random(scenario, RngStream(32, i)).antenna == random_idx[0]
 
 
 def test_single_antenna_all_schemes_pick_zero():
@@ -175,6 +180,55 @@ def test_stochastic_ordering():
             x = float(x)
             assert cdf_max_order(x, beta, m) <= cdf_exponential(x, beta) \
                 <= cdf_min_order(x, beta, m)
+
+
+# ----------------------------------------------------------------------------
+# Link laws: the quadrature integrands evaluate the public CDFs
+# ----------------------------------------------------------------------------
+
+LAW_SCENARIOS = [Scenario(1.0, 1.0, 1), Scenario(10.0, 0.1, 4),
+                 Scenario(0.5, 100.0, 16), Scenario(0.01, 0.02, 33),
+                 Scenario(1000.0, 3.0, 64), Scenario(3.0, 3.0, 64)]
+# Multiples of each mean, from far below it to x/beta = 700, where exp(-x/beta)
+# is still a normal double but 1 - F(x)^M has long since rounded to 0.
+LAW_MULTIPLES = np.logspace(-8, np.log10(700.0), 400)
+
+
+def law_grid(scenario):
+    return np.sort(np.concatenate([scenario.gamma_e0 * LAW_MULTIPLES,
+                                   scenario.gamma_b0 * LAW_MULTIPLES]))
+
+
+@pytest.mark.parametrize("scenario", LAW_SCENARIOS,
+                         ids=lambda s: f"{s.gamma_b0:g}-{s.gamma_e0:g}-M{s.num_antennas}")
+@pytest.mark.parametrize("scheme", [TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM])
+def test_link_laws_are_the_public_cdfs(scheme, scenario):
+    gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
+    x = law_grid(scenario)
+    f_eve, sf_bob = link_laws(scheme, scenario)
+    if scheme is TasScheme.ETAS:
+        eve_cdf = [cdf_min_order(float(v), ge, m) for v in x]
+        bob_cdf = np.array([cdf_exponential(float(v), gb) for v in x])
+    else:
+        eve_cdf = [cdf_exponential(float(v), ge) for v in x]
+        bob_cdf = np.array([cdf_max_order(float(v), gb, m) if scheme is TasScheme.BTAS
+                            else cdf_exponential(float(v), gb) for v in x])
+    assert f_eve(x).tolist() == eve_cdf
+
+    sf = sf_bob(x)
+    # The scalar F^M carries M times the rounding error of F.
+    order = m if scheme is TasScheme.BTAS else 1
+    tol = 1e-15 + order * np.finfo(float).eps * bob_cdf
+    assert np.all(np.abs(sf - (1.0 - bob_cdf)) <= tol)
+    # Where 1 - F rounds to 0 the survival kernel keeps the tail.
+    rounded = (bob_cdf == 1.0) & (x <= 700.0 * gb)
+    assert rounded.any()
+    assert np.all(sf[rounded] > 0.0)
+
+
+def test_link_laws_reject_otas():
+    with pytest.raises(UnsupportedSchemeError, match="'otas'.*dependent"):
+        link_laws(TasScheme.OTAS, Scenario(1.0, 1.0, 2))
 
 
 # ----------------------------------------------------------------------------
