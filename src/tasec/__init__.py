@@ -2,34 +2,27 @@
 Rayleigh fading: Monte Carlo, quadrature, and closed-form evaluation plus
 sweep/crossover tooling."""
 
-from .channel import (ChannelRealization, LinkBudget, RngStream, Scenario,
-                      draw_gain_blocks, draw_realization, instantaneous_snrs,
-                      reference_snrs)
+from .channel import RngStream, Scenario, draw_gain_blocks
 from .errors import (ConvergenceError, DegenerateNormalizationError,
                      NoCrossoverError, UnsupportedSchemeError)
 from .experiments import (CrossoverResult, SweepRow, SweepSpec, SweptParameter,
                           adaptive_scheme, db_to_linear, find_crossover,
                           run_sweep)
-from .expint import delta_e, exp_integral_e1, exp_scaled_e1
+from .expint import delta_e, exp_scaled_e1
 from .secrecy import (AscEstimate, Method, asc_btas_closed, asc_etas_closed,
-                      asc_otas_mc, asc_quadrature, instantaneous_cs, mc_asc)
-from .selection import (Selection, TasScheme, cdf_exponential, cdf_max_order,
-                        cdf_min_order, select_btas, select_etas, select_indices,
-                        select_otas, select_random)
+                      asc_otas_mc, asc_quadrature, mc_asc, secrecy_capacity)
+from .selection import TasScheme, link_laws, select_indices
 from .verification import CheckResult, run_verification
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "AscEstimate", "ChannelRealization", "CheckResult", "ConvergenceError",
-    "CrossoverResult", "DegenerateNormalizationError", "LinkBudget", "Method",
-    "NoCrossoverError", "RngStream", "Scenario", "Selection", "SweepRow",
-    "SweepSpec", "SweptParameter", "TasScheme", "UnsupportedSchemeError",
-    "adaptive_scheme", "asc_btas_closed", "asc_etas_closed", "asc_otas_mc",
-    "asc_quadrature", "cdf_exponential", "cdf_max_order", "cdf_min_order",
-    "db_to_linear", "delta_e", "draw_gain_blocks", "draw_realization",
-    "exp_integral_e1", "exp_scaled_e1", "find_crossover", "instantaneous_cs",
-    "instantaneous_snrs", "mc_asc", "reference_snrs", "run_sweep",
-    "run_verification", "select_btas", "select_etas", "select_indices",
-    "select_otas", "select_random",
+    "AscEstimate", "CheckResult", "ConvergenceError", "CrossoverResult",
+    "DegenerateNormalizationError", "Method", "NoCrossoverError", "RngStream",
+    "Scenario", "SweepRow", "SweepSpec", "SweptParameter", "TasScheme",
+    "UnsupportedSchemeError", "adaptive_scheme", "asc_btas_closed",
+    "asc_etas_closed", "asc_otas_mc", "asc_quadrature", "db_to_linear",
+    "delta_e", "draw_gain_blocks", "exp_scaled_e1", "find_crossover",
+    "link_laws", "mc_asc", "run_sweep", "run_verification", "secrecy_capacity",
+    "select_indices",
 ]

@@ -1,4 +1,4 @@
-"""Link-budget bookkeeping and reproducible Rayleigh channel draws.
+"""Operating points and reproducible Rayleigh channel draws.
 
 Fading gains are the squared magnitudes of unit-mean complex Gaussian
 coefficients, which are Exponential(1). They are drawn as Exp(1) directly
@@ -22,26 +22,6 @@ def _require_positive(value: float, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    """Physical parameters that collapse into the two reference SNRs.
-
-    transmit_power and noise_density in watts, distances in meters,
-    path_loss_exponent dimensionless. All strictly positive.
-    """
-
-    transmit_power: float
-    distance_bob: float
-    distance_eve: float
-    path_loss_exponent: float
-    noise_density: float
-
-    def __post_init__(self):
-        for name in ("transmit_power", "distance_bob", "distance_eve",
-                     "path_loss_exponent", "noise_density"):
-            _require_positive(getattr(self, name), name)
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One operating point: linear reference SNRs of both links plus the
     transmit antenna count."""
@@ -56,31 +36,13 @@ class Scenario:
         m = self.num_antennas
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"num_antennas must be an integer >= 1, got {m!r}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One fading draw: M gains toward Bob and M toward Eve."""
-
-    bob_gains: np.ndarray
-    eve_gains: np.ndarray
-
-    def __post_init__(self):
-        bob = np.asarray(self.bob_gains, dtype=float)
-        eve = np.asarray(self.eve_gains, dtype=float)
-        object.__setattr__(self, "bob_gains", bob)
-        object.__setattr__(self, "eve_gains", eve)
-        if bob.ndim != 1 or eve.ndim != 1 or bob.shape != eve.shape:
-            raise ValueError("bob_gains and eve_gains must be 1-d and equally long")
-        if bob.size < 1:
-            raise ValueError("need at least one antenna")
-        for name, gains in (("bob_gains", bob), ("eve_gains", eve)):
-            if not np.all(np.isfinite(gains)) or np.any(gains < 0):
-                raise ValueError(f"{name} must be finite and >= 0")
-
-    @property
-    def num_antennas(self) -> int:
-        return self.bob_gains.size
+        # The closed forms take E1 at k/gamma_b0 + 1/gamma_e0 (k <= M) and at
+        # M/gamma_e0 + 1/gamma_b0; a point where those overflow is rejected.
+        gb, ge = self.gamma_b0, self.gamma_e0
+        if not (math.isfinite(m / gb + 1 / ge) and math.isfinite(m / ge + 1 / gb)):
+            raise ValueError(
+                f"gamma_b0={gb!r}, gamma_e0={ge!r} are too small at M={m}: "
+                "M/gamma_b0 + 1/gamma_e0 or M/gamma_e0 + 1/gamma_b0 overflows a float")
 
 
 class RngStream:
@@ -121,15 +83,6 @@ class RngStream:
                 + (f", branch={self._branch}" if self._branch else "") + ")")
 
 
-def reference_snrs(budget: LinkBudget) -> tuple[float, float]:
-    """Single-antenna average SNRs (gamma_b0, gamma_e0) of the two links:
-    transmit power over noise, attenuated by distance^(-path_loss_exponent)."""
-    alpha = budget.path_loss_exponent
-    gamma_b0 = budget.transmit_power * budget.distance_bob ** -alpha / budget.noise_density
-    gamma_e0 = budget.transmit_power * budget.distance_eve ** -alpha / budget.noise_density
-    return gamma_b0, gamma_e0
-
-
 def draw_gain_blocks(scenario: Scenario, rng: RngStream,
                      count: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` realizations at once; returns (bob, eve) arrays of shape
@@ -143,21 +96,3 @@ def draw_gain_blocks(scenario: Scenario, rng: RngStream,
     bob = gen.standard_exponential(shape)
     eve = gen.standard_exponential(shape)
     return bob, eve
-
-
-def draw_realization(scenario: Scenario, rng: RngStream) -> ChannelRealization:
-    """Draw one quasi-static fading realization (2M independent gains)."""
-    bob, eve = draw_gain_blocks(scenario, rng, 1)
-    return ChannelRealization(bob[0], eve[0])
-
-
-def instantaneous_snrs(scenario: Scenario, realization: ChannelRealization,
-                       antenna: int) -> tuple[float, float]:
-    """Per-antenna instantaneous SNRs (gamma_b, gamma_e); unit-power symbols,
-    so the SNR is just reference SNR times the fading gain."""
-    m = realization.num_antennas
-    if not isinstance(antenna, int) or isinstance(antenna, bool) \
-            or not 0 <= antenna < m:
-        raise IndexError(f"antenna index {antenna!r} out of range [0, {m})")
-    return (scenario.gamma_b0 * float(realization.bob_gains[antenna]),
-            scenario.gamma_e0 * float(realization.eve_gains[antenna]))

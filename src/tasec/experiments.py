@@ -94,13 +94,14 @@ class SweepSpec:
         object.__setattr__(self, "antennas",
                            tuple(_integer(m, "antenna count") for m in self.antennas))
         object.__setattr__(self, "mc_trials", _integer(self.mc_trials, "mc_trials"))
+        object.__setattr__(self, "points", _integer(self.points, "points"))
         object.__setattr__(self, "schemes",
                            tuple(TasScheme(s) for s in self.schemes))
         if not (math.isfinite(self.start_db) and math.isfinite(self.stop_db)
                 and self.start_db < self.stop_db):
             raise ValueError(
                 f"need start_db < stop_db, got [{self.start_db!r}, {self.stop_db!r}]")
-        if not isinstance(self.points, int) or self.points < 2:
+        if self.points < 2:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
         if not math.isfinite(self.fixed_gamma_db):
             raise ValueError(f"fixed_gamma_db must be finite, got {self.fixed_gamma_db!r}")
@@ -114,13 +115,16 @@ class SweepSpec:
             raise ValueError(
                 "mc_trials >= 2 required: this sweep requests a Monte Carlo "
                 "path (otas/random scheme, overlay, or normalization)")
-        # The grid is linear in dB, so its two ends bound every SNR it reaches.
+        # The grid is linear in dB, so its two ends bound every SNR it reaches,
+        # and Scenario's rule holds at every point if it holds there at max M.
         for value_db in (self.start_db, self.stop_db):
-            for x_db in _grid_point_dbs(self, value_db):
+            dbs = _grid_point_dbs(self, value_db)
+            for x_db in dbs:
                 if db_to_linear(x_db) == 0.0:
                     raise ValueError(
                         f"dB value {x_db!r} is out of range: "
                         f"10^({x_db!r}/10) underflows to 0")
+            Scenario(*map(db_to_linear, dbs), max(self.antennas))
 
     @property
     def needs_mc(self) -> bool:
@@ -217,7 +221,8 @@ def find_crossover(gamma_b0_db: float, antennas: int,
     Requires a sign change of btas - etas over the bracket; at a single
     antenna the schemes coincide everywhere, so that is rejected.
     """
-    if not isinstance(antennas, int) or antennas < 2:
+    antennas = _integer(antennas, "antennas")
+    if antennas < 2:
         raise ValueError(f"crossover needs antennas >= 2, got {antennas!r}")
     lo, hi = float(bracket_db[0]), float(bracket_db[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

@@ -2,9 +2,10 @@
 
 Everything here is scalar double-precision math built from scratch:
 
-  exp_integral_e1(x)  E1(x) = int_x^inf exp(-t)/t dt          for x > 0
-  exp_scaled_e1(x)    exp(x) * E1(x), overflow-safe            for x > 0
+  exp_scaled_e1(x)    exp(x) E1(x), overflow-safe              for x > 0
   delta_e(a, b)       exp(a) E1(a) - exp(b) E1(b)              for a, b > 0
+
+where E1(x) = int_x^inf exp(-t)/t dt is the exponential integral.
 
 The scaled form is the workhorse: for the extreme SNR ratios that show up in
 wide dB sweeps, exp(x) alone would overflow long before E1(x) underflows, so
@@ -74,18 +75,6 @@ def _e1_scaled_cf(x: float) -> float:
         if abs(delta - 1.0) < _REL_TOL:
             return f
     raise ConvergenceError(f"E1 continued fraction did not converge for x={x!r}")
-
-
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt, x > 0.
-
-    Relative accuracy is ~1e-12 or better over [1e-300, 700]; above ~740 the
-    result underflows to 0 like exp(-x)/x does.
-    """
-    _check_domain(x)
-    if x <= 1.0:
-        return _e1_series(x)
-    return _e1_scaled_cf(x) * math.exp(-x)
 
 
 def exp_scaled_e1(x: float) -> float:

@@ -1,4 +1,4 @@
-"""Antenna-selection criteria and the order-statistic CDFs they induce.
+"""Antenna-selection criteria and the link laws they induce.
 
 Four criteria are supported:
 
@@ -13,13 +13,11 @@ Ties break toward the lowest index; under continuous fading that is a
 probability-zero event that only matters for crafted inputs.
 """
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelRealization, RngStream, Scenario
+from .channel import RngStream, Scenario
 from .errors import UnsupportedSchemeError
 
 
@@ -28,16 +26,6 @@ class TasScheme(str, Enum):
     BTAS = "btas"
     ETAS = "etas"
     RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class Selection:
-    antenna: int
-    scheme: TasScheme
-
-    def __post_init__(self):
-        if self.antenna < 0:
-            raise ValueError(f"antenna index must be >= 0, got {self.antenna!r}")
 
 
 def select_indices(scheme: TasScheme, scenario: Scenario,
@@ -64,44 +52,9 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _check_matching(scenario: Scenario, realization: ChannelRealization) -> None:
-    if scenario.num_antennas != realization.num_antennas:
-        raise ValueError(
-            f"scenario has M={scenario.num_antennas} antennas but the "
-            f"realization has {realization.num_antennas}")
-
-
-def select_otas(scenario: Scenario, realization: ChannelRealization) -> Selection:
-    """Secrecy-optimal selection: maximize the per-antenna SNR ratio.
-
-    The argmax is returned even when no antenna beats ratio 1; the capacity
-    clamp downstream handles it.
-    """
-    _check_matching(scenario, realization)
-    idx = select_indices(TasScheme.OTAS, scenario, realization.bob_gains[None, :],
-                         realization.eve_gains[None, :])
-    return Selection(int(idx[0]), TasScheme.OTAS)
-
-
-def select_btas(realization: ChannelRealization) -> Selection:
-    """Legitimate-link selection: antenna with the largest Bob gain."""
-    return Selection(int(np.argmax(realization.bob_gains)), TasScheme.BTAS)
-
-
-def select_etas(realization: ChannelRealization) -> Selection:
-    """Eavesdropper-link selection: antenna with the smallest Eve gain."""
-    return Selection(int(np.argmin(realization.eve_gains)), TasScheme.ETAS)
-
-
-def select_random(scenario: Scenario, rng: RngStream) -> Selection:
-    """Uniform selection over the M antennas; advances the stream."""
-    return Selection(int(rng.generator.integers(0, scenario.num_antennas)),
-                     TasScheme.RANDOM)
-
-
 # ----------------------------------------------------------------------------
 # Gain CDFs: single link and the max/min order statistics of M i.i.d. links,
-# each stated once as a vectorized kernel that cdf_* and link_laws evaluate.
+# each stated once as a vectorized kernel that link_laws evaluates.
 # ----------------------------------------------------------------------------
 
 def _cdf_exp(x, beta):
@@ -136,41 +89,3 @@ def link_laws(scheme: TasScheme, scenario: Scenario):
     raise UnsupportedSchemeError(
         f"no product-form CDFs for scheme {scheme.value!r}: the selected "
         "antenna's SNRs are dependent")
-
-
-def _check_beta(beta: float) -> None:
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
-
-
-def _check_order(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
-
-
-def cdf_exponential(x: float, beta: float) -> float:
-    """CDF of an exponential with mean beta: 1 - exp(-x/beta), 0 for x <= 0."""
-    _check_beta(beta)
-    if x <= 0.0:
-        return 0.0
-    return float(_cdf_exp(x, beta))
-
-
-def cdf_max_order(x: float, beta: float, m: int) -> float:
-    """CDF of the maximum of m i.i.d. exponentials: F(x)^m."""
-    _check_beta(beta)
-    _check_order(m)
-    return cdf_exponential(x, beta) ** m
-
-
-def cdf_min_order(x: float, beta: float, m: int) -> float:
-    """CDF of the minimum of m i.i.d. exponentials, 1 - (1 - F(x))^m.
-
-    The minimum of m exponentials of mean beta is exponential with mean
-    beta/m, which is the numerically stable way to evaluate it.
-    """
-    _check_beta(beta)
-    _check_order(m)
-    if x <= 0.0:
-        return 0.0
-    return float(_cdf_min(x, beta, m))

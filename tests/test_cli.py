@@ -362,6 +362,20 @@ def test_out_of_range_sweep_grid_fails_before_any_row(grid, scheme, capsys):
     assert "4000" in err
 
 
+@pytest.mark.parametrize("args,expected", [
+    (["asc", "--scheme", "etas", "--gamma-e-db", "-3070", "-M", "64"], 2),
+    (["crossover", "--gamma-b-db", "-3200", "-M", "8"], 1),
+    (["sweep", "--swept", "gamma-b", "--from-db", "-3200", "--to-db", "0",
+      "--points", "3", "--scheme", "otas", "--scheme", "etas", "--trials", "1000"], 2),
+])
+def test_tiny_snr_fails_before_any_work(args, expected, capsys):
+    # M/gamma or 1/gamma overflows a closed-form argument; Scenario says so.
+    code, out, err = run_cli(args, capsys)
+    assert code == expected
+    assert out == ""
+    assert "too small" in err and "gamma_b0=" in err and "gamma_e0=" in err
+
+
 def test_degenerate_normalization_exit_code(capsys):
     # a vanishing legitimate SNR drives the O-TAS reference to exactly zero
     code, _, err = run_cli(

@@ -64,10 +64,15 @@ def test_spec_validation():
     for trials in (2.5, 1e5, True):
         with pytest.raises(ValueError, match="mc_trials must be an integer"):
             closed_spec(schemes=(TasScheme.OTAS,), mc_trials=trials)
+    for points in (3.0, 2.5, True):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            closed_spec(points=points)
     spec = closed_spec(antennas=(np.int64(4), np.int32(2)),
-                       schemes=(TasScheme.OTAS,), mc_trials=np.int64(4))
+                       schemes=(TasScheme.OTAS,), mc_trials=np.int64(4),
+                       points=np.int64(3))
     assert spec.antennas == (4, 2) and type(spec.antennas[0]) is int
     assert spec.mc_trials == 4 and type(spec.mc_trials) is int
+    assert spec.points == 3 and type(spec.points) is int
     assert [r.antennas for r in run_sweep(spec)] == [2, 4] * 3
 
 
@@ -88,6 +93,17 @@ def test_spec_rejects_out_of_range_grid(swept, start_db, stop_db, fixed_db,
     with pytest.raises(ValueError, match=f"{bad_db!r}.*{fault}"):
         closed_spec(swept=swept, start_db=start_db, stop_db=stop_db,
                     fixed_gamma_db=fixed_db)
+
+
+def test_spec_rejects_tiny_snr_at_largest_antenna_count():
+    # 64/10^-307 overflows a double; 8/10^-307 does not.
+    for swept in ("gamma-b", "gamma-e"):
+        with pytest.raises(ValueError, match="gamma_b0=.*gamma_e0=.*too small at M=64"):
+            closed_spec(swept=swept, start_db=-3070.0, stop_db=0.0, antennas=(8, 64))
+        closed_spec(swept=swept, start_db=-3070.0, stop_db=0.0, antennas=(8,))
+    with pytest.raises(ValueError, match="gamma_e0=1e-307"):
+        closed_spec(swept="ratio", start_db=-3070.0, stop_db=0.0,
+                    fixed_gamma_db=0.0, antennas=(64,))
 
 
 def test_spec_accepts_grid_edges_in_range():
@@ -243,6 +259,10 @@ def test_single_antenna_has_no_isolated_crossing():
 def test_crossover_argument_errors():
     with pytest.raises(ValueError):
         find_crossover(10.0, 1)
+    for antennas in (8.0, True):
+        with pytest.raises(ValueError, match="antennas must be an integer"):
+            find_crossover(10.0, antennas)
+    assert find_crossover(10.0, np.int64(8)) == find_crossover(10.0, 8)
     with pytest.raises(NoCrossoverError):
         find_crossover(10.0, 8, (25.0, 30.0))
 

@@ -8,7 +8,7 @@ from tasec.channel import RngStream, Scenario
 from tasec.errors import UnsupportedSchemeError
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            asc_btas_closed, asc_etas_closed, asc_otas_mc,
-                           asc_quadrature, instantaneous_cs, mc_asc)
+                           asc_quadrature, mc_asc, secrecy_capacity)
 from tasec.selection import TasScheme
 
 from faults import negate_btas_terms
@@ -31,18 +31,14 @@ def scenario_db(gb_db, ge_db, m):
 # Instantaneous secrecy capacity and the estimate container
 # ----------------------------------------------------------------------------
 
-def test_instantaneous_cs_values():
-    assert instantaneous_cs(5.0, 5.0) == 0.0
-    assert instantaneous_cs(3.0, 1.0) == 1.0
-    assert instantaneous_cs(1.0, 3.0) == 0.0
-    assert instantaneous_cs(0.0, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("gb,ge", [(-1.0, 0.0), (0.0, -0.5),
-                                   (float("nan"), 1.0), (1.0, float("inf"))])
-def test_instantaneous_cs_domain(gb, ge):
-    with pytest.raises(ValueError):
-        instantaneous_cs(gb, ge)
+def test_secrecy_capacity_values():
+    assert secrecy_capacity(5.0, 5.0) == 0.0
+    assert secrecy_capacity(3.0, 1.0) == 1.0
+    assert secrecy_capacity(1.0, 3.0) == 0.0
+    assert secrecy_capacity(0.0, 0.0) == 0.0
+    values = secrecy_capacity(np.array([5.0, 3.0, 1.0, 0.0]),
+                              np.array([5.0, 1.0, 3.0, 0.0]))
+    assert values.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_asc_estimate_invariants():

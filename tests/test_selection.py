@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tasec.channel import ChannelRealization, RngStream, Scenario, draw_gain_blocks
+from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
-from tasec.selection import (TasScheme, cdf_exponential, cdf_max_order,
-                             cdf_min_order, link_laws, select_btas, select_etas,
-                             select_indices, select_otas, select_random)
+from tasec.selection import TasScheme, link_laws, select_indices
 
 from oracles import ks_statistic
 
@@ -19,8 +17,12 @@ MAX2_CDF_AT_MEAN = 0.39957640089372803        # (1 - e^-1)^2
 MIN2_CDF_AT_MEAN = 0.8646647167633873         # 1 - e^-2
 
 
-def realization(bob, eve):
-    return ChannelRealization(np.asarray(bob, float), np.asarray(eve, float))
+def pick(scheme, bob, eve, scenario=None, rng=None):
+    """The antenna `select_indices` picks for one realization."""
+    bob = np.asarray(bob, float)[None, :]
+    eve = np.asarray(eve, float)[None, :]
+    scenario = scenario or Scenario(1.0, 1.0, bob.shape[1])
+    return int(select_indices(scheme, scenario, bob, eve, rng=rng)[0])
 
 
 # ----------------------------------------------------------------------------
@@ -28,79 +30,60 @@ def realization(bob, eve):
 # ----------------------------------------------------------------------------
 
 def test_otas_direct_evaluation():
-    scenario = Scenario(1.0, 1.0, 2)
-    sel = select_otas(scenario, realization([2.0, 3.0], [1.0, 4.0]))
     # ratios are [1.5, 0.8]
-    assert sel.antenna == 0 and sel.scheme is TasScheme.OTAS
+    assert pick(TasScheme.OTAS, [2.0, 3.0], [1.0, 4.0]) == 0
 
 
 def test_otas_tie_breaks_low():
-    scenario = Scenario(1.0, 1.0, 3)
-    sel = select_otas(scenario, realization([0.7] * 3, [0.7] * 3))
-    assert sel.antenna == 0
+    assert pick(TasScheme.OTAS, [0.7] * 3, [0.7] * 3) == 0
 
 
 def test_otas_returns_index_even_when_all_ratios_below_one():
+    # ratios are [1.1/51, 1.2/91]
     scenario = Scenario(1.0, 10.0, 2)
-    sel = select_otas(scenario, realization([0.1, 0.2], [5.0, 9.0]))
-    assert sel.antenna in (0, 1)
+    assert pick(TasScheme.OTAS, [0.1, 0.2], [5.0, 9.0], scenario) == 0
 
 
 def test_otas_degenerates_to_btas_for_negligible_eavesdropper():
     scenario = Scenario(10.0, 1e-12, 6)
     bob, eve = draw_gain_blocks(scenario, RngStream(99, 0), 1)
-    real = ChannelRealization(bob[0], eve[0])
-    assert select_otas(scenario, real).antenna == select_btas(real).antenna
+    assert pick(TasScheme.OTAS, bob[0], eve[0], scenario) \
+        == pick(TasScheme.BTAS, bob[0], eve[0], scenario)
 
 
 def test_btas_examples():
-    assert select_btas(realization([0.5, 2.0, 1.0], [1, 1, 1])).antenna == 1
-    assert select_btas(realization([4.0], [1.0])).antenna == 0
-    assert select_btas(realization([3.0, 3.0], [1, 1])).antenna == 0
+    assert pick(TasScheme.BTAS, [0.5, 2.0, 1.0], [1, 1, 1]) == 1
+    assert pick(TasScheme.BTAS, [4.0], [1.0]) == 0
+    assert pick(TasScheme.BTAS, [3.0, 3.0], [1, 1]) == 0
 
 
 def test_etas_examples():
-    assert select_etas(realization([1, 1, 1], [0.5, 2.0, 1.0])).antenna == 0
-    assert select_etas(realization([1.0], [7.0])).antenna == 0
-    assert select_etas(realization([1, 1, 1], [1.0, 1.0, 0.2])).antenna == 2
+    assert pick(TasScheme.ETAS, [1, 1, 1], [0.5, 2.0, 1.0]) == 0
+    assert pick(TasScheme.ETAS, [1.0], [7.0]) == 0
+    assert pick(TasScheme.ETAS, [1, 1, 1], [1.0, 1.0, 0.2]) == 2
 
 
 def test_random_singleton():
-    scenario = Scenario(1.0, 1.0, 1)
     rng = RngStream(4, 0)
-    assert all(select_random(scenario, rng).antenna == 0 for _ in range(32))
+    assert all(pick(TasScheme.RANDOM, [1.0], [1.0], rng=rng) == 0 for _ in range(32))
 
 
 def test_random_uniformity():
     scenario = Scenario(1.0, 1.0, 4)
-    draws = RngStream(4, 1).generator.integers(0, 4, size=1_000_000)
+    gains = np.broadcast_to(1.0, (1_000_000, 4))  # random selection ignores them
+    draws = select_indices(TasScheme.RANDOM, scenario, gains, gains,
+                           rng=RngStream(4, 1))
     counts = np.bincount(draws, minlength=4) / draws.size
     assert np.all(np.abs(counts - 0.25) < 0.002)
 
 
 def test_random_reproducible():
-    scenario = Scenario(1.0, 1.0, 5)
     rng_a, rng_b = RngStream(8, 3), RngStream(8, 3)
-    seq_a = [select_random(scenario, rng_a).antenna for _ in range(20)]
-    seq_b = [select_random(scenario, rng_b).antenna for _ in range(20)]
+    gains = [1.0] * 5
+    seq_a = [pick(TasScheme.RANDOM, gains, gains, rng=rng_a) for _ in range(20)]
+    seq_b = [pick(TasScheme.RANDOM, gains, gains, rng=rng_b) for _ in range(20)]
     assert seq_a == seq_b
-
-
-def test_batch_selectors_match_scalar():
-    scenario = Scenario(3.0, 5.0, 4)
-    bob, eve = draw_gain_blocks(scenario, RngStream(31, 0), 500)
-    otas_idx = select_indices(TasScheme.OTAS, scenario, bob, eve)
-    btas_idx = select_indices(TasScheme.BTAS, scenario, bob, eve)
-    etas_idx = select_indices(TasScheme.ETAS, scenario, bob, eve)
-    for i in range(bob.shape[0]):
-        real = ChannelRealization(bob[i], eve[i])
-        assert select_otas(scenario, real).antenna == otas_idx[i]
-        assert select_btas(real).antenna == btas_idx[i]
-        assert select_etas(real).antenna == etas_idx[i]
-        # Equal fresh streams: the scalar draw is the one-row batch draw.
-        random_idx = select_indices(TasScheme.RANDOM, scenario, bob[i:i + 1],
-                                    eve[i:i + 1], rng=RngStream(32, i))
-        assert select_random(scenario, RngStream(32, i)).antenna == random_idx[0]
+    assert len(set(seq_a)) > 1
 
 
 def test_single_antenna_all_schemes_pick_zero():
@@ -108,78 +91,70 @@ def test_single_antenna_all_schemes_pick_zero():
     rng = RngStream(17, 0)
     for _ in range(10):
         bob, eve = draw_gain_blocks(scenario, rng, 1)
-        real = ChannelRealization(bob[0], eve[0])
-        assert select_otas(scenario, real).antenna == 0
-        assert select_btas(real).antenna == 0
-        assert select_etas(real).antenna == 0
-        assert select_random(scenario, rng).antenna == 0
-
-
-def test_mismatched_antenna_count_rejected():
-    scenario = Scenario(1.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        select_otas(scenario, realization([1.0, 2.0], [1.0, 2.0]))
+        for scheme in TasScheme:
+            assert pick(scheme, bob[0], eve[0], scenario, rng) == 0
 
 
 # ----------------------------------------------------------------------------
-# CDFs
+# Link laws: (F_E, 1 - F_B) of the selected antenna
 # ----------------------------------------------------------------------------
 
 def test_cdf_exponential_values():
-    assert cdf_exponential(0.0, 2.0) == 0.0
-    assert cdf_exponential(-3.0, 0.5) == 0.0
-    assert cdf_exponential(2.0, 2.0) == pytest.approx(EXP_CDF_AT_MEAN, rel=1e-14)
-    assert cdf_exponential(1e6, 1.0) == 1.0
-
-
-def test_cdf_validation():
-    for fn in (cdf_exponential, lambda x, b: cdf_max_order(x, b, 2),
-               lambda x, b: cdf_min_order(x, b, 2)):
-        with pytest.raises(ValueError):
-            fn(1.0, 0.0)
-        with pytest.raises(ValueError):
-            fn(1.0, -2.0)
-    with pytest.raises(ValueError):
-        cdf_max_order(1.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        cdf_min_order(1.0, 1.0, -1)
+    f_eve, _ = link_laws(TasScheme.RANDOM, Scenario(1.0, 2.0, 1))
+    at_zero, at_mean, far = f_eve(np.array([0.0, 2.0, 1e6]))
+    assert at_zero == 0.0 and far == 1.0
+    assert at_mean == pytest.approx(EXP_CDF_AT_MEAN, rel=1e-14)
 
 
 def test_order_statistic_values():
     beta = 1.7
-    assert cdf_max_order(0.4, beta, 1) == cdf_exponential(0.4, beta)
-    assert cdf_min_order(0.4, beta, 1) == pytest.approx(
-        cdf_exponential(0.4, beta), abs=1e-16)
-    assert cdf_max_order(beta, beta, 2) == pytest.approx(MAX2_CDF_AT_MEAN, rel=1e-14)
-    assert cdf_min_order(beta, beta, 2) == pytest.approx(MIN2_CDF_AT_MEAN, rel=1e-14)
-    assert cdf_max_order(0.0, beta, 5) == 0.0
+    x = np.linspace(0.0, 10.0, 41)
+    random_eve, random_bob = link_laws(TasScheme.RANDOM, Scenario(beta, beta, 1))
+    btas_eve, btas_bob = link_laws(TasScheme.BTAS, Scenario(beta, beta, 1))
+    etas_eve, etas_bob = link_laws(TasScheme.ETAS, Scenario(beta, beta, 1))
+    # a single antenna has nothing to select
+    assert np.array_equal(btas_eve(x), random_eve(x))
+    assert np.array_equal(etas_bob(x), random_bob(x))
+    assert btas_bob(x) == pytest.approx(random_bob(x), rel=0.0, abs=1e-16)
+    assert etas_eve(x) == pytest.approx(random_eve(x), rel=0.0, abs=1e-16)
+    _, btas2_bob = link_laws(TasScheme.BTAS, Scenario(beta, beta, 2))
+    etas2_eve, _ = link_laws(TasScheme.ETAS, Scenario(beta, beta, 2))
+    assert 1.0 - btas2_bob(beta) == pytest.approx(MAX2_CDF_AT_MEAN, rel=1e-14)
+    assert etas2_eve(beta) == pytest.approx(MIN2_CDF_AT_MEAN, rel=1e-14)
+    assert btas2_bob(0.0) == 1.0
 
 
 def test_min_order_equals_rescaled_exponential():
+    # The minimum of m exponentials of mean beta is exponential of mean beta/m.
     for beta in (0.3, 1.0, 42.0):
         for m in (1, 2, 3, 8):
-            for x in np.linspace(0.01, 8 * beta, 50):
-                assert cdf_min_order(float(x), beta, m) == pytest.approx(
-                    cdf_exponential(float(x), beta / m), abs=1e-15)
+            x = np.linspace(0.01, 8 * beta, 50)
+            etas_eve, _ = link_laws(TasScheme.ETAS, Scenario(1.0, beta, m))
+            random_eve, _ = link_laws(TasScheme.RANDOM, Scenario(1.0, beta / m, 1))
+            assert etas_eve(x) == pytest.approx(random_eve(x), rel=0.0, abs=1e-15)
 
 
 def test_cdfs_monotone_with_unit_range():
     grid = np.linspace(0.0, 60.0, 2000)
-    for fn in (lambda x: cdf_exponential(x, 2.0),
-               lambda x: cdf_max_order(x, 2.0, 4),
-               lambda x: cdf_min_order(x, 2.0, 4)):
-        values = [fn(float(x)) for x in grid]
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert all(b >= a for a, b in zip(values, values[1:]))
+    laws = [link_laws(scheme, Scenario(2.0, 2.0, 4))
+            for scheme in (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM)]
+    for f_eve, sf_bob in laws:
+        for values in (f_eve(grid), 1.0 - sf_bob(grid)):
+            assert np.all((0.0 <= values) & (values <= 1.0))
+            assert np.all(np.diff(values) >= 0.0)
 
 
 def test_stochastic_ordering():
     beta = 1.3
+    x = np.linspace(0.05, 12.0, 120)
     for m in (2, 4, 8):
-        for x in np.linspace(0.05, 12.0, 120):
-            x = float(x)
-            assert cdf_max_order(x, beta, m) <= cdf_exponential(x, beta) \
-                <= cdf_min_order(x, beta, m)
+        scenario = Scenario(beta, beta, m)
+        _, btas_bob = link_laws(TasScheme.BTAS, scenario)
+        random_eve, random_bob = link_laws(TasScheme.RANDOM, scenario)
+        etas_eve, _ = link_laws(TasScheme.ETAS, scenario)
+        # F_max <= F <= F_min, stated on the laws each scheme selects
+        assert np.all(btas_bob(x) >= random_bob(x))
+        assert np.all(random_eve(x) <= etas_eve(x))
 
 
 # ----------------------------------------------------------------------------
@@ -199,6 +174,10 @@ def law_grid(scenario):
                                    scenario.gamma_b0 * LAW_MULTIPLES]))
 
 
+def exp_cdf(x, beta):
+    return -math.expm1(-x / beta)
+
+
 @pytest.mark.parametrize("scenario", LAW_SCENARIOS,
                          ids=lambda s: f"{s.gamma_b0:g}-{s.gamma_e0:g}-M{s.num_antennas}")
 @pytest.mark.parametrize("scheme", [TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM])
@@ -207,13 +186,13 @@ def test_link_laws_are_the_public_cdfs(scheme, scenario):
     x = law_grid(scenario)
     f_eve, sf_bob = link_laws(scheme, scenario)
     if scheme is TasScheme.ETAS:
-        eve_cdf = [cdf_min_order(float(v), ge, m) for v in x]
-        bob_cdf = np.array([cdf_exponential(float(v), gb) for v in x])
+        eve_cdf = np.array([exp_cdf(v, ge / m) for v in x])
+        bob_cdf = np.array([exp_cdf(v, gb) for v in x])
     else:
-        eve_cdf = [cdf_exponential(float(v), ge) for v in x]
-        bob_cdf = np.array([cdf_max_order(float(v), gb, m) if scheme is TasScheme.BTAS
-                            else cdf_exponential(float(v), gb) for v in x])
-    assert f_eve(x).tolist() == eve_cdf
+        eve_cdf = np.array([exp_cdf(v, ge) for v in x])
+        bob_cdf = np.array([exp_cdf(v, gb) ** m if scheme is TasScheme.BTAS
+                            else exp_cdf(v, gb) for v in x])
+    assert np.all(np.abs(f_eve(x) - eve_cdf) <= 2 * np.spacing(eve_cdf))
 
     sf = sf_bob(x)
     # The scalar F^M carries M times the rounding error of F.
@@ -245,14 +224,14 @@ def selection_sample():
 def test_btas_max_gain_distribution(selection_sample):
     scenario, bob, eve = selection_sample
     best = bob.max(axis=1)
-    stat = ks_statistic(best, lambda x: cdf_max_order(x, 1.0, scenario.num_antennas))
+    stat = ks_statistic(best, lambda x: exp_cdf(x, 1.0) ** scenario.num_antennas)
     assert stat < KS_LIMIT
 
 
 def test_etas_min_gain_distribution(selection_sample):
     scenario, bob, eve = selection_sample
     worst = eve.min(axis=1)
-    stat = ks_statistic(worst, lambda x: cdf_min_order(x, 1.0, scenario.num_antennas))
+    stat = ks_statistic(worst, lambda x: exp_cdf(x, 1.0 / scenario.num_antennas))
     assert stat < KS_LIMIT
 
 
@@ -260,7 +239,7 @@ def test_non_selected_link_unchanged_under_btas(selection_sample):
     scenario, bob, eve = selection_sample
     idx = select_indices(TasScheme.BTAS, scenario, bob, eve)
     eve_at_selected = eve[np.arange(eve.shape[0]), idx]
-    stat = ks_statistic(eve_at_selected, lambda x: cdf_exponential(x, 1.0))
+    stat = ks_statistic(eve_at_selected, lambda x: exp_cdf(x, 1.0))
     assert stat < KS_LIMIT
 
 
@@ -268,7 +247,7 @@ def test_non_selected_link_unchanged_under_etas(selection_sample):
     scenario, bob, eve = selection_sample
     idx = select_indices(TasScheme.ETAS, scenario, bob, eve)
     bob_at_selected = bob[np.arange(bob.shape[0]), idx]
-    stat = ks_statistic(bob_at_selected, lambda x: cdf_exponential(x, 1.0))
+    stat = ks_statistic(bob_at_selected, lambda x: exp_cdf(x, 1.0))
     assert stat < KS_LIMIT
 
 
