@@ -215,8 +215,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 
 def find_crossover(gamma_b0_db: float, antennas: int,
                    bracket_db: tuple[float, float] = DEFAULT_BRACKET_DB) -> CrossoverResult:
-    """Bisect for the eavesdropper/legitimate SNR ratio (dB) at which the two
-    closed-form sub-optimal curves cross.
+    """Find the eavesdropper/legitimate SNR ratio (dB) at which the two
+    closed-form sub-optimal curves cross, by Illinois false position.
 
     Requires a sign change of btas - etas over the bracket; at a single
     antenna the schemes coincide everywhere, so that is rejected.
@@ -243,17 +243,30 @@ def find_crossover(gamma_b0_db: float, antennas: int,
             f"btas - etas does not change sign on [{lo}, {hi}] dB "
             f"(endpoint gaps {g_lo:.3e}, {g_hi:.3e})")
 
-    mid, g_mid = lo, g_lo
+    # Illinois false position: step to where the chord through the bracket
+    # ends crosses zero. An end that survives two steps in a row has its gap
+    # halved, so that end cannot stall the bracket. A step that rounds onto
+    # or outside an end falls back to the midpoint.
+    root, g_root = lo, g_lo
+    kept = None  # which end the last step kept
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if abs(g_mid) <= CROSSOVER_RESIDUAL_TOL or (hi - lo) <= CROSSOVER_WIDTH_TOL_DB:
+        root = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < root < hi:
+            root = 0.5 * (lo + hi)
+        g_root = gap(root)
+        if abs(g_root) <= CROSSOVER_RESIDUAL_TOL or (hi - lo) <= CROSSOVER_WIDTH_TOL_DB:
             break
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
+        if (g_root > 0.0) == (g_lo > 0.0):
+            lo, g_lo = root, g_root
+            if kept == "hi":
+                g_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
-    return CrossoverResult(gamma_b0_db, antennas, mid, g_mid)
+            hi, g_hi = root, g_root
+            if kept == "lo":
+                g_lo *= 0.5
+            kept = "lo"
+    return CrossoverResult(gamma_b0_db, antennas, root, g_root)
 
 
 def adaptive_scheme(scenario: Scenario) -> tuple[TasScheme, AscEstimate]:

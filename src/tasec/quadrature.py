@@ -1,101 +1,134 @@
 """Adaptive Gauss-Kronrod quadrature with a half-line transform.
 
-A 7/15-point Gauss-Kronrod rule is applied per interval and the interval with
-the largest error estimate is bisected until the summed estimate drops below
-an absolute tolerance. Semi-infinite integrals are mapped onto [0, 1) via
-x = t/(1-t); the integrands used in this package decay exponentially, which
-tames the Jacobian blow-up at t -> 1.
+A 7/15-point Gauss-Kronrod rule is applied to every pending panel of a round
+at once: the integrand is called one time per round, on an (n, 15) array of
+abscissas. A panel is final once QUADPACK's error estimate is within its
+share of the absolute tolerance; every other panel is cut into 8 for the
+next round. Semi-infinite integrals are mapped onto [-1/2, 1/2] with both
+ends of the half line at 0 (see integrate_half_line); the integrands used in
+this package decay exponentially, which tames the Jacobian blow-up there.
 """
 
-import heapq
 import math
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-# 15-point Kronrod nodes on [-1, 1] and their weights; the 7 Gauss nodes are
-# the odd-indexed entries.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_W_KRONROD = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_W_GAUSS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_GAUSS_IDX = np.arange(1, 15, 2)
+# 15-point Kronrod nodes on [0, 1] and their weights (QUADPACK's qk15,
+# exact to well beyond double precision), mirrored onto [-1, 1] below; the 7
+# Gauss nodes are the odd-indexed entries.
+_KRONROD_HALF = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649),
+    (0.0, 0.209482141084727828012999174891714),
+)
+_GAUSS_HALF = (0.129484966168869693270611432679082,
+               0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975,
+               0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x, _ in _KRONROD_HALF] + [x for x, _ in _KRONROD_HALF[-2::-1]])
+_W_KRONROD = np.array([w for _, w in _KRONROD_HALF] + [w for _, w in _KRONROD_HALF[-2::-1]])
+_W_GAUSS = np.array(_GAUSS_HALF + _GAUSS_HALF[-2::-1])
+# Both rules as the columns of one (15, 2) matrix; the Gauss rule weighs only
+# the odd-indexed nodes.
+_W_KG = np.zeros((15, 2))
+_W_KG[:, 0] = _W_KRONROD
+_W_KG[1::2, 1] = _W_GAUSS
 
-
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod application on [a, b]; returns (integral, error)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _GK_NODES), dtype=float)
-    k15 = half * float(_W_KRONROD @ y)
-    g7 = half * float(_W_GAUSS @ y[_GAUSS_IDX])
-    err = (200.0 * abs(k15 - g7)) ** 1.5
-    return k15, err
+# Each panel that misses its error share is cut into this many equal parts.
+_SPLIT = 8
+_SPLIT_FRACTIONS = np.linspace(0.0, 1.0, _SPLIT + 1)
 
 
 def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-10,
-                       max_intervals: int = 2000, seed_intervals: int = 8) -> float:
+                       max_intervals: int = 2000, seed_intervals: int = 16,
+                       breakpoints=()) -> float:
     """Integrate a vectorized callable over [a, b] to absolute tolerance.
 
-    `f` must accept a numpy array of abscissas and return the integrand
-    values. Raises ConvergenceError when `max_intervals` subdivisions do not
-    bring the summed error estimate below `abs_tol`.
+    `f` must evaluate elementwise on a 2-D numpy array of abscissas; it is
+    called once per round, on the 15 nodes of every pending panel. The first
+    round covers [a, b] with `seed_intervals` equal panels, also cut at each
+    of `breakpoints` inside (a, b). A panel of width w is final when its
+    error estimate is at most abs_tol/2 * w/(b-a) + abs_tol/(2*max_intervals),
+    so the summed estimate over at most `max_intervals` final panels is at
+    most `abs_tol`; every other panel is cut into 8 for the next round.
+    Raises ConvergenceError when final and pending panels together would
+    exceed `max_intervals`.
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a!r}, {b!r}]")
-    intervals = []  # heap of (-err, seq, a, b, val)
-    seq = 0
-    total_err = 0.0
-    edges = np.linspace(a, b, seed_intervals + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, lo, hi)
-        heapq.heappush(intervals, (-err, seq, lo, hi, val))
-        seq += 1
-        total_err += err
+    step = (b - a) / seed_intervals
+    edges = {a + i * step for i in range(seed_intervals)}
+    edges.update(p for p in breakpoints if a < p < b)
+    edges = np.array(sorted(edges) + [b])
+    lo, hi = edges[:-1], edges[1:]
+    # err <= abs_tol/2 * w/(b-a) + share_floor, with w = 2 * half
+    share_per_half = abs_tol / (b - a)
+    share_floor = 0.5 * abs_tol / max_intervals
+    values = []  # of the final panels
+    # A non-finite integrand value or estimate can never pass the acceptance
+    # test, so it ends in ConvergenceError rather than in a numpy warning.
+    with np.errstate(all="ignore"):
+        while True:
+            if len(values) + lo.size > max_intervals:
+                raise ConvergenceError(
+                    f"quadrature tolerance {abs_tol:.3e} not met within "
+                    f"{max_intervals} intervals ({lo.size} unresolved)")
+            half = 0.5 * (hi - lo)
+            y = np.asarray(f(0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES),
+                           dtype=float)
+            kg = y @ _W_KG
+            k15 = half * kg[:, 0]
+            # QUADPACK's estimate resasc * min(1, (200 |K - G| / resasc)^1.5),
+            # scaled by the panel's spread about its mean (resasc) so that it
+            # holds for small integrands too. fmin drops the 0/0 of a
+            # constant panel and keeps the NaN of a non-finite one.
+            diff = np.abs(half * (kg[:, 0] - kg[:, 1]))
+            resasc = half * (np.abs(y - 0.5 * kg[:, :1]) @ _W_KRONROD)
+            err = np.fmin(resasc, (200.0 * diff) ** 1.5 / np.sqrt(resasc))
+            final = err <= share_per_half * half + share_floor
+            values += k15[final].tolist()
+            if final.all():
+                break
+            pending = ~final
+            lo, hi = lo[pending], hi[pending]
+            cuts = lo[:, None] + (hi - lo)[:, None] * _SPLIT_FRACTIONS
+            cuts[:, -1] = hi
+            lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    # fsum is correctly rounded, so the result does not depend on the order
+    # in which panels became final.
+    return math.fsum(values)
 
-    while total_err > abs_tol:
-        if len(intervals) >= max_intervals:
-            raise ConvergenceError(
-                f"quadrature error {total_err:.3e} > {abs_tol:.3e} "
-                f"after {len(intervals)} intervals")
-        neg_err, _, lo, hi, _ = heapq.heappop(intervals)
-        total_err += neg_err  # neg_err == -err of the popped interval
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            val, err = _gk15(f, sub_lo, sub_hi)
-            heapq.heappush(intervals, (-err, seq, sub_lo, sub_hi, val))
-            seq += 1
-            total_err += err
 
-    # Resum in left-to-right order so the result does not depend on the heap
-    # layout history.
-    return math.fsum(item[4] for item in sorted(intervals, key=lambda it: it[2]))
+def integrate_half_line(f, abs_tol: float = 1e-10, max_intervals: int = 2000,
+                        scales=()) -> float:
+    """Integrate f over [0, inf) on v in [-1/2, 1/2].
 
+    v in [0, 1/2] maps onto x = v/(1-v) in [0, 1], and v in [-1/2, 0) onto
+    x = (1-t)/t in (1, inf) with t = -v. Both ends of the half line then sit
+    at v = 0, where doubles are dense: a node's rounding moves x by a
+    relative, not an absolute, amount, also far out in the tail.
 
-def integrate_half_line(f, abs_tol: float = 1e-10,
-                        max_intervals: int = 2000) -> float:
-    """Integrate f over [0, inf) via the substitution x = t/(1-t)."""
+    Each of `scales` is an x around which f rises or falls, such as the mean
+    of an exponential factor. A step much narrower than a seed panel sits
+    between that panel's GK nodes, where no error estimate can see it, so
+    x = s, 8s and 64s become seed edges.
+    """
 
-    def transformed(t):
-        one_minus = 1.0 - t
-        x = t / one_minus
-        return f(x) / one_minus ** 2
+    def transformed(v):
+        near = v >= 0.0
+        den = np.where(near, 1.0 - v, -v)
+        return f(np.where(near, v, 1.0 + v) / den) / den / den
 
-    return integrate_adaptive(transformed, 0.0, 1.0, abs_tol=abs_tol,
-                              max_intervals=max_intervals)
+    edges = [x / (1.0 + x) if x <= 1.0 else -1.0 / (1.0 + x)
+             for s in scales for x in (s, 8.0 * s, 64.0 * s)]
+    # The map jumps from x = inf to x = 0 at v = 0, so 0 is always an edge.
+    return integrate_adaptive(transformed, -0.5, 0.5, abs_tol=abs_tol,
+                              max_intervals=max_intervals,
+                              breakpoints=[0.0, *edges])

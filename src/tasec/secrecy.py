@@ -29,7 +29,7 @@ import numpy as np
 from .channel import RngStream, Scenario, draw_gain_blocks
 from .expint import delta_e
 from .quadrature import integrate_half_line
-from .selection import TasScheme, link_laws, select_indices
+from .selection import TasScheme, link_laws, link_scales, select_indices
 
 _LN2 = math.log(2.0)
 
@@ -175,13 +175,17 @@ def asc_otas_mc(scenario: Scenario, trials: int, rng: RngStream,
 
 def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
     """ASC by adaptive quadrature of the product-form integral over the
-    scheme's `link_laws`; otas raises UnsupportedSchemeError."""
+    scheme's `link_laws`, seeded with edges at the laws' `link_scales`;
+    otas raises UnsupportedSchemeError. A tail that spans too many decades
+    for the interval cap (a legitimate reference SNR above about 1,260 dB)
+    raises ConvergenceError."""
     f_eve, sf_bob = link_laws(scheme, scenario)
 
     def integrand(x):
         return f_eve(x) * sf_bob(x) / (1.0 + x)
 
-    value = integrate_half_line(integrand) / _LN2
+    value = integrate_half_line(integrand,
+                                scales=link_scales(scheme, scenario)) / _LN2
     return AscEstimate(value=max(0.0, value), method=Method.QUAD)
 
 

@@ -36,6 +36,7 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
     argmax/argmin return the first extremal index, which is the tie rule.
     The random scheme consumes `rng` after the gains were drawn.
     """
+    scheme = TasScheme(scheme)
     if scheme is TasScheme.OTAS:
         # The log of the ratio is monotone, so comparing the ratio itself
         # picks the same antenna without transcendental calls.
@@ -45,11 +46,9 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
         return np.argmax(bob_gains, axis=1)
     if scheme is TasScheme.ETAS:
         return np.argmin(eve_gains, axis=1)
-    if scheme is TasScheme.RANDOM:
-        if rng is None:
-            raise ValueError("random selection needs an RngStream")
-        return rng.generator.integers(0, scenario.num_antennas, size=bob_gains.shape[0])
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if rng is None:  # TasScheme.RANDOM
+        raise ValueError("random selection needs an RngStream")
+    return rng.generator.integers(0, scenario.num_antennas, size=bob_gains.shape[0])
 
 
 # ----------------------------------------------------------------------------
@@ -89,3 +88,12 @@ def link_laws(scheme: TasScheme, scenario: Scenario):
     raise UnsupportedSchemeError(
         f"no product-form CDFs for scheme {scheme.value!r}: the selected "
         "antenna's SNRs are dependent")
+
+
+def link_scales(scheme: TasScheme, scenario: Scenario) -> tuple[float, float]:
+    """The means of the exponentials behind `link_laws`' (F_E, 1 - F_B):
+    the x around which each law rises or falls."""
+    eve = scenario.gamma_e0
+    if TasScheme(scheme) is TasScheme.ETAS:
+        eve /= scenario.num_antennas
+    return eve, scenario.gamma_b0

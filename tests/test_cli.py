@@ -252,6 +252,30 @@ def test_asc_quad_route(capsys):
         0.33906037855497906, abs=1e-9)
 
 
+def test_asc_quad_large_legitimate_snr(capsys):
+    # the tail out to x ~ 1e20 used to read as 0
+    code, out, _ = run_cli(["asc", "--scheme", "random", "--method", "quad",
+                            "--gamma-b-db", "200", "--gamma-e-db", "0", "-M", "8"], capsys)
+    assert code == 0
+    assert float(out.strip().splitlines()[1].split(",")[5]) == pytest.approx(
+        64.74546833819949, abs=1e-9)  # 60-digit closed form
+
+
+def test_asc_quad_out_of_reach_is_a_clean_error():
+    # a tail over 300 decades exceeds the quadrature's interval cap
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "tasec", "asc", "--scheme", "random", "--method", "quad",
+         "--gamma-b-db", "3000", "--gamma-e-db", "0", "-M", "8"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: quadrature tolerance")
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
 # ----------------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------------

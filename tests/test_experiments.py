@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tasec import experiments
 from tasec.channel import Scenario
 from tasec.errors import NoCrossoverError
 from tasec.experiments import (SweepRow, SweepSpec, SweptParameter,
@@ -239,6 +240,21 @@ def test_crossover_side_ordering():
 
     assert gap(root - 1.0) > 0.0  # legitimate-based wins below the root
     assert gap(root + 1.0) < 0.0  # eavesdropper-based wins above it
+
+
+def test_crossover_gap_evaluations(monkeypatch):
+    # Illinois false position takes 16-20 gap evaluations per golden root;
+    # bisection over the same bracket took about 30 each.
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return asc_etas_closed(scenario)
+
+    monkeypatch.setattr(experiments, "asc_etas_closed", counted)
+    for gamma_b0_db in sorted(CROSSOVER_GOLDEN_DB):
+        find_crossover(gamma_b0_db, 8)
+    assert len(calls) <= 60
 
 
 def test_crossover_invariant_under_bracket_halving():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tasec.channel import RngStream, Scenario
-from tasec.errors import UnsupportedSchemeError
+from tasec.errors import ConvergenceError, UnsupportedSchemeError
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            asc_btas_closed, asc_etas_closed, asc_otas_mc,
                            asc_quadrature, mc_asc, secrecy_capacity)
@@ -160,6 +160,33 @@ def test_quadrature_random_independent_of_antennas():
               for m in (1, 2, 8)]
     assert abs(values[0] - values[1]) <= 1e-12
     assert abs(values[0] - values[2]) <= 1e-12
+
+
+# 60-digit mpmath evaluations of the closed forms at these points.
+@pytest.mark.parametrize("scheme, gamma_b0, gamma_e0, m, reference", [
+    # F_E of E-TAS rises within x ~ gamma_e0/M (3e-5 down to 1.6e-6), far
+    # inside the first seed panel; only a seed edge at that scale lets GK15
+    # sample the rise
+    (TasScheme.ETAS, 10.0, 1e-3, 32, 2.90646972574445),
+    (TasScheme.ETAS, 10.0, 1e-3, 64, 2.9064922666922213),
+    (TasScheme.ETAS, 10.0, 1e-4, 8, 2.906496774974751),
+    (TasScheme.ETAS, 10.0, 1e-4, 64, 2.906512554207678),
+    # the tail reaches out to x ~ gamma_b0, beyond 1e10
+    (TasScheme.BTAS, 1e8, 1.0, 8, 27.016568495688226),
+    (TasScheme.BTAS, 1e10, 1.0, 8, 33.6604246790452),
+    (TasScheme.BTAS, 1e20, 1.0, 8, 66.879705627854),
+    (TasScheme.RANDOM, 1e20, 1.0, 8, 64.74546833819949),
+], ids=["etas-M32", "etas-M64", "etas-40dB-M8", "etas-40dB-M64", "btas-80dB",
+        "btas-100dB", "btas-200dB", "random-200dB"])
+def test_quadrature_at_the_scale_extremes(scheme, gamma_b0, gamma_e0, m, reference):
+    value = asc_quadrature(Scenario(gamma_b0, gamma_e0, m), scheme).value
+    assert value == pytest.approx(reference, abs=1e-9)
+
+
+def test_quadrature_out_of_reach_is_an_error():
+    # a tail over 300 decades needs more panels than the cap allows
+    with pytest.raises(ConvergenceError, match="tolerance"):
+        asc_quadrature(Scenario(1e300, 1.0, 8), TasScheme.BTAS)
 
 
 # ----------------------------------------------------------------------------

@@ -86,6 +86,21 @@ def test_random_reproducible():
     assert len(set(seq_a)) > 1
 
 
+@pytest.mark.parametrize("scheme", [s.value for s in TasScheme])
+def test_select_indices_accepts_scheme_names(scheme):
+    scenario = Scenario(2.0, 3.0, 5)
+    bob, eve = draw_gain_blocks(scenario, RngStream(23, 0), 64)
+    by_name = select_indices(scheme, scenario, bob, eve, rng=RngStream(5, 0))
+    by_enum = select_indices(TasScheme(scheme), scenario, bob, eve, rng=RngStream(5, 0))
+    assert np.array_equal(by_name, by_enum)
+
+
+def test_select_indices_rejects_unknown_scheme():
+    bob = np.ones((1, 2))
+    with pytest.raises(ValueError, match="bogus"):
+        select_indices("bogus", Scenario(1.0, 1.0, 2), bob, bob)
+
+
 def test_single_antenna_all_schemes_pick_zero():
     scenario = Scenario(2.0, 2.0, 1)
     rng = RngStream(17, 0)
