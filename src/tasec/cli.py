@@ -68,8 +68,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     def add_base(p):
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker bound for Monte Carlo chunks (output-invariant)")
 
     def add_gamma_b(p):
         p.add_argument("--gamma-b-db", type=_finite_db, default=10.0,
@@ -84,11 +82,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="transmit antenna count"
                             + (" (repeatable)" if repeatable else ""))
 
-    def add_rng(p):
+    def add_mc(p):
         p.add_argument("--trials", type=int, default=1_000_000,
                        help="Monte Carlo trial count")
         p.add_argument("--seed", type=int, default=42,
                        help="64-bit unsigned RNG seed")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker bound for Monte Carlo chunks (output-invariant)")
 
     def add_schemes(p):
         p.add_argument("--scheme", dest="schemes", choices=[s.value for s in TasScheme],
@@ -99,7 +99,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     add_gamma_b(p_asc)
     add_gamma_e(p_asc)
     add_antennas(p_asc, repeatable=False)
-    add_rng(p_asc)
+    add_mc(p_asc)
     add_schemes(p_asc)
     p_asc.add_argument("--method", choices=list(_METHOD_NAMES), default="closed")
     p_asc.add_argument("--out", help="output path (default stdout)")
@@ -109,7 +109,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     add_gamma_b(p_sweep)
     add_gamma_e(p_sweep)
     add_antennas(p_sweep, repeatable=True)
-    add_rng(p_sweep)
+    add_mc(p_sweep)
     add_schemes(p_sweep)
     p_sweep.add_argument("--swept", choices=[s.value for s in SweptParameter],
                          help="which axis the grid walks")
@@ -133,7 +133,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_verify = sub.add_parser("verify", help="run the self-check suite")
     add_base(p_verify)
-    add_rng(p_verify)
+    add_mc(p_verify)
     return parser, sub.choices
 
 
@@ -228,9 +228,9 @@ def parse_config(argv: list[str], config_file: str | None = None) -> argparse.Na
 
 def _build(ns: argparse.Namespace) -> None:
     """Build the library objects of the run, and check what they do not."""
-    if ns.threads < 1:
-        raise UsageError(f"threads must be >= 1, got {ns.threads}")
-    if "seed" in ns:
+    if "seed" in ns:  # the Monte Carlo flags
+        if ns.threads < 1:
+            raise UsageError(f"threads must be >= 1, got {ns.threads}")
         RngStream(ns.seed)  # rejects seeds outside the unsigned 64-bit range
 
     if ns.subcommand == "asc":

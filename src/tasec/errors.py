@@ -2,7 +2,7 @@
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical routine hit its iteration/subdivision cap."""
+    """Adaptive quadrature hit its interval cap before meeting its tolerance."""
 
 
 class UnsupportedSchemeError(ValueError):

@@ -94,7 +94,6 @@ ROUND_TRIP = {
         "gamma_b_db": (["--gamma-b-db", "12"], "12"),
         "antennas": (["-M", "4"], "4"),
         "bracket_db": (["--bracket-db", "-20", "25"], "-20, 25"),
-        "threads": (["--threads", "2"], "2"),
         "out": (["--out", "cross.csv"], "cross.csv"),
     },
     "verify": {
@@ -168,6 +167,10 @@ def test_config_malformed_number(tmp_path, capsys):
 def test_unknown_flag(capsys):
     code, _, err = run_cli(["asc", "--scheme", "btas", "--frobnicate"], capsys)
     assert code == 2
+    # crossover runs no Monte Carlo, so it has no --threads
+    code, _, err = run_cli(["crossover", "--threads", "2"], capsys)
+    assert code == 2
+    assert "--threads" in err
 
 
 def test_invalid_antenna_count(capsys):
@@ -357,10 +360,14 @@ def test_crossover_empty_bracket_exit_code(capsys):
 # ----------------------------------------------------------------------------
 
 def test_computation_error_exit_code(capsys):
-    # M above the closed-form cap passes parsing but fails evaluation
-    code, _, err = run_cli(["asc", "--scheme", "btas", "-M", "65"], capsys)
+    # The B-TAS sum's error bound reroutes M = 32 to quadrature, whose tail
+    # at 2000 dB exceeds its interval cap: parsing passes, evaluation fails.
+    code, out, err = run_cli(["asc", "--scheme", "btas", "-M", "32",
+                              "--gamma-b-db", "2000"], capsys)
     assert code == 1
-    assert "65" in err
+    assert out == ""
+    assert err.startswith("error: quadrature tolerance")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [

@@ -17,6 +17,13 @@ E1_AT_1E10 = 22.448635265138925
 SCALED_AT_1 = 0.5963473623231941
 SCALED_AT_2 = 0.3613286168882226
 DELTA_1_2 = 0.23501874543497148
+# exp(x) E1(x) at the doubles just above 1, by mpmath at 40 digits: the
+# continued fraction converges most slowly there.
+SCALED_NEAR_1 = {
+    1.0000000000000011: 0.5963473623231936261966262,
+    1.0001: 0.5963070000409292868529703,
+    1.5: 0.4482566692915829539169317,
+}
 
 
 def e1(x):
@@ -50,6 +57,17 @@ def test_domain_errors(bad):
 def test_scaled_large_argument_asymptote():
     x = 1e6
     assert exp_scaled_e1(x) == pytest.approx((1 / x) * (1 - 1 / x), rel=1e-5)
+
+
+@pytest.mark.parametrize("x", [1e290, 1e300, 1e305, 1.7e308])
+def test_scaled_huge_argument_is_reciprocal(x):
+    # exp(x) E1(x) = (1/x)(1 - 1/x + ...), so 1/x is exact to rounding
+    assert exp_scaled_e1(x) == pytest.approx(1.0 / x, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("x", sorted(SCALED_NEAR_1))
+def test_scaled_just_above_one(x):
+    assert exp_scaled_e1(x) == pytest.approx(SCALED_NEAR_1[x], rel=1e-15, abs=0.0)
 
 
 def test_scaled_tiny_argument_limit():

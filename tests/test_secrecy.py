@@ -102,15 +102,29 @@ def test_closed_form_monotonicity_on_grid():
             assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_btas_antenna_cap():
-    with pytest.raises(ValueError):
-        asc_btas_closed(Scenario(1.0, 1.0, 65))
-    # at the cap the alternating sum still evaluates (conditioning is the
-    # caller's problem out there); well inside it the sum stays accurate
-    assert asc_btas_closed(Scenario(1.0, 1.0, 64)).value >= 0.0
-    scenario = Scenario(1.0, 1.0, 16)
-    assert asc_btas_closed(scenario).value == pytest.approx(
-        asc_quadrature(scenario, TasScheme.BTAS).value, abs=1e-6)
+# 60-digit evaluations of the alternating sum, (gamma_b0 dB, gamma_e0 dB, M).
+BTAS_REFERENCES = {
+    (10.0, 10.0, 16): 2.154398757509912,
+    (10.0, 10.0, 32): 2.420817990796904,
+    (10.0, 10.0, 48): 2.559109014272814,
+    (10.0, 10.0, 64): 2.650378126830997,
+    (30.0, 0.0, 64): 11.303792444111357,
+    (20.0, 10.0, 100): 6.074964740104236,
+}
+
+
+def test_btas_large_antenna_counts():
+    # past its error bound the sum hands over to quadrature instead of
+    # cancelling to noise, and no antenna count is refused
+    for (gb_db, ge_db, m), expected in BTAS_REFERENCES.items():
+        assert asc_btas_closed(scenario_db(gb_db, ge_db, m)).value == pytest.approx(
+            expected, abs=1e-9)
+    assert asc_btas_closed(scenario_db(10.0, 10.0, 8)).method is Method.CLOSED
+    assert asc_btas_closed(scenario_db(10.0, 10.0, 64)).method is Method.QUAD
+    # C(1100, 550) overflows a double, so the bound cannot be formed
+    wide = asc_btas_closed(scenario_db(10.0, 10.0, 1100))
+    assert wide.method is Method.QUAD
+    assert wide.value > BTAS_REFERENCES[(10.0, 10.0, 64)]
 
 
 def test_closed_forms_match_independent_oracle():
