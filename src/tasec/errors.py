@@ -2,7 +2,8 @@
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature hit its interval cap before meeting its tolerance."""
+    """Quadrature could not meet its tolerance: it hit its node cap, its
+    integrand was not finite, or the integrand's tail passes the largest double."""
 
 
 class UnsupportedSchemeError(ValueError):

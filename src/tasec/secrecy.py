@@ -175,11 +175,12 @@ def asc_otas_mc(scenario: Scenario, trials: int, rng: RngStream,
 # ----------------------------------------------------------------------------
 
 def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
-    """ASC by adaptive quadrature of the product-form integral over the
-    scheme's `link_laws`, seeded with edges at the laws' `link_scales`;
-    otas raises UnsupportedSchemeError. A tail that spans too many decades
-    for the interval cap (a legitimate reference SNR above about 1,260 dB)
-    raises ConvergenceError."""
+    """ASC by trapezoid quadrature in ln x of the product-form integral over
+    the scheme's `link_laws`, with its right end guessed from the laws'
+    `link_scales`; otas raises UnsupportedSchemeError. The integral meets
+    an absolute tolerance of 1e-10 across the dB range, save its top: above
+    a reference SNR of about 3,067 dB the tail does not vanish below the
+    largest double, and ConvergenceError is raised."""
     f_eve, sf_bob = link_laws(scheme, scenario)
 
     def integrand(x):
@@ -198,7 +199,8 @@ def asc_btas_closed(scenario: Scenario) -> AscEstimate:
     """ASC of legitimate-based selection by the alternating binomial sum over
     delta_e terms, or by asc_quadrature (method quad) where the sum's error
     bound 8 eps S exceeds BTAS_CLOSED_TOL or S overflows. Quadrature raises
-    ConvergenceError above a gamma_b0 of about 1,260 dB.
+    ConvergenceError only where its tail passes the largest double, above a
+    gamma_b0 of about 3,067 dB.
 
     S = sum_k C(M,k) (ln(1 + 1/a_k) + ln(1 + 1/b_k)) / ln 2 over the term
     arguments, and f(x) = exp(x) E1(x) < ln(1 + 1/x) (A&S 5.1.20). Each f is

@@ -1,10 +1,10 @@
 """Independent numerical oracles used only by the tests.
 
 These deliberately avoid the package's own series/continued-fraction and
-Gauss-Kronrod code paths: the exponential-integral oracle is adaptive
-QUADPACK quadrature of the defining integral (after the exact shift
-t = x + s so the integrand stays well scaled at large x), and the ASC oracle
-integrates the product-form integrand the same way.
+trapezoid-in-ln-x code paths: the exponential-integral oracle is SciPy's
+adaptive Gauss-Kronrod (QUADPACK) quadrature of the defining integral
+(after the exact shift t = x + s so the integrand stays well scaled at large
+x), and the ASC oracle integrates the product-form integrand the same way.
 """
 
 import math

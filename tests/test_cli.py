@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from tasec import cli
+from tasec import cli, secrecy
 from tasec.channel import Scenario
 from tasec.cli import (ASC_CSV_HEADER, SWEEP_CSV_HEADER, UsageError, main,
                        parse_config)
-from tasec.errors import UnsupportedSchemeError
-from tasec.secrecy import ROUTES, Method, asc_quadrature
+from tasec.errors import ConvergenceError, UnsupportedSchemeError
+from tasec.experiments import db_to_linear
+from tasec.secrecy import ROUTES, Method, asc_etas_closed, asc_quadrature
 from tasec.selection import TasScheme
 
 from faults import negate_btas_terms
@@ -264,19 +265,47 @@ def test_asc_quad_large_legitimate_snr(capsys):
         64.74546833819949, abs=1e-9)  # 60-digit closed form
 
 
-def test_asc_quad_out_of_reach_is_a_clean_error():
-    # a tail over 300 decades exceeds the quadrature's interval cap
+@pytest.mark.parametrize("gamma_b_db", ["2000", "3000"])
+def test_asc_quad_far_beyond_the_old_interval_cap(gamma_b_db):
+    # a tail over 200-300 decades of x, past where the earlier adaptive rule
+    # ran out of intervals; a fresh process shows that nothing is warned
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "tasec", "asc", "--scheme", "random", "--method", "quad",
-         "--gamma-b-db", "3000", "--gamma-e-db", "0", "-M", "8"],
+         "--gamma-b-db", gamma_b_db, "--gamma-e-db", "0", "-M", "8"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": pythonpath})
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: quadrature tolerance")
-    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+    assert result.returncode == 0
+    assert result.stderr == ""
+    single = Scenario(db_to_linear(float(gamma_b_db)), 1.0, 1)
+    assert float(result.stdout.splitlines()[1].split(",")[5]) == pytest.approx(
+        asc_etas_closed(single).value, abs=1e-10)
+
+
+# 60-digit mpmath values of the closed forms at (3082, 0) dB, M = 8, the
+# top of the dB range, where the integrand's tail has not vanished at the
+# largest double: quadrature exits 1 there, the closed forms answer.
+TOP_OF_RANGE = {"btas": 1024.2593825743917874, "etas": 1022.8235073882643455,
+                "random": 1022.1251452847372848}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme, method", [
+    (scheme.value, method.value) for scheme in TasScheme for method in ROUTES[scheme]
+    if method is not Method.MC])
+def test_top_of_the_db_range_answers_or_fails_cleanly(scheme, method, capsys):
+    code, out, err = run_cli(["asc", "--scheme", scheme, "--method", method,
+                              "--gamma-b-db", "3082", "--gamma-e-db", "0", "-M", "8"],
+                             capsys)
+    if method == Method.CLOSED.value:
+        assert code == 0 and err == ""
+        assert float(out.splitlines()[1].split(",")[5]) == pytest.approx(
+            TOP_OF_RANGE[scheme], abs=1e-10)
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: quadrature tolerance")
+        assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------------
@@ -359,9 +388,13 @@ def test_crossover_empty_bracket_exit_code(capsys):
 # computation failures map to exit 1
 # ----------------------------------------------------------------------------
 
-def test_computation_error_exit_code(capsys):
-    # The B-TAS sum's error bound reroutes M = 32 to quadrature, whose tail
-    # at 2000 dB exceeds its interval cap: parsing passes, evaluation fails.
+def test_computation_error_exit_code(capsys, monkeypatch):
+    # The B-TAS sum's error bound reroutes M = 32 to quadrature, which is
+    # made to fail here: parsing passes, evaluation fails.
+    def fail(f, **kwargs):
+        raise ConvergenceError("quadrature tolerance 1.000e-10 not met")
+
+    monkeypatch.setattr(secrecy, "integrate_half_line", fail)
     code, out, err = run_cli(["asc", "--scheme", "btas", "-M", "32",
                               "--gamma-b-db", "2000"], capsys)
     assert code == 1

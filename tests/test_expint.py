@@ -111,3 +111,17 @@ def test_matches_quadrature_oracle():
     for x in points:
         x = float(x)
         assert exp_scaled_e1(x) == pytest.approx(scaled_e1_oracle(x), rel=1e-10)
+
+
+def test_series_term_table_keeps_every_bit(monkeypatch):
+    # A shorter series drops less than 2^-74, far below half an ulp of the
+    # result, so it rounds to the same double as the full 20-term sum: at
+    # each cut, just past it, and over a log grid of (0, 1].
+    from tasec import expint
+
+    edges = [x_max * f for x_max, _ in expint._SERIES_CUTS
+             for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+    points = edges + list(np.logspace(-12.0, 0.0, 4001))
+    short = [expint._e1_scaled_series(x) for x in points]
+    monkeypatch.setattr(expint, "_SERIES_CUTS", ())
+    assert short == [expint._e1_scaled_series(x) for x in points]

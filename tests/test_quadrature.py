@@ -1,21 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tasec.channel import Scenario
 from tasec.errors import ConvergenceError
-from tasec.quadrature import (_GK_NODES, _W_GAUSS, _W_KRONROD, integrate_adaptive,
-                              integrate_half_line)
-
-
-def test_polynomial_exact():
-    value = integrate_adaptive(lambda x: x ** 2, 0.0, 1.0, abs_tol=1e-12)
-    assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_oscillatory_interval():
-    value = integrate_adaptive(np.sin, 0.0, 2.0 * math.pi, abs_tol=1e-12)
-    assert value == pytest.approx(0.0, abs=1e-10)
+from tasec.experiments import db_to_linear
+from tasec.quadrature import integrate_half_line
+from tasec.secrecy import Method, asc_btas_closed, asc_etas_closed, asc_quadrature
+from tasec.selection import TasScheme
 
 
 def test_half_line_exponential():
@@ -35,68 +31,77 @@ def test_half_line_scaled_tail():
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_invalid_interval():
-    with pytest.raises(ValueError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0)
-
-
-def test_subdivision_cap():
-    # the endpoint singularity keeps error estimates alive, so the interval
-    # cap must trip before the impossible tolerance is reached
-    with pytest.raises(ConvergenceError):
-        integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                           abs_tol=1e-14, max_intervals=4, seed_intervals=1)
-
-
 def test_one_integrand_call_per_round():
-    # every pending panel of a round is evaluated in one call on an (n, 15)
-    # array; a per-panel loop would call f once per panel (about 20 times)
+    # f vanishes at 0 and falls off past its scale, like the ASC integrand:
+    # the guessed ends and the first step pass, so one call takes all nodes
     shapes = []
 
     def f(x):
         shapes.append(x.shape)
-        return np.exp(-x)
+        return x * np.exp(-x / 10.0) / 100.0
 
-    assert integrate_half_line(f, abs_tol=1e-12) == pytest.approx(1.0, abs=1e-12)
-    assert len(shapes) <= 3
-    assert all(len(shape) == 2 and shape[1] == 15 for shape in shapes)
-
-
-def gk_error(f, lo, hi):
-    """The GK15/G7 error estimate of each panel [lo, hi], by QUADPACK's
-    formula, from the module's nodes and weights."""
-    half = 0.5 * (hi - lo)
-    y = f(0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES)
-    k15 = y @ _W_KRONROD
-    g7 = y[:, 1::2] @ _W_GAUSS
-    resasc = half * (np.abs(y - 0.5 * k15[:, None]) @ _W_KRONROD)
-    return resasc * np.minimum(1.0, (200.0 * half * np.abs(k15 - g7) / resasc) ** 1.5)
+    value = integrate_half_line(f, abs_tol=1e-12, scales=(10.0,))
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert len(shapes) == 1 and len(shapes[0]) == 1 and shapes[0][0] > 100
 
 
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0),
-    (np.sqrt, 0.0, 1.0),
-    (lambda x: np.exp(-x) * (1.0 + np.sin(20.0 * x)), 0.0, 5.0),
+def test_left_end_is_checked_not_assumed():
+    # f is 1e4 at 0, so the first left end, x = abs_tol/4, would cut a mass
+    # of 2.5e-9; the end check must move it out until the cut is negligible
+    rate = 1e4
+    value = integrate_half_line(lambda x: rate * np.exp(-rate * x),
+                                abs_tol=1e-12, scales=(1.0 / rate,))
+    assert value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("f, exact", [
+    (lambda x: 1e-4 / (1e-4 + (x - 0.3) ** 2), 0.01 * (math.pi / 2 + math.atan(30.0))),
+    (lambda x: np.sqrt(x) * np.exp(-x), math.sqrt(math.pi) / 2),
+    (lambda x: np.exp(-x) * (1.0 + np.sin(20.0 * x)), 1.0 + 20.0 / 401.0),
 ], ids=["peak", "sqrt", "oscillating"])
-def test_accepted_panels_share_the_tolerance(f, a, b):
-    # Panels are read back from the abscissas of each round: a panel is
-    # final when the next round evaluates nothing inside it.
-    rounds = []
-
-    def recorded(x):
-        rounds.append(x.copy())
-        return f(x)
-
+def test_accepted_panels_share_the_tolerance(f, exact):
+    # both cut tails and the last step's estimate share abs_tol; a narrow
+    # peak and a fast oscillation need several halvings of the step
     abs_tol = 1e-12
-    integrate_adaptive(recorded, a, b, abs_tol=abs_tol)
-    assert len(rounds) >= 2
-    total_err, final_panels = 0.0, 0
-    for i, x in enumerate(rounds):
-        half = (x[:, -1] - x[:, 0]) / (2.0 * _GK_NODES[-1])
-        lo, hi = x[:, 7] - half, x[:, 7] + half
-        later = rounds[i + 1][:, 7] if i + 1 < len(rounds) else np.array([])
-        final = ~np.any((later[None, :] > lo[:, None]) & (later[None, :] < hi[:, None]), axis=1)
-        total_err += gk_error(f, lo[final], hi[final]).sum()
-        final_panels += int(final.sum())
-    assert final_panels <= 2000
-    assert total_err <= abs_tol
+    assert abs(integrate_half_line(f, abs_tol=abs_tol) - exact) <= abs_tol
+
+
+def test_subdivision_cap():
+    # a jump at x = 1 leaves the trapezoid error of order h, so halving h
+    # cannot meet the tolerance before the node cap
+    with pytest.raises(ConvergenceError, match="not met within"):
+        integrate_half_line(lambda x: (x < 1.0).astype(float))
+
+
+@pytest.mark.parametrize("f, scales", [
+    (lambda x: 1.0 / (x - 1.0), ()),  # a pole on the node x = exp(0)
+    (lambda x: np.full_like(x, np.nan), ()),
+    (np.exp, ()),  # the right end moves out until exp(x) overflows
+], ids=["pole", "nan", "overflow"])
+def test_non_finite_integrand(f, scales):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="not finite"):
+            integrate_half_line(f, scales=scales)
+
+
+def test_tail_past_the_largest_double():
+    # a tail that has not decayed at x = 1.8e308 cannot be cut anywhere
+    with pytest.raises(ConvergenceError, match="range of a double"):
+        integrate_half_line(lambda x: np.exp(-x / 1e308) / (1.0 + x), scales=(1e308,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gb_db=st.floats(-30.0, 3000.0), ge_db=st.floats(-30.0, 3000.0),
+       m=st.integers(1, 64))
+def test_quadrature_matches_closed_forms_over_the_range(gb_db, ge_db, m):
+    scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
+    etas = asc_quadrature(scenario, TasScheme.ETAS).value
+    assert etas == pytest.approx(asc_etas_closed(scenario).value, abs=1e-10)
+    single = Scenario(scenario.gamma_b0, scenario.gamma_e0, 1)
+    random = asc_quadrature(scenario, TasScheme.RANDOM).value
+    assert random == pytest.approx(asc_etas_closed(single).value, abs=1e-10)
+    closed = asc_btas_closed(scenario)
+    if closed.method is Method.CLOSED:  # else it is this quadrature itself
+        btas = asc_quadrature(scenario, TasScheme.BTAS).value
+        assert btas == pytest.approx(closed.value, abs=1e-10)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tasec.channel import RngStream, Scenario
-from tasec.errors import ConvergenceError, UnsupportedSchemeError
+from tasec.errors import UnsupportedSchemeError
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            asc_btas_closed, asc_etas_closed, asc_otas_mc,
                            asc_quadrature, mc_asc, secrecy_capacity)
@@ -197,10 +197,34 @@ def test_quadrature_at_the_scale_extremes(scheme, gamma_b0, gamma_e0, m, referen
     assert value == pytest.approx(reference, abs=1e-9)
 
 
-def test_quadrature_out_of_reach_is_an_error():
-    # a tail over 300 decades needs more panels than the cap allows
-    with pytest.raises(ConvergenceError, match="tolerance"):
-        asc_quadrature(Scenario(1e300, 1.0, 8), TasScheme.BTAS)
+@pytest.mark.parametrize("gamma_b0", [1e200, 1e300], ids=["2000dB", "3000dB"])
+def test_quadrature_far_beyond_the_old_interval_cap(gamma_b0):
+    # a tail over 200-300 decades of x is a shift of 460-690 in t = ln x
+    scenario = Scenario(gamma_b0, 1.0, 8)
+    btas = asc_btas_closed(scenario)
+    assert btas.method is Method.CLOSED
+    assert asc_quadrature(scenario, TasScheme.BTAS).value == pytest.approx(
+        btas.value, abs=1e-10)
+    etas = asc_etas_closed(scenario).value
+    assert asc_quadrature(scenario, TasScheme.ETAS).value == pytest.approx(etas, abs=1e-10)
+    single = asc_etas_closed(Scenario(gamma_b0, 1.0, 1)).value
+    assert asc_quadrature(scenario, TasScheme.RANDOM).value == pytest.approx(
+        single, abs=1e-10)
+
+
+@pytest.mark.parametrize("scheme", [TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM],
+                         ids=lambda scheme: scheme.value)
+def test_quadrature_at_the_bottom_of_the_db_range(scheme):
+    # at (-130, -130) dB both link means are below the quadrature's left
+    # end, x = abs_tol/4; the ASC is of order 1e-13, and quadrature must
+    # answer near 0 rather than fail on an empty grid
+    scenario = scenario_db(-130.0, -130.0, 8)
+    closed = (asc_btas_closed(scenario) if scheme is TasScheme.BTAS
+              else asc_etas_closed(scenario if scheme is TasScheme.ETAS
+                                   else scenario_db(-130.0, -130.0, 1)))
+    assert closed.value < 1e-12
+    value = asc_quadrature(scenario, scheme).value
+    assert value == pytest.approx(closed.value, abs=1e-10)
 
 
 # ----------------------------------------------------------------------------
