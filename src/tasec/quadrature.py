@@ -25,15 +25,15 @@ _MAX_NODES = 1 << 16
 _T_LIMIT = math.log(sys.float_info.max)
 
 
-def integrate_half_line(f, abs_tol: float = 1e-10, scales=()) -> float:
+def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
     """Integrate f over [0, inf) to absolute tolerance, as the trapezoid sum
     T(h) = h sum_k g(k h) of g(t) = exp(t) f(exp(t)).
 
     `f` must evaluate elementwise on a 1-D numpy array, and is called once
-    per grid. Each of `scales` is an x around which f rises or falls, such
-    as the mean of an exponential factor. The ends are first guessed as
-    x = abs_tol/4 and x = 2 ln(4/abs_tol) max(scales, default 1), the right
-    one at least two steps past the left. An end is kept only if |g| there
+    per grid. `scale` is the largest x around which f rises or falls, such
+    as the mean of its slowest exponential factor. The ends are first
+    guessed as x = abs_tol/4 and x = 2 ln(4/abs_tol) scale, the right one at
+    least two steps past the left. An end is kept only if |g| there
     is at most abs_tol/4, which bounds the tail beyond it when |g| decays
     from there at least like exp(-|t|): |f| <= 1 near 0 and f = O(1/x^2) at
     infinity. Otherwise that end moves out by half the span and the grid is
@@ -46,11 +46,9 @@ def integrate_half_line(f, abs_tol: float = 1e-10, scales=()) -> float:
     """
     share = 0.25 * abs_tol
     lo = math.log(share)
-    hi = math.log(2.0 * math.log(1.0 / share))
-    if scales:
-        hi = min(hi + math.log(max(scales)), _T_LIMIT)
-    # Scales far below abs_tol put hi under lo; a span of two steps keeps at
-    # least two nodes, and the end checks widen it from there.
+    hi = min(math.log(2.0 * math.log(1.0 / share)) + math.log(scale), _T_LIMIT)
+    # A scale far below abs_tol puts hi under lo; a span of two steps keeps
+    # at least two nodes, and the end checks widen it from there.
     hi = max(hi, lo + 2.0 * _STEP)
 
     def trapezoid(t, h):

@@ -15,7 +15,9 @@ with the link CDFs of `selection.link_laws`. The optimal scheme couples the
 two links; this package has no closed form or product-form quadrature for it
 and evaluates it by Monte Carlo (ROUTES). MC runs are chunked onto derived
 substreams so the estimate is a pure function of (scenario, scheme, trials,
-seed, stream) no matter how many workers execute the chunks.
+seed, stream) no matter how many workers execute the chunks. O-TAS needs no
+selected index: its capacity is [log2 max_i R_i]^+ over the per-antenna SNR
+ratios R_i (`selection.snr_ratios`), which each chunk reduces in place.
 """
 
 import math
@@ -30,7 +32,7 @@ import numpy as np
 from .channel import RngStream, Scenario, draw_gain_blocks
 from .expint import delta_e
 from .quadrature import integrate_half_line
-from .selection import TasScheme, link_laws, link_scales, select_indices
+from .selection import TasScheme, link_laws, link_scale, select_indices, snr_ratios
 
 _LN2 = math.log(2.0)
 
@@ -85,7 +87,12 @@ class AscEstimate:
 def secrecy_capacity(gamma_b, gamma_e):
     """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio,
     elementwise over arrays of instantaneous SNRs."""
-    return np.maximum(0.0, np.log2((1.0 + gamma_b) / (1.0 + gamma_e)))
+    return _capacity_of_ratio((1.0 + gamma_b) / (1.0 + gamma_e))
+
+
+def _capacity_of_ratio(ratio):
+    """[log2 ratio]^+ of SNR ratios (1+gamma_b)/(1+gamma_e)."""
+    return np.maximum(0.0, np.log2(ratio))
 
 
 # ----------------------------------------------------------------------------
@@ -104,16 +111,31 @@ def _chunk_layout(trials: int) -> list[tuple[int, int]]:
 def _chunk_moments(scenario: Scenario, scheme: TasScheme, rng: RngStream,
                    index: int, size: int) -> tuple[int, float, float]:
     """Secrecy-capacity sample moments (n, mean, sum of squared deviations)
-    for one chunk, drawn from the substream derived for `index`."""
+    for one chunk, drawn from the substream derived for `index`.
+
+    O-TAS takes each row's largest SNR ratio, computed in place over the
+    chunk's own gain blocks, as a running maximum over the M columns (an
+    axis-1 reduce is slow on rows this short). That is the ratio at the
+    argmax, with the same float operations, and a NaN ratio wins both. The
+    other schemes select indices, then take the ratio of the gathered gains.
+    A gamma0 g that overflows a double shows as an inf or NaN mean, which
+    mc_asc reports; no floating-point warning is raised.
+    """
     stream = rng.substream(index)
     bob, eve = draw_gain_blocks(scenario, stream, size)
-    idx = select_indices(scheme, scenario, bob, eve, rng=stream)
-    rows = np.arange(size)
-    gamma_b = scenario.gamma_b0 * bob[rows, idx]
-    gamma_e = scenario.gamma_e0 * eve[rows, idx]
-    cs = secrecy_capacity(gamma_b, gamma_e)
-    mean = float(cs.mean())
-    m2 = float(np.sum((cs - mean) ** 2))
+    with np.errstate(all="ignore"):
+        if scheme is TasScheme.OTAS:
+            ratios = snr_ratios(scenario, bob, eve)
+            ratio = ratios[:, 0].copy()
+            for column in ratios.T[1:]:
+                np.maximum(ratio, column, out=ratio)
+        else:
+            idx = select_indices(scheme, scenario, bob, eve, rng=stream)
+            rows = np.arange(size)
+            ratio = snr_ratios(scenario, bob[rows, idx], eve[rows, idx])
+        cs = _capacity_of_ratio(ratio)
+        mean = float(cs.mean())
+        m2 = float(np.sum((cs - mean) ** 2))
     return size, mean, m2
 
 
@@ -136,7 +158,8 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
 
     Chunks of MC_CHUNK_SIZE trials run on substreams derived from the chunk
     index, and their moments merge in chunk order, so the estimate does not
-    depend on `threads`.
+    depend on `threads`. ValueError is raised at the top of the dB range,
+    where a drawn gamma0*g overflows a double and the mean is not finite.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 2:
         raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
@@ -157,6 +180,11 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
         results = [job(entry) for entry in layout]
 
     n, mean, m2 = reduce(_merge_moments, results)  # in chunk order
+    if not math.isfinite(mean):
+        raise ValueError(
+            f"Monte Carlo: gamma0*g overflows a double at gamma_b0="
+            f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; use "
+            "method closed or quad where the scheme has them")
     std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return AscEstimate(value=mean, method=Method.MC, trials=trials,
                        std_error=std_error)
@@ -177,7 +205,7 @@ def asc_otas_mc(scenario: Scenario, trials: int, rng: RngStream,
 def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
     """ASC by trapezoid quadrature in ln x of the product-form integral over
     the scheme's `link_laws`, with its right end guessed from the laws'
-    `link_scales`; otas raises UnsupportedSchemeError. The integral meets
+    `link_scale`; otas raises UnsupportedSchemeError. The integral meets
     an absolute tolerance of 1e-10 across the dB range, save its top: above
     a reference SNR of about 3,067 dB the tail does not vanish below the
     largest double, and ConvergenceError is raised."""
@@ -187,7 +215,7 @@ def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
         return f_eve(x) * sf_bob(x) / (1.0 + x)
 
     value = integrate_half_line(integrand,
-                                scales=link_scales(scheme, scenario)) / _LN2
+                                scale=link_scale(scheme, scenario)) / _LN2
     return AscEstimate(value=max(0.0, value), method=Method.QUAD)
 
 

@@ -2,9 +2,9 @@
 
 Four criteria are supported:
 
-  otas    argmax of (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E) per antenna;
-          needs both links' CSI and maximizes the instantaneous secrecy
-          capacity pointwise.
+  otas    argmax of the SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E)
+          per antenna (`snr_ratios`); needs both links' CSI and maximizes
+          the instantaneous secrecy capacity pointwise.
   btas    argmax of the legitimate gain (classical criterion).
   etas    argmin of the eavesdropper gain.
   random  uniform choice, the no-selection-gain baseline.
@@ -28,20 +28,38 @@ class TasScheme(str, Enum):
     RANDOM = "random"
 
 
+def snr_ratios(scenario: Scenario, bob_gains: np.ndarray,
+               eve_gains: np.ndarray) -> np.ndarray:
+    """Per-antenna SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E), whose
+    log2 is the instantaneous secrecy capacity before its clamp at 0.
+
+    Computed in place, without temporaries: both float gain arrays are
+    overwritten, and the returned array is `bob_gains`. A gamma0 g that
+    overflows a double gives an inf or NaN ratio, or a ratio of 0.
+    """
+    bob_gains *= scenario.gamma_b0
+    bob_gains += 1.0
+    eve_gains *= scenario.gamma_e0
+    eve_gains += 1.0
+    bob_gains /= eve_gains
+    return bob_gains
+
+
 def select_indices(scheme: TasScheme, scenario: Scenario,
                    bob_gains: np.ndarray, eve_gains: np.ndarray,
                    rng: RngStream | None = None) -> np.ndarray:
     """Vectorized selection over a (count, M) batch of realizations.
 
     argmax/argmin return the first extremal index, which is the tie rule.
-    The random scheme consumes `rng` after the gains were drawn.
+    The gain arrays are left untouched. The random scheme consumes `rng`
+    after the gains were drawn.
     """
     scheme = TasScheme(scheme)
     if scheme is TasScheme.OTAS:
         # The log of the ratio is monotone, so comparing the ratio itself
         # picks the same antenna without transcendental calls.
-        ratio = (1.0 + scenario.gamma_b0 * bob_gains) / (1.0 + scenario.gamma_e0 * eve_gains)
-        return np.argmax(ratio, axis=1)
+        return np.argmax(snr_ratios(scenario, np.array(bob_gains, dtype=float),
+                                    np.array(eve_gains, dtype=float)), axis=1)
     if scheme is TasScheme.BTAS:
         return np.argmax(bob_gains, axis=1)
     if scheme is TasScheme.ETAS:
@@ -90,10 +108,10 @@ def link_laws(scheme: TasScheme, scenario: Scenario):
         "antenna's SNRs are dependent")
 
 
-def link_scales(scheme: TasScheme, scenario: Scenario) -> tuple[float, float]:
-    """The means of the exponentials behind `link_laws`' (F_E, 1 - F_B):
-    the x around which each law rises or falls."""
+def link_scale(scheme: TasScheme, scenario: Scenario) -> float:
+    """The larger of the means of the exponentials behind `link_laws`'
+    (F_E, 1 - F_B): the x around which the slower law rises or falls."""
     eve = scenario.gamma_e0
     if TasScheme(scheme) is TasScheme.ETAS:
         eve /= scenario.num_antennas
-    return eve, scenario.gamma_b0
+    return max(eve, scenario.gamma_b0)

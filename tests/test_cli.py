@@ -308,6 +308,34 @@ def test_top_of_the_db_range_answers_or_fails_cleanly(scheme, method, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma_e_db", ["0", "3080"])
+@pytest.mark.parametrize("scheme", [scheme.value for scheme in TasScheme])
+def test_mc_at_the_top_of_the_db_range_fails_cleanly(scheme, gamma_e_db, capsys):
+    # gamma_b0 g overflows a double there: one line on stderr, no warning
+    code, out, err = run_cli(["asc", "--scheme", scheme, "--method", "mc", "-M", "8",
+                              "--trials", "1000", "--gamma-b-db", "3080",
+                              "--gamma-e-db", gamma_e_db], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Monte Carlo: gamma0*g overflows a double")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma_e_db", ["0", "3080"])
+def test_mc_at_the_top_of_the_db_range_under_w_error(gamma_e_db):
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tasec", "asc", "--scheme", "otas",
+         "--method", "mc", "-M", "8", "--trials", "1000", "--gamma-b-db", "3080",
+         "--gamma-e-db", gamma_e_db],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: Monte Carlo: gamma0*g overflows a double")
+    assert result.stderr.count("\n") == 1
+
+
 # ----------------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------------

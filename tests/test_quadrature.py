@@ -40,7 +40,7 @@ def test_one_integrand_call_per_round():
         shapes.append(x.shape)
         return x * np.exp(-x / 10.0) / 100.0
 
-    value = integrate_half_line(f, abs_tol=1e-12, scales=(10.0,))
+    value = integrate_half_line(f, abs_tol=1e-12, scale=10.0)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert len(shapes) == 1 and len(shapes[0]) == 1 and shapes[0][0] > 100
 
@@ -50,7 +50,7 @@ def test_left_end_is_checked_not_assumed():
     # of 2.5e-9; the end check must move it out until the cut is negligible
     rate = 1e4
     value = integrate_half_line(lambda x: rate * np.exp(-rate * x),
-                                abs_tol=1e-12, scales=(1.0 / rate,))
+                                abs_tol=1e-12, scale=1.0 / rate)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -73,22 +73,22 @@ def test_subdivision_cap():
         integrate_half_line(lambda x: (x < 1.0).astype(float))
 
 
-@pytest.mark.parametrize("f, scales", [
-    (lambda x: 1.0 / (x - 1.0), ()),  # a pole on the node x = exp(0)
-    (lambda x: np.full_like(x, np.nan), ()),
-    (np.exp, ()),  # the right end moves out until exp(x) overflows
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0 / (x - 1.0),  # a pole on the node x = exp(0)
+    lambda x: np.full_like(x, np.nan),
+    np.exp,  # the right end moves out until exp(x) overflows
 ], ids=["pole", "nan", "overflow"])
-def test_non_finite_integrand(f, scales):
+def test_non_finite_integrand(f):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="not finite"):
-            integrate_half_line(f, scales=scales)
+            integrate_half_line(f)
 
 
 def test_tail_past_the_largest_double():
     # a tail that has not decayed at x = 1.8e308 cannot be cut anywhere
     with pytest.raises(ConvergenceError, match="range of a double"):
-        integrate_half_line(lambda x: np.exp(-x / 1e308) / (1.0 + x), scales=(1e308,))
+        integrate_half_line(lambda x: np.exp(-x / 1e308) / (1.0 + x), scale=1e308)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,12 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tasec.channel import RngStream, Scenario
+from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
+from tasec import secrecy
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
-                           asc_btas_closed, asc_etas_closed, asc_otas_mc,
-                           asc_quadrature, mc_asc, secrecy_capacity)
-from tasec.selection import TasScheme
+                           _chunk_moments, asc_btas_closed, asc_etas_closed,
+                           asc_otas_mc, asc_quadrature, mc_asc, secrecy_capacity)
+from tasec.selection import TasScheme, select_indices
 
 from faults import negate_btas_terms
 from oracles import asc_integral_oracle
@@ -305,6 +306,99 @@ def test_otas_mc_dominates_closed_forms():
     assert est.value >= max(btas, etas) - 4.0 * est.std_error
     # at this operating point the optimum is visibly above both
     assert est.value - max(btas, etas) > 4.0 * est.std_error
+
+
+# ----------------------------------------------------------------------------
+# The O-TAS chunk kernel against argmax -> gather -> secrecy_capacity
+# ----------------------------------------------------------------------------
+
+def argmax_moments(scenario, bob, eve):
+    """Chunk moments the way O-TAS was first computed: select the index,
+    gather both links there, and take the clamped log of their SNR ratio."""
+    with np.errstate(all="ignore"):
+        idx = select_indices(TasScheme.OTAS, scenario, bob, eve)
+        rows = np.arange(bob.shape[0])
+        cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
+                              scenario.gamma_e0 * eve[rows, idx])
+        mean = float(cs.mean())
+        return bob.shape[0], mean, float(np.sum((cs - mean) ** 2))
+
+
+@pytest.mark.parametrize("size", [MC_CHUNK_SIZE, 1234], ids=["full", "partial"])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 64])
+def test_otas_chunk_moments_match_argmax_reference(m, size):
+    rng = RngStream(31, m)
+    for gb_db, ge_db in ((-30.0, -30.0), (-30.0, 40.0), (40.0, -30.0),
+                         (10.0, 10.0), (40.0, 40.0)):
+        scenario = scenario_db(gb_db, ge_db, m)
+        bob, eve = draw_gain_blocks(scenario, rng.substream(3), size)
+        got = _chunk_moments(scenario, TasScheme.OTAS, rng, 3, size)
+        assert repr(got) == repr(argmax_moments(scenario, bob, eve))
+
+
+# Rows of (bob, eve) gains at unit SNRs: tied ratios, ratios below one,
+# inf ratios (g_B = inf), NaN ratios (inf/inf, or a NaN gain).
+INF, NAN = math.inf, math.nan
+CRAFTED_ROWS = {
+    "ties": [([0.7, 0.7, 0.7], [0.7, 0.7, 0.7]), ([1.0, 3.0, 3.0], [0.0, 1.0, 1.0]),
+             ([2.0, 5.0, 2.0], [1.0, 3.0, 1.0])],
+    "below-one": [([0.1, 0.2, 0.0], [5.0, 9.0, 3.0])],
+    "inf": [([INF, 1.0, 2.0], [1.0, 0.0, 0.0]), ([1.0, INF, INF], [0.0, 1.0, 2.0])],
+    "nan": [([INF, INF, 1.0], [INF, 0.0, 0.0]), ([1.0, 2.0, INF], [0.0, NAN, 1.0]),
+            ([INF, 1.0, 0.5], [1.0, INF, INF])],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", list(CRAFTED_ROWS))
+def test_otas_chunk_moments_on_crafted_blocks(kind, monkeypatch):
+    # the crafted rows follow a finite row, so the moments carry their inf or NaN
+    rows = [([0.5, 1.5, 1.0], [0.2, 0.3, 2.0])] + CRAFTED_ROWS[kind]
+    bob = np.array([b for b, _ in rows])
+    eve = np.array([e for _, e in rows])
+    scenario = Scenario(1.0, 1.0, 3)
+    monkeypatch.setattr(secrecy, "draw_gain_blocks",
+                        lambda scenario, stream, count: (bob.copy(), eve.copy()))
+    got = _chunk_moments(scenario, TasScheme.OTAS, RngStream(1), 0, len(rows))
+    assert repr(got) == repr(argmax_moments(scenario, bob, eve))
+
+
+# O-TAS estimates of the argmax -> gather implementation, frozen as repr:
+# (gb_db, ge_db, M, trials, stream id) -> (value, std_error).
+OTAS_MC_FROZEN = [
+    ((20.0, 10.0, 8, 2 * MC_CHUNK_SIZE, 1),
+     (5.865408198024146, 0.005921621584340174)),
+    ((-10.0, -20.0, 2, 100_000, 2),
+     (0.18159691360234062, 0.0004174408126395469)),
+    ((40.0, 30.0, 16, 3 * MC_CHUNK_SIZE + 17, 3),  # uneven chunk layout
+     (8.006077153997996, 0.007784348815990983)),
+]
+
+
+@pytest.mark.parametrize("point, frozen", OTAS_MC_FROZEN)
+def test_otas_mc_frozen_values(point, frozen):
+    gb_db, ge_db, m, trials, stream = point
+    est = mc_asc(scenario_db(gb_db, ge_db, m), TasScheme.OTAS, trials,
+                 RngStream(2024, stream))
+    assert (repr(est.value), repr(est.std_error)) == tuple(map(repr, frozen))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma_e0", [1.0, 1e308])
+@pytest.mark.parametrize("scheme", list(TasScheme))
+def test_mc_overflow_at_the_top_of_the_db_range_fails_cleanly(scheme, gamma_e0):
+    # gamma_b0 * g passes the largest double for every g > 1.8
+    with pytest.raises(ValueError, match="overflows a double"):
+        mc_asc(Scenario(1e308, gamma_e0, 8), scheme, 1000, RngStream(42))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", list(TasScheme))
+def test_mc_eavesdropper_overflow_answers_zero(scheme):
+    # a ratio with an overflowing gamma_e0 * g rounds to 0, which is its
+    # secrecy capacity to within 1e-300
+    est = mc_asc(Scenario(1.0, 1e308, 8), scheme, 1000, RngStream(42))
+    assert est.value == 0.0
 
 
 def test_btas_sign_fault_hook_breaks_agreement(monkeypatch):

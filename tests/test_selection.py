@@ -5,7 +5,7 @@ import pytest
 
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
-from tasec.selection import TasScheme, link_laws, select_indices
+from tasec.selection import TasScheme, link_laws, select_indices, snr_ratios
 
 from oracles import ks_statistic
 
@@ -99,6 +99,23 @@ def test_select_indices_rejects_unknown_scheme():
     bob = np.ones((1, 2))
     with pytest.raises(ValueError, match="bogus"):
         select_indices("bogus", Scenario(1.0, 1.0, 2), bob, bob)
+
+
+@pytest.mark.parametrize("scheme", list(TasScheme))
+def test_select_indices_leaves_the_gains_untouched(scheme):
+    scenario = Scenario(10.0, 3.0, 8)
+    bob, eve = draw_gain_blocks(scenario, RngStream(17, 0), 256)
+    bob_before, eve_before = bob.copy(), eve.copy()
+    select_indices(scheme, scenario, bob, eve, rng=RngStream(5, 0))
+    assert np.array_equal(bob, bob_before) and np.array_equal(eve, eve_before)
+
+
+def test_snr_ratios_in_place():
+    scenario = Scenario(2.0, 4.0, 2)
+    bob, eve = np.array([[1.0, 0.5]]), np.array([[0.25, 2.0]])
+    ratios = snr_ratios(scenario, bob, eve)
+    assert ratios is bob
+    assert ratios.tolist() == [[1.5, 2.0 / 9.0]]  # (1 + 2 g_B) / (1 + 4 g_E)
 
 
 def test_single_antenna_all_schemes_pick_zero():
