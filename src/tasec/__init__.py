@@ -9,19 +9,19 @@ from .experiments import (CrossoverResult, SweepRow, SweepSpec, SweptParameter,
                           adaptive_scheme, db_to_linear, find_crossover,
                           run_sweep)
 from .expint import delta_e, exp_scaled_e1
-from .secrecy import (AscEstimate, Method, asc_btas_closed, asc_etas_closed,
-                      asc_otas_mc, asc_quadrature, mc_asc, secrecy_capacity)
+from .secrecy import (AscEstimate, Method, asc, asc_btas_closed, asc_etas_closed,
+                      asc_quadrature, mc_asc, secrecy_capacity)
 from .selection import TasScheme, link_laws, select_indices
 from .verification import CheckResult, run_verification
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AscEstimate", "CheckResult", "ConvergenceError", "CrossoverResult",
     "DegenerateNormalizationError", "Method", "NoCrossoverError", "RngStream",
     "Scenario", "SweepRow", "SweepSpec", "SweptParameter", "TasScheme",
-    "UnsupportedSchemeError", "adaptive_scheme", "asc_btas_closed",
-    "asc_etas_closed", "asc_otas_mc", "asc_quadrature", "db_to_linear",
+    "UnsupportedSchemeError", "adaptive_scheme", "asc", "asc_btas_closed",
+    "asc_etas_closed", "asc_quadrature", "db_to_linear",
     "delta_e", "draw_gain_blocks", "exp_scaled_e1", "find_crossover",
     "link_laws", "mc_asc", "run_sweep", "run_verification", "secrecy_capacity",
     "select_indices",

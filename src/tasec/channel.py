@@ -7,6 +7,7 @@ law is the same. Phases are never materialized; nothing downstream needs them.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,11 +15,19 @@ import numpy as np
 _UINT64_MAX = 2**64 - 1
 
 
-def _require_positive(value: float, name: str) -> None:
+def require_positive(value: float, name: str) -> None:
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def require_int(value, name: str, low: int) -> int:
+    """`value` as an int >= `low`: numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") \
+            or operator.index(value) < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -31,11 +40,10 @@ class Scenario:
     num_antennas: int
 
     def __post_init__(self):
-        _require_positive(self.gamma_b0, "gamma_b0")
-        _require_positive(self.gamma_e0, "gamma_e0")
-        m = self.num_antennas
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"num_antennas must be an integer >= 1, got {m!r}")
+        require_positive(self.gamma_b0, "gamma_b0")
+        require_positive(self.gamma_e0, "gamma_e0")
+        m = require_int(self.num_antennas, "num_antennas", 1)
+        object.__setattr__(self, "num_antennas", m)
         # The closed forms take E1 at k/gamma_b0 + 1/gamma_e0 (k <= M) and at
         # M/gamma_e0 + 1/gamma_b0; a point where those overflow is rejected.
         gb, ge = self.gamma_b0, self.gamma_e0

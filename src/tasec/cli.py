@@ -23,8 +23,7 @@ from .errors import (ConvergenceError, DegenerateNormalizationError,
                      NoCrossoverError, UnsupportedSchemeError)
 from .experiments import (DEFAULT_BRACKET_DB, SweepSpec, SweptParameter,
                           db_to_linear, find_crossover, run_sweep)
-from .secrecy import (ROUTES, Method, asc_btas_closed, asc_etas_closed,
-                      asc_quadrature, mc_asc)
+from .secrecy import ROUTES, Method, asc
 from .selection import TasScheme
 from .verification import run_verification
 
@@ -303,14 +302,8 @@ def _emit_csv(header, rows, out_path) -> None:
 
 def cmd_asc(cfg: argparse.Namespace) -> int:
     scheme, scenario = cfg.schemes[0], cfg.scenario
-    if cfg.method == "closed":
-        est = asc_btas_closed(scenario) if scheme is TasScheme.BTAS \
-            else asc_etas_closed(scenario)
-    elif cfg.method == "quad":
-        est = asc_quadrature(scenario, scheme)
-    else:
-        est = mc_asc(scenario, scheme, cfg.trials, RngStream(cfg.seed),
-                     threads=cfg.threads)
+    est = asc(scenario, scheme, cfg.method, trials=cfg.trials,
+              rng=RngStream(cfg.seed), threads=cfg.threads)
     row = (scheme.value, est.method.value, cfg.gamma_b_db, cfg.gamma_e_db,
            scenario.num_antennas, est.value, est.std_error, est.trials)
     _emit_csv(ASC_CSV_HEADER, [row], cfg.out)

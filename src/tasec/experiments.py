@@ -9,15 +9,14 @@ repeated runs of the same spec are byte-identical regardless of worker count.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import RngStream, Scenario
+from .channel import RngStream, Scenario, require_int
 from .errors import DegenerateNormalizationError, NoCrossoverError
-from .secrecy import (ROUTES, AscEstimate, Method, asc_btas_closed,
+from .secrecy import (ROUTES, AscEstimate, Method, asc, asc_btas_closed,
                       asc_etas_closed, mc_asc)
 from .selection import TasScheme
 
@@ -38,7 +37,7 @@ _SCHEME_BRANCH = {
     TasScheme.RANDOM: 3,
 }
 
-CROSSOVER_RESIDUAL_TOL = 1e-9
+CROSSOVER_LOG_RATIO_TOL = 1e-12
 CROSSOVER_WIDTH_TOL_DB = 1e-10
 DEFAULT_BRACKET_DB = (-30.0, 30.0)
 
@@ -53,13 +52,6 @@ def db_to_linear(x_db: float) -> float:
         raise ValueError(
             f"dB value {x_db!r} is out of range: 10^({x_db!r}/10) overflows a float"
         ) from None
-
-
-def _integer(value, name: str) -> int:
-    """`value` as an int: numpy integers pass, bools and floats do not."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -92,25 +84,21 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "swept", SweptParameter(self.swept))
         object.__setattr__(self, "antennas",
-                           tuple(_integer(m, "antenna count") for m in self.antennas))
-        object.__setattr__(self, "mc_trials", _integer(self.mc_trials, "mc_trials"))
-        object.__setattr__(self, "points", _integer(self.points, "points"))
+                           tuple(require_int(m, "antenna count", 1) for m in self.antennas))
+        object.__setattr__(self, "mc_trials", require_int(self.mc_trials, "mc_trials", 0))
+        object.__setattr__(self, "points", require_int(self.points, "points", 2))
         object.__setattr__(self, "schemes",
                            tuple(TasScheme(s) for s in self.schemes))
         if not (math.isfinite(self.start_db) and math.isfinite(self.stop_db)
                 and self.start_db < self.stop_db):
             raise ValueError(
                 f"need start_db < stop_db, got [{self.start_db!r}, {self.stop_db!r}]")
-        if self.points < 2:
-            raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
         if not math.isfinite(self.fixed_gamma_db):
             raise ValueError(f"fixed_gamma_db must be finite, got {self.fixed_gamma_db!r}")
-        if not self.antennas or any(m < 1 for m in self.antennas):
-            raise ValueError(f"antenna counts must all be >= 1, got {self.antennas!r}")
+        if not self.antennas:
+            raise ValueError("at least one antenna count is required")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        if self.mc_trials < 0:
-            raise ValueError(f"mc_trials must be >= 0, got {self.mc_trials!r}")
         if self.needs_mc and self.mc_trials < 2:
             raise ValueError(
                 "mc_trials >= 2 required: this sweep requests a Monte Carlo "
@@ -150,7 +138,8 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Ratio (dB) where the closed-form B-TAS and E-TAS curves meet."""
+    """Ratio (dB) where the closed-form B-TAS and E-TAS curves meet, and the
+    `residual` ln(B-TAS / E-TAS) there."""
 
     gamma_b0_db: float
     antennas: int
@@ -198,8 +187,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
                 if scheme is TasScheme.OTAS:
                     estimates = [otas_est]
                 elif Method.CLOSED in ROUTES[scheme]:
-                    closed = asc_btas_closed(scenario) if scheme is TasScheme.BTAS \
-                        else asc_etas_closed(scenario)
+                    closed = asc(scenario, scheme, Method.CLOSED)
                     estimates = [closed, mc(scheme)] if spec.mc_overlay else [closed]
                 else:
                     estimates = [mc(scheme)]
@@ -216,14 +204,13 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 def find_crossover(gamma_b0_db: float, antennas: int,
                    bracket_db: tuple[float, float] = DEFAULT_BRACKET_DB) -> CrossoverResult:
     """Find the eavesdropper/legitimate SNR ratio (dB) at which the two
-    closed-form sub-optimal curves cross, by Illinois false position.
+    closed-form sub-optimal curves cross, by Illinois false position on
+    g = ln(btas / etas), whose tolerance is relative at any SNR.
 
-    Requires a sign change of btas - etas over the bracket; at a single
-    antenna the schemes coincide everywhere, so that is rejected.
+    Requires a sign change of g over the bracket. M = 1 is rejected, as the
+    schemes then coincide everywhere, and so is a closed form that is 0.
     """
-    antennas = _integer(antennas, "antennas")
-    if antennas < 2:
-        raise ValueError(f"crossover needs antennas >= 2, got {antennas!r}")
+    antennas = require_int(antennas, "antennas", 2)
     lo, hi = float(bracket_db[0]), float(bracket_db[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid bracket {bracket_db!r}")
@@ -231,7 +218,13 @@ def find_crossover(gamma_b0_db: float, antennas: int,
 
     def gap(ratio_db: float) -> float:
         scenario = Scenario(gamma_b0, db_to_linear(gamma_b0_db + ratio_db), antennas)
-        return asc_btas_closed(scenario).value - asc_etas_closed(scenario).value
+        btas = asc_btas_closed(scenario).value
+        etas = asc_etas_closed(scenario).value
+        if btas == 0.0 or etas == 0.0:
+            raise ValueError(
+                f"closed-form ASC is 0 at gamma_b0={gamma_b0_db} dB, ratio={ratio_db} "
+                f"dB, M={antennas} (btas {btas!r}, etas {etas!r}); no log ratio")
+        return math.log(btas / etas)
 
     g_lo = gap(lo)
     g_hi = gap(hi)
@@ -240,8 +233,8 @@ def find_crossover(gamma_b0_db: float, antennas: int,
             return CrossoverResult(gamma_b0_db, antennas, edge, g_edge)
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise NoCrossoverError(
-            f"btas - etas does not change sign on [{lo}, {hi}] dB "
-            f"(endpoint gaps {g_lo:.3e}, {g_hi:.3e})")
+            f"ln(btas / etas) does not change sign on [{lo}, {hi}] dB "
+            f"(endpoint values {g_lo:.3e}, {g_hi:.3e})")
 
     # Illinois false position: step to where the chord through the bracket
     # ends crosses zero. An end that survives two steps in a row has its gap
@@ -254,7 +247,7 @@ def find_crossover(gamma_b0_db: float, antennas: int,
         if not lo < root < hi:
             root = 0.5 * (lo + hi)
         g_root = gap(root)
-        if abs(g_root) <= CROSSOVER_RESIDUAL_TOL or (hi - lo) <= CROSSOVER_WIDTH_TOL_DB:
+        if abs(g_root) <= CROSSOVER_LOG_RATIO_TOL or (hi - lo) <= CROSSOVER_WIDTH_TOL_DB:
             break
         if (g_root > 0.0) == (g_lo > 0.0):
             lo, g_lo = root, g_root

@@ -17,6 +17,8 @@ just below 1, where E1 is a small difference of its series terms.
 
 import math
 
+from .channel import require_positive
+
 # Euler-Mascheroni constant, series anchor for small arguments.
 EULER_GAMMA = 0.57721566490153286060
 
@@ -27,13 +29,6 @@ _SERIES_TERMS = 20
 # for x <= 1, so the shorter sum rounds to the same double as 20 terms.
 _SERIES_CUTS = tuple((((n + 1) * math.factorial(n + 1) * 2.0 ** -74) ** (1.0 / (n + 1)), n)
                      for n in (3, 5, 8, 12, 16))
-
-
-def _check_domain(x: float, name: str = "x") -> None:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ValueError(f"{name} must be a real number, got {x!r}")
-    if math.isnan(x) or math.isinf(x) or x <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
 
 
 def _e1_scaled_series(x: float) -> float:
@@ -79,12 +74,10 @@ def exp_scaled_e1(x: float) -> float:
     Strictly decreasing, bounded by 1/(x+1) < exp(x) E1(x) < 1/x, and ~1/x as
     x grows.
     """
-    _check_domain(x)
+    require_positive(x, "x")
     return _e1_scaled_series(x) if x <= 1.0 else _e1_scaled_cf(x)
 
 
 def delta_e(a: float, b: float) -> float:
     """exp(a) E1(a) - exp(b) E1(b); positive iff b > a, zero iff a == b."""
-    _check_domain(a, "a")
-    _check_domain(b, "b")
     return exp_scaled_e1(a) - exp_scaled_e1(b)

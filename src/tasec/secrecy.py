@@ -13,11 +13,12 @@ and, independently, through numerical quadrature of
 
 with the link CDFs of `selection.link_laws`. The optimal scheme couples the
 two links; this package has no closed form or product-form quadrature for it
-and evaluates it by Monte Carlo (ROUTES). MC runs are chunked onto derived
-substreams so the estimate is a pure function of (scenario, scheme, trials,
-seed, stream) no matter how many workers execute the chunks. O-TAS needs no
-selected index: its capacity is [log2 max_i R_i]^+ over the per-antenna SNR
-ratios R_i (`selection.snr_ratios`), which each chunk reduces in place.
+and evaluates it by Monte Carlo (ROUTES; `asc` runs a scheme's routes). MC
+runs are chunked onto derived substreams so the estimate is a pure function
+of (scenario, scheme, trials, seed, stream) no matter how many workers execute
+the chunks. One kernel, `_capacities`, gives each realization's capacity to
+MC and the self-checks. O-TAS needs no selected index: its capacity is
+[log2 max_i R_i]^+ over the per-antenna SNR ratios R_i (`snr_ratios`).
 """
 
 import math
@@ -29,7 +30,8 @@ from functools import reduce
 
 import numpy as np
 
-from .channel import RngStream, Scenario, draw_gain_blocks
+from .channel import RngStream, Scenario, draw_gain_blocks, require_int
+from .errors import UnsupportedSchemeError
 from .expint import delta_e
 from .quadrature import integrate_half_line
 from .selection import TasScheme, link_laws, link_scale, select_indices, snr_ratios
@@ -84,6 +86,25 @@ class AscEstimate:
             raise ValueError(f"{self.method.value} estimates carry no trials/std_error")
 
 
+def asc(scenario: Scenario, scheme: TasScheme, method: Method | None = None, *,
+        trials: int | None = None, rng: RngStream | None = None,
+        threads: int = 1) -> AscEstimate:
+    """ASC of `scheme` by `method`, or by the scheme's first route in ROUTES;
+    a pair that ROUTES lacks raises UnsupportedSchemeError. Monte Carlo takes
+    `trials`, `rng` and `threads` as mc_asc does."""
+    scheme = TasScheme(scheme)
+    method = ROUTES[scheme][0] if method is None else Method(method)
+    if method not in ROUTES[scheme]:
+        raise UnsupportedSchemeError(f"no {method.value} route for {scheme.value}")
+    if method is Method.MC:
+        return mc_asc(scenario, scheme, trials, rng, threads=threads)
+    if method is Method.QUAD:
+        return asc_quadrature(scenario, scheme)
+    if scheme is TasScheme.BTAS:
+        return asc_btas_closed(scenario)
+    return asc_etas_closed(scenario)
+
+
 def secrecy_capacity(gamma_b, gamma_e):
     """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio,
     elementwise over arrays of instantaneous SNRs."""
@@ -108,32 +129,38 @@ def _chunk_layout(trials: int) -> list[tuple[int, int]]:
     return layout
 
 
+def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
+                eve: np.ndarray, stream: RngStream) -> np.ndarray:
+    """Each realization's secrecy capacity at the antenna `scheme` selects,
+    from (count, M) gain blocks; random consumes `stream`. O-TAS takes each
+    row's largest SNR ratio in place, overwriting the blocks, as a running
+    maximum over the M columns (an axis-1 reduce is slow on rows this short).
+    That is the ratio at the argmax, with the same float operations, and a
+    NaN ratio wins both. The other schemes select indices, then take the
+    ratio of the gathered gains, and leave the blocks untouched.
+    """
+    if scheme is TasScheme.OTAS:
+        ratios = snr_ratios(scenario, bob, eve)
+        ratio = ratios[:, 0].copy()
+        for column in ratios.T[1:]:
+            np.maximum(ratio, column, out=ratio)
+    else:
+        idx = select_indices(scheme, scenario, bob, eve, rng=stream)
+        rows = np.arange(idx.size)
+        ratio = snr_ratios(scenario, bob[rows, idx], eve[rows, idx])
+    return _capacity_of_ratio(ratio)
+
+
 def _chunk_moments(scenario: Scenario, scheme: TasScheme, rng: RngStream,
                    index: int, size: int) -> tuple[int, float, float]:
     """Secrecy-capacity sample moments (n, mean, sum of squared deviations)
-    for one chunk, drawn from the substream derived for `index`.
-
-    O-TAS takes each row's largest SNR ratio, computed in place over the
-    chunk's own gain blocks, as a running maximum over the M columns (an
-    axis-1 reduce is slow on rows this short). That is the ratio at the
-    argmax, with the same float operations, and a NaN ratio wins both. The
-    other schemes select indices, then take the ratio of the gathered gains.
-    A gamma0 g that overflows a double shows as an inf or NaN mean, which
-    mc_asc reports; no floating-point warning is raised.
-    """
+    for one chunk, drawn from the substream derived for `index`. A gamma0 g
+    that overflows a double shows as an inf or NaN mean, which mc_asc
+    reports; no floating-point warning is raised."""
     stream = rng.substream(index)
     bob, eve = draw_gain_blocks(scenario, stream, size)
     with np.errstate(all="ignore"):
-        if scheme is TasScheme.OTAS:
-            ratios = snr_ratios(scenario, bob, eve)
-            ratio = ratios[:, 0].copy()
-            for column in ratios.T[1:]:
-                np.maximum(ratio, column, out=ratio)
-        else:
-            idx = select_indices(scheme, scenario, bob, eve, rng=stream)
-            rows = np.arange(size)
-            ratio = snr_ratios(scenario, bob[rows, idx], eve[rows, idx])
-        cs = _capacity_of_ratio(ratio)
+        cs = _capacities(scenario, scheme, bob, eve, stream)
         mean = float(cs.mean())
         m2 = float(np.sum((cs - mean) ** 2))
     return size, mean, m2
@@ -161,8 +188,7 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
     depend on `threads`. ValueError is raised at the top of the dB range,
     where a drawn gamma0*g overflows a double and the mean is not finite.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 2:
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    trials = require_int(trials, "trials", 2)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     scheme = TasScheme(scheme)
@@ -188,14 +214,6 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
     std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return AscEstimate(value=mean, method=Method.MC, trials=trials,
                        std_error=std_error)
-
-
-def asc_otas_mc(scenario: Scenario, trials: int, rng: RngStream,
-                threads: int = 1) -> AscEstimate:
-    """ASC of the optimal scheme by Monte Carlo. This package has no closed
-    form or product-form quadrature for it: the selected antenna's two SNRs
-    are dependent, which breaks the product form both of them rest on."""
-    return mc_asc(scenario, TasScheme.OTAS, trials, rng, threads=threads)
 
 
 # ----------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Four criteria are supported:
 
-  otas    argmax of the SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E)
-          per antenna (`snr_ratios`); needs both links' CSI and maximizes
-          the instantaneous secrecy capacity pointwise.
+  otas    the largest SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E)
+          over the antennas (`snr_ratios`); needs both links' CSI and
+          maximizes the instantaneous secrecy capacity pointwise. Its one
+          kernel, `secrecy._capacities`, takes the row max and no index.
   btas    argmax of the legitimate gain (classical criterion).
   etas    argmin of the eavesdropper gain.
   random  uniform choice, the no-selection-gain baseline.
@@ -52,14 +53,11 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
 
     argmax/argmin return the first extremal index, which is the tie rule.
     The gain arrays are left untouched. The random scheme consumes `rng`
-    after the gains were drawn.
+    after the gains were drawn. otas raises UnsupportedSchemeError.
     """
     scheme = TasScheme(scheme)
     if scheme is TasScheme.OTAS:
-        # The log of the ratio is monotone, so comparing the ratio itself
-        # picks the same antenna without transcendental calls.
-        return np.argmax(snr_ratios(scenario, np.array(bob_gains, dtype=float),
-                                    np.array(eve_gains, dtype=float)), axis=1)
+        raise UnsupportedSchemeError("otas needs no index: its capacity is a row max")
     if scheme is TasScheme.BTAS:
         return np.argmax(bob_gains, axis=1)
     if scheme is TasScheme.ETAS:

@@ -12,9 +12,8 @@ import numpy as np
 
 from .channel import RngStream, Scenario, draw_gain_blocks
 from .experiments import db_to_linear
-from .secrecy import (Method, _chunk_layout, asc_btas_closed, asc_etas_closed,
-                      asc_otas_mc, asc_quadrature, mc_asc, secrecy_capacity)
-from .selection import TasScheme, select_indices
+from .secrecy import Method, _capacities, _chunk_layout, asc
+from .selection import TasScheme
 
 MC_GRID_DB = (0.0, 10.0, 20.0)
 QUAD_GRID_DB = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
@@ -50,12 +49,12 @@ def check_closed_vs_quadrature() -> CheckResult:
     count = skipped = 0
     for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, QUAD_ANTENNAS):
         scenario = _scenario(gb_db, ge_db, m)
-        for scheme, closed in ((TasScheme.BTAS, asc_btas_closed(scenario)),
-                               (TasScheme.ETAS, asc_etas_closed(scenario))):
+        for scheme in (TasScheme.BTAS, TasScheme.ETAS):
+            closed = asc(scenario, scheme, Method.CLOSED)
             if closed.method is Method.QUAD:
                 skipped += 1
                 continue
-            quad = asc_quadrature(scenario, scheme)
+            quad = asc(scenario, scheme, Method.QUAD)
             worst = max(worst, abs(quad.value - closed.value))
             count += 1
     return CheckResult(
@@ -72,10 +71,10 @@ def check_mc_vs_closed(trials: int, seed: int, threads: int = 1) -> CheckResult:
     task = 0
     for gb_db, ge_db, m in product(MC_GRID_DB, MC_GRID_DB, MC_ANTENNAS):
         scenario = _scenario(gb_db, ge_db, m)
-        for scheme, closed in ((TasScheme.BTAS, asc_btas_closed(scenario)),
-                               (TasScheme.ETAS, asc_etas_closed(scenario))):
-            est = mc_asc(scenario, scheme, trials,
-                         base.substream(_BRANCH_MC_VS_CLOSED, task), threads=threads)
+        for scheme in (TasScheme.BTAS, TasScheme.ETAS):
+            closed = asc(scenario, scheme, Method.CLOSED)
+            est = asc(scenario, scheme, Method.MC, trials=trials,
+                      rng=base.substream(_BRANCH_MC_VS_CLOSED, task), threads=threads)
             task += 1
             sigma = abs(est.value - closed.value) / est.std_error
             worst_sigma = max(worst_sigma, sigma)
@@ -88,7 +87,8 @@ def check_mc_vs_closed(trials: int, seed: int, threads: int = 1) -> CheckResult:
 
 
 def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
-    """Per-realization optimality of the full-CSI selector at (10, 10) dB, M=8."""
+    """Per-realization optimality of O-TAS at (10, 10) dB, M=8, by the capacity
+    kernel Monte Carlo runs; O-TAS goes last, as it overwrites the blocks."""
     scenario = _scenario(10.0, 10.0, 8)
     base = RngStream(seed)
     violations = 0
@@ -96,12 +96,9 @@ def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
     for chunk, size in _chunk_layout(realizations):
         stream = base.substream(_BRANCH_DOMINANCE, chunk)
         bob, eve = draw_gain_blocks(scenario, stream, size)
-        cs = secrecy_capacity(scenario.gamma_b0 * bob, scenario.gamma_e0 * eve)
-        rows = np.arange(size)
-        best = cs[rows, select_indices(TasScheme.OTAS, scenario, bob, eve)]
-        for scheme in others:
-            idx = select_indices(scheme, scenario, bob, eve, rng=stream)
-            violations += int(np.count_nonzero(cs[rows, idx] > best))
+        rivals = np.array([_capacities(scenario, s, bob, eve, stream) for s in others])
+        best = _capacities(scenario, TasScheme.OTAS, bob, eve, stream)
+        violations += int(np.count_nonzero(rivals > best))
     return CheckResult(
         "otas-dominance", violations == 0,
         f"{realizations} realizations x {len(others)} rival schemes, "
@@ -114,9 +111,9 @@ def check_factor_m_identity() -> CheckResult:
     worst = 0.0
     count = 0
     for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, QUAD_ANTENNAS):
-        multi = asc_etas_closed(_scenario(gb_db, ge_db, m))
+        multi = asc(_scenario(gb_db, ge_db, m), TasScheme.ETAS, Method.CLOSED)
         ge = db_to_linear(ge_db)
-        single = asc_etas_closed(Scenario(db_to_linear(gb_db), ge / m, 1))
+        single = asc(Scenario(db_to_linear(gb_db), ge / m, 1), TasScheme.ETAS)
         worst = max(worst, abs(multi.value - single.value))
         count += 1
     return CheckResult(
@@ -131,8 +128,8 @@ def check_single_antenna(trials: int, seed: int, threads: int = 1) -> CheckResul
     worst = 0.0
     for gb_db, ge_db in product(QUAD_GRID_DB, QUAD_GRID_DB):
         scenario = _scenario(gb_db, ge_db, 1)
-        worst = max(worst, abs(asc_btas_closed(scenario).value
-                               - asc_etas_closed(scenario).value))
+        worst = max(worst, abs(asc(scenario, TasScheme.BTAS, Method.CLOSED).value
+                               - asc(scenario, TasScheme.ETAS, Method.CLOSED).value))
     if worst > EXACT_IDENTITY_TOL:
         return CheckResult(
             "single-antenna-degeneracy", False,
@@ -142,9 +139,9 @@ def check_single_antenna(trials: int, seed: int, threads: int = 1) -> CheckResul
     worst_sigma = 0.0
     for task, (gb_db, ge_db) in enumerate(product(MC_GRID_DB, MC_GRID_DB)):
         scenario = _scenario(gb_db, ge_db, 1)
-        est = asc_otas_mc(scenario, trials,
-                          base.substream(_BRANCH_SINGLE_ANTENNA, task), threads=threads)
-        sigma = abs(est.value - asc_btas_closed(scenario).value) / est.std_error
+        est = asc(scenario, TasScheme.OTAS, Method.MC, trials=trials,
+                  rng=base.substream(_BRANCH_SINGLE_ANTENNA, task), threads=threads)
+        sigma = abs(est.value - asc(scenario, TasScheme.BTAS).value) / est.std_error
         worst_sigma = max(worst_sigma, sigma)
     return CheckResult(
         "single-antenna-degeneracy", worst_sigma <= MC_SIGMA,

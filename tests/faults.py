@@ -17,3 +17,17 @@ def negate_btas_terms(monkeypatch):
         return value
 
     monkeypatch.setattr(secrecy, "delta_e", faulty_delta_e)
+
+
+def drop_last_antenna(monkeypatch):
+    """Make `secrecy.snr_ratios` drop the last column of 2-D gain blocks, so
+    the O-TAS running max never sees the last antenna. The 1-D ratios of
+    the gathered gains the other schemes select are left as they are."""
+    snr_ratios = secrecy.snr_ratios
+
+    def faulty_snr_ratios(scenario, bob, eve):
+        if bob.ndim == 2:
+            return snr_ratios(scenario, bob[:, :-1], eve[:, :-1])
+        return snr_ratios(scenario, bob, eve)
+
+    monkeypatch.setattr(secrecy, "snr_ratios", faulty_snr_ratios)

@@ -19,6 +19,13 @@ def test_scenario_validation():
         Scenario(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         Scenario(1.0, 1.0, 1.5)
+    # Antenna counts are integers: numpy integers pass, bools and floats do not.
+    for m in (True, 4.0, np.float64(4.0), "4"):
+        with pytest.raises(ValueError, match="num_antennas must be an integer >= 1"):
+            Scenario(1.0, 1.0, m)
+    for m in (np.int64(4), np.int32(4), np.uint8(4)):
+        scenario = Scenario(1.0, 1.0, m)
+        assert scenario == Scenario(1.0, 1.0, 4) and type(scenario.num_antennas) is int
     # A closed-form argument M/gamma_b0 + 1/gamma_e0 or M/gamma_e0 + 1/gamma_b0
     # that overflows is rejected by name: 64/1e-307 overflows, 8/1e-307 does not.
     for gamma_b0, gamma_e0, m in ((1e-307, 1.0, 64), (1.0, 1e-307, 64),

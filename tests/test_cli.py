@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from tasec import cli, secrecy
-from tasec.channel import Scenario
+from tasec.channel import RngStream, Scenario
 from tasec.cli import (ASC_CSV_HEADER, SWEEP_CSV_HEADER, UsageError, main,
                        parse_config)
 from tasec.errors import ConvergenceError, UnsupportedSchemeError
 from tasec.experiments import db_to_linear
-from tasec.secrecy import ROUTES, Method, asc_etas_closed, asc_quadrature
+from tasec.secrecy import ROUTES, Method, asc, asc_etas_closed, asc_quadrature
 from tasec.selection import TasScheme
 
 from faults import negate_btas_terms
@@ -212,6 +212,19 @@ def test_route_table_matches_library(scheme, method, capsys):
     else:
         with pytest.raises(UnsupportedSchemeError):
             asc_quadrature(Scenario(1.0, 1.0, 2), scheme)
+    # The library's dispatcher answers exactly the pairs ROUTES lists, by
+    # name or by enum, and takes a scheme's first route when none is named.
+    scenario, rng = Scenario(1.0, 1.0, 2), RngStream(7)
+    for name in (method, method.value):
+        if method in ROUTES[scheme]:
+            est = asc(scenario, scheme.value, name, trials=20, rng=rng)
+            assert est.method is method
+        else:
+            with pytest.raises(UnsupportedSchemeError):
+                asc(scenario, scheme, name, trials=20, rng=rng)
+    default = asc(scenario, scheme, trials=20, rng=rng)
+    assert default == asc(scenario, scheme, ROUTES[scheme][0], trials=20, rng=rng)
+    assert default.method is ROUTES[scheme][0]
 
 
 # ----------------------------------------------------------------------------
@@ -398,6 +411,14 @@ def test_crossover_row(capsys):
     fields = row.split(",")
     assert abs(float(fields[3])) <= 1e-9
     assert float(fields[2]) == pytest.approx(-1.2306619993821917, abs=1e-6)
+
+
+def test_crossover_zero_closed_form_is_an_error(capsys):
+    # B-TAS cancels to 0 at the bracket's low end, so there is no log ratio
+    code, out, err = run_cli(["crossover", "--gamma-b-db", "-300", "-M", "64",
+                              "--bracket-db", "-29.7", "30"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: closed-form ASC is 0") and err.count("\n") == 1
 
 
 def test_crossover_single_antenna_usage_error(capsys):

@@ -20,6 +20,17 @@ CROSSOVER_GOLDEN_DB = {
     30.0: -18.071917367716731,
 }
 
+# Crossover ratios [dB] in the strong-eavesdropper, low-SNR regime, where
+# both ASC values are far below 1e-9 bits/s/Hz: roots of the 60-digit
+# B-TAS - E-TAS gap (mpmath.findroot), keyed by (gamma_b0 [dB], M).
+CROSSOVER_DEEP_DB = {
+    (-90.0, 2): 7.30158745659208, (-90.0, 8): 8.48652471792094,
+    (-90.0, 16): 9.26480440240237, (-70.0, 2): 7.30158640001782,
+    (-70.0, 8): 8.48652355090054, (-70.0, 16): 9.26480315519041,
+    (-50.0, 2): 7.30148074559247, (-50.0, 8): 8.48640685216274,
+    (-50.0, 16): 9.26467843758036,
+}
+
 
 def test_db_to_linear():
     assert db_to_linear(0.0) == 1.0
@@ -242,9 +253,25 @@ def test_crossover_side_ordering():
     assert gap(root + 1.0) < 0.0  # eavesdropper-based wins above it
 
 
+@pytest.mark.parametrize("point", sorted(CROSSOVER_DEEP_DB))
+def test_crossover_deep_roots(point):
+    # An absolute tolerance on the gap stopped at the first step here.
+    result = find_crossover(*point)
+    assert result.crossover_ratio_db == pytest.approx(CROSSOVER_DEEP_DB[point], abs=1e-6)
+    assert abs(result.residual) <= 1e-12
+
+
+def test_crossover_residual_is_the_log_ratio():
+    result = find_crossover(-50.0, 8)
+    scenario = Scenario(db_to_linear(-50.0),
+                        db_to_linear(-50.0 + result.crossover_ratio_db), 8)
+    assert result.residual == math.log(asc_btas_closed(scenario).value
+                                       / asc_etas_closed(scenario).value)
+
+
 def test_crossover_gap_evaluations(monkeypatch):
-    # Illinois false position takes 16-20 gap evaluations per golden root;
-    # bisection over the same bracket took about 30 each.
+    # Illinois false position on ln(btas / etas) takes 9-11 gap evaluations
+    # per golden root; on btas - etas it took 16-20, and bisection about 30.
     calls = []
 
     def counted(scenario):
@@ -254,7 +281,7 @@ def test_crossover_gap_evaluations(monkeypatch):
     monkeypatch.setattr(experiments, "asc_etas_closed", counted)
     for gamma_b0_db in sorted(CROSSOVER_GOLDEN_DB):
         find_crossover(gamma_b0_db, 8)
-    assert len(calls) <= 60
+    assert len(calls) <= 36
 
 
 def test_crossover_invariant_under_bracket_halving():

@@ -8,11 +8,11 @@ from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
 from tasec import secrecy
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
-                           _chunk_moments, asc_btas_closed, asc_etas_closed,
-                           asc_otas_mc, asc_quadrature, mc_asc, secrecy_capacity)
-from tasec.selection import TasScheme, select_indices
+                           _chunk_moments, asc, asc_btas_closed, asc_etas_closed,
+                           asc_quadrature, mc_asc, secrecy_capacity)
+from tasec.selection import TasScheme, snr_ratios
 
-from faults import negate_btas_terms
+from faults import drop_last_antenna, negate_btas_terms
 from oracles import asc_integral_oracle
 
 # Single-antenna ASC at unit SNRs, frozen by high-precision evaluation of
@@ -233,8 +233,15 @@ def test_quadrature_at_the_bottom_of_the_db_range(scheme):
 # ----------------------------------------------------------------------------
 
 def test_mc_trials_validation():
+    scenario = Scenario(1.0, 1.0, 2)
     with pytest.raises(ValueError):
-        mc_asc(Scenario(1.0, 1.0, 2), TasScheme.BTAS, 1, RngStream(1))
+        mc_asc(scenario, TasScheme.BTAS, 1, RngStream(1))
+    for trials in (True, 100.0, 2.5, None):
+        with pytest.raises(ValueError, match="trials must be an integer >= 2"):
+            mc_asc(scenario, TasScheme.BTAS, trials, RngStream(1))
+    est = mc_asc(scenario, TasScheme.BTAS, np.int64(100), RngStream(1))
+    assert est.trials == 100 and type(est.trials) is int
+    assert est == mc_asc(scenario, TasScheme.BTAS, 100, RngStream(1))
 
 
 def test_mc_random_gains_nothing_from_antennas():
@@ -294,13 +301,13 @@ def test_mc_deterministic_for_fixed_stream():
 
 def test_otas_mc_single_antenna_matches_closed():
     scenario = Scenario(10.0, 10.0, 1)
-    est = asc_otas_mc(scenario, 1_000_000, RngStream(42, 11))
+    est = asc(scenario, TasScheme.OTAS, trials=1_000_000, rng=RngStream(42, 11))
     assert abs(est.value - asc_btas_closed(scenario).value) <= 4.0 * est.std_error
 
 
 def test_otas_mc_dominates_closed_forms():
     scenario = Scenario(10.0, 10.0, 8)
-    est = asc_otas_mc(scenario, 1_000_000, RngStream(42, 12))
+    est = asc(scenario, TasScheme.OTAS, trials=1_000_000, rng=RngStream(42, 12))
     btas = asc_btas_closed(scenario).value
     etas = asc_etas_closed(scenario).value
     assert est.value >= max(btas, etas) - 4.0 * est.std_error
@@ -316,7 +323,7 @@ def argmax_moments(scenario, bob, eve):
     """Chunk moments the way O-TAS was first computed: select the index,
     gather both links there, and take the clamped log of their SNR ratio."""
     with np.errstate(all="ignore"):
-        idx = select_indices(TasScheme.OTAS, scenario, bob, eve)
+        idx = np.argmax(snr_ratios(scenario, bob.copy(), eve.copy()), axis=1)
         rows = np.arange(bob.shape[0])
         cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
                               scenario.gamma_e0 * eve[rows, idx])
@@ -411,3 +418,15 @@ def test_btas_sign_fault_hook_breaks_agreement(monkeypatch):
     assert not check_closed_vs_quadrature().passed
     monkeypatch.undo()
     assert asc_btas_closed(scenario).value == healthy
+
+
+def test_dominance_check_runs_the_monte_carlo_kernel(monkeypatch):
+    # An O-TAS kernel that never sees the last antenna loses to the rivals
+    # that pick it; the self-check must run that kernel to notice.
+    from tasec.verification import check_otas_dominance
+
+    assert check_otas_dominance(20000, 42).passed
+    drop_last_antenna(monkeypatch)
+    result = check_otas_dominance(20000, 42)
+    assert not result.passed
+    assert int(result.detail.split(", ")[-1].split()[0]) > 1000

@@ -5,6 +5,7 @@ import pytest
 
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
+from tasec.secrecy import _capacities, secrecy_capacity
 from tasec.selection import TasScheme, link_laws, select_indices, snr_ratios
 
 from oracles import ks_statistic
@@ -25,30 +26,50 @@ def pick(scheme, bob, eve, scenario=None, rng=None):
     return int(select_indices(scheme, scenario, bob, eve, rng=rng)[0])
 
 
+def capacity(scheme, bob, eve, scenario=None):
+    """One realization's secrecy capacity from the kernel Monte Carlo runs,
+    on copies of the gains (O-TAS overwrites them)."""
+    bob = np.array(bob, float)[None, :]
+    eve = np.array(eve, float)[None, :]
+    scenario = scenario or Scenario(1.0, 1.0, bob.shape[1])
+    return float(_capacities(scenario, TasScheme(scheme), bob, eve, None)[0])
+
+
+def antenna_capacity(bob, eve, antenna, scenario=None):
+    """The secrecy capacity at one given antenna."""
+    scenario = scenario or Scenario(1.0, 1.0, len(bob))
+    return float(secrecy_capacity(scenario.gamma_b0 * bob[antenna],
+                                  scenario.gamma_e0 * eve[antenna]))
+
+
 # ----------------------------------------------------------------------------
 # Selectors
 # ----------------------------------------------------------------------------
 
 def test_otas_direct_evaluation():
     # ratios are [1.5, 0.8]
-    assert pick(TasScheme.OTAS, [2.0, 3.0], [1.0, 4.0]) == 0
+    assert capacity(TasScheme.OTAS, [2.0, 3.0], [1.0, 4.0]) == math.log2(1.5)
 
 
-def test_otas_tie_breaks_low():
-    assert pick(TasScheme.OTAS, [0.7] * 3, [0.7] * 3) == 0
+def test_otas_ties_give_the_tied_capacity():
+    assert capacity(TasScheme.OTAS, [0.7] * 3, [0.7] * 3) == 0.0
+    # ratios are [1.5, 3, 3]
+    assert capacity(TasScheme.OTAS, [2.0, 5.0, 2.0], [1.0, 1.0, 0.0]) \
+        == antenna_capacity([2.0, 5.0, 2.0], [1.0, 1.0, 0.0], 1) == math.log2(3.0)
 
 
-def test_otas_returns_index_even_when_all_ratios_below_one():
+def test_otas_capacity_is_zero_when_all_ratios_below_one():
     # ratios are [1.1/51, 1.2/91]
     scenario = Scenario(1.0, 10.0, 2)
-    assert pick(TasScheme.OTAS, [0.1, 0.2], [5.0, 9.0], scenario) == 0
+    assert capacity(TasScheme.OTAS, [0.1, 0.2], [5.0, 9.0], scenario) == 0.0
 
 
 def test_otas_degenerates_to_btas_for_negligible_eavesdropper():
     scenario = Scenario(10.0, 1e-12, 6)
-    bob, eve = draw_gain_blocks(scenario, RngStream(99, 0), 1)
-    assert pick(TasScheme.OTAS, bob[0], eve[0], scenario) \
-        == pick(TasScheme.BTAS, bob[0], eve[0], scenario)
+    bob, eve = draw_gain_blocks(scenario, RngStream(99, 0), 64)
+    otas = _capacities(scenario, TasScheme.OTAS, bob.copy(), eve.copy(), None)
+    btas = _capacities(scenario, TasScheme.BTAS, bob, eve, None)
+    assert np.array_equal(otas, btas)
 
 
 def test_btas_examples():
@@ -86,7 +107,10 @@ def test_random_reproducible():
     assert len(set(seq_a)) > 1
 
 
-@pytest.mark.parametrize("scheme", [s.value for s in TasScheme])
+SELECTORS = [s for s in TasScheme if s is not TasScheme.OTAS]
+
+
+@pytest.mark.parametrize("scheme", [s.value for s in SELECTORS])
 def test_select_indices_accepts_scheme_names(scheme):
     scenario = Scenario(2.0, 3.0, 5)
     bob, eve = draw_gain_blocks(scenario, RngStream(23, 0), 64)
@@ -101,7 +125,15 @@ def test_select_indices_rejects_unknown_scheme():
         select_indices("bogus", Scenario(1.0, 1.0, 2), bob, bob)
 
 
-@pytest.mark.parametrize("scheme", list(TasScheme))
+def test_select_indices_rejects_otas():
+    # O-TAS takes the row max of the SNR ratios (secrecy._capacities), no index
+    bob = np.ones((1, 2))
+    for scheme in ("otas", TasScheme.OTAS):
+        with pytest.raises(UnsupportedSchemeError, match="otas needs no index"):
+            select_indices(scheme, Scenario(1.0, 1.0, 2), bob, bob)
+
+
+@pytest.mark.parametrize("scheme", SELECTORS)
 def test_select_indices_leaves_the_gains_untouched(scheme):
     scenario = Scenario(10.0, 3.0, 8)
     bob, eve = draw_gain_blocks(scenario, RngStream(17, 0), 256)
@@ -123,8 +155,10 @@ def test_single_antenna_all_schemes_pick_zero():
     rng = RngStream(17, 0)
     for _ in range(10):
         bob, eve = draw_gain_blocks(scenario, rng, 1)
-        for scheme in TasScheme:
+        for scheme in SELECTORS:
             assert pick(scheme, bob[0], eve[0], scenario, rng) == 0
+        assert capacity(TasScheme.OTAS, bob[0], eve[0], scenario) \
+            == antenna_capacity(bob[0], eve[0], 0, scenario)
 
 
 # ----------------------------------------------------------------------------
