@@ -57,11 +57,10 @@ class RngStream:
     """A single-owner, reproducible random substream.
 
     The sequence is a pure function of (seed, stream_id) plus any substream
-    branch indices, realized as Philox keyed through numpy's SeedSequence
-    spawn mechanism. Identical identifiers reproduce identical draws
-    bit-exactly; `substream` derives statistically independent children from
-    the identifiers alone (never from consumed state), which is what makes
-    chunked Monte Carlo independent of worker count.
+    branch indices: SFC64 seeded by numpy's SeedSequence with those
+    identifiers as its spawn key. `substream` derives independently seeded
+    children from the identifiers alone (never from consumed state), which
+    is what makes chunked Monte Carlo independent of worker count.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _branch: tuple = ()):
@@ -79,7 +78,7 @@ class RngStream:
         if self._generator is None:
             key = np.random.SeedSequence(
                 entropy=self.seed, spawn_key=(self.stream_id, *self._branch))
-            self._generator = np.random.Generator(np.random.Philox(key))
+            self._generator = np.random.Generator(np.random.SFC64(key))
         return self._generator
 
     def substream(self, *branch: int) -> "RngStream":

@@ -189,8 +189,9 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
     where a drawn gamma0*g overflows a double and the mean is not finite.
     """
     trials = require_int(trials, "trials", 2)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    threads = require_int(threads, "threads", 1)
+    if not isinstance(rng, RngStream):
+        raise ValueError(f"Monte Carlo needs an RngStream as rng, got {rng!r}")
     scheme = TasScheme(scheme)
 
     layout = _chunk_layout(trials)

@@ -80,7 +80,7 @@ def test_draw_contract_exp1_bob_then_eve(seed, stream_id, branch, count, m):
     rng = RngStream(seed, stream_id).substream(*branch)
     bob, eve = draw_gain_blocks(Scenario(1.0, 1.0, m), rng, count)
     key = np.random.SeedSequence(seed, spawn_key=(stream_id, *branch))
-    gen = np.random.Generator(np.random.Philox(key))
+    gen = np.random.Generator(np.random.SFC64(key))
     assert np.array_equal(bob, gen.standard_exponential((count, m)))
     assert np.array_equal(eve, gen.standard_exponential((count, m)))
 
@@ -112,3 +112,19 @@ def test_stream_independence_smoke():
     b, _ = draw_gain_blocks(scenario, RngStream(11, 1), 100_000)
     rho = float(np.corrcoef(a.ravel(), b.ravel())[0, 1])
     assert abs(rho) < 0.01
+
+
+@pytest.mark.parametrize("branch", [(0, 0, 0), (3, 1, 2)])
+def test_sibling_chunk_substreams_are_independent_exp1(branch):
+    # Chunk substreams are SFC64 seeded from neighbouring spawn keys; their
+    # first gains must still be Exp(1), and neighbours' blocks uncorrelated.
+    scenario, base = Scenario(1.0, 1.0, 1), RngStream(2026).substream(*branch)
+    blocks = np.stack([draw_gain_blocks(scenario, base.substream(i), 100)[0].ravel()
+                       for i in range(1000)])  # 1e5 gains, one row per chunk
+    assert ks_statistic(blocks.ravel(), lambda x: -math.expm1(-x)) < KS_LIMIT
+    # the very first gain of each chunk, at KS_LIMIT's level for 1e3 samples
+    assert ks_statistic(blocks[:, 0], lambda x: -math.expm1(-x)) < 0.062
+    rho = float(np.corrcoef(blocks[:-1].ravel(), blocks[1:].ravel())[0, 1])
+    assert abs(rho) < 0.01
+    rho_first = float(np.corrcoef(blocks[:-1, 0], blocks[1:, 0])[0, 1])
+    assert abs(rho_first) < 0.13  # 4 sigma at 999 pairs

@@ -292,6 +292,18 @@ def test_mc_thread_count_does_not_change_uneven_layout(scheme):
     assert all(r.std_error == runs[0].std_error for r in runs)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_without_a_stream_fails_before_any_work(threads, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew gains without a stream")
+    monkeypatch.setattr(secrecy, "draw_gain_blocks", no_draws)
+    scenario = Scenario(10.0, 3.0, 4)
+    with pytest.raises(ValueError, match="needs an RngStream as rng, got None"):
+        mc_asc(scenario, TasScheme.OTAS, 100_000, None, threads=threads)
+    with pytest.raises(ValueError, match="needs an RngStream as rng, got None"):
+        asc(scenario, "otas", trials=1000, threads=threads)
+
+
 def test_mc_deterministic_for_fixed_stream():
     scenario = Scenario(10.0, 3.0, 4)
     a = mc_asc(scenario, TasScheme.RANDOM, 70_000, RngStream(21, 0))
@@ -370,15 +382,17 @@ def test_otas_chunk_moments_on_crafted_blocks(kind, monkeypatch):
     assert repr(got) == repr(argmax_moments(scenario, bob, eve))
 
 
-# O-TAS estimates of the argmax -> gather implementation, frozen as repr:
-# (gb_db, ge_db, M, trials, stream id) -> (value, std_error).
+# O-TAS estimates frozen as repr: (gb_db, ge_db, M, trials, stream id) ->
+# (value, std_error). Computed by `argmax_moments` on each chunk's SFC64
+# draws (SeedSequence(2024, spawn_key=(stream id, chunk index))), merged in
+# chunk order by Chan's update, not taken from mc_asc's own output.
 OTAS_MC_FROZEN = [
     ((20.0, 10.0, 8, 2 * MC_CHUNK_SIZE, 1),
-     (5.865408198024146, 0.005921621584340174)),
+     (5.868070964498549, 0.005987768956909346)),
     ((-10.0, -20.0, 2, 100_000, 2),
-     (0.18159691360234062, 0.0004174408126395469)),
+     (0.18133424929739764, 0.00041648763733309884)),
     ((40.0, 30.0, 16, 3 * MC_CHUNK_SIZE + 17, 3),  # uneven chunk layout
-     (8.006077153997996, 0.007784348815990983)),
+     (8.018209225958945, 0.007768201448255447)),
 ]
 
 
