@@ -90,16 +90,32 @@ class RngStream:
                 + (f", branch={self._branch}" if self._branch else "") + ")")
 
 
-def draw_gain_blocks(scenario: Scenario, rng: RngStream,
-                     count: int) -> tuple[np.ndarray, np.ndarray]:
+def draw_gain_blocks(scenario: Scenario, rng: RngStream, count: int,
+                     out: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` realizations at once; returns (bob, eve) arrays of shape
     (count, M) of Exp(1) gains, drawn directly with `standard_exponential`.
-    Consumes the stream in a fixed order: Bob's block first, then Eve's."""
+    Consumes the stream in a fixed order: Bob's block first, then Eve's.
+
+    Without `out` both arrays are new. With `out=(bob, eve)`, two
+    non-overlapping, writeable, C-contiguous float64 arrays of shape
+    (count, M), it fills them with the same values and returns them; any
+    other `out` raises ValueError."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     gen = rng.generator
-    m = scenario.num_antennas
-    shape = (count, m)
-    bob = gen.standard_exponential(shape)
-    eve = gen.standard_exponential(shape)
+    shape = (count, scenario.num_antennas)
+    if out is None:
+        return gen.standard_exponential(shape), gen.standard_exponential(shape)
+    bob, eve = out
+    for name, block in (("bob", bob), ("eve", eve)):
+        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+                and block.shape == shape and block.flags.c_contiguous
+                and block.flags.writeable):
+            raise ValueError(f"out {name} block must be a writeable C-contiguous "
+                             f"float64 array of shape {shape}")
+    if np.may_share_memory(bob, eve):
+        raise ValueError("out bob and eve blocks must not overlap")
+    gen.standard_exponential(out=bob)
+    gen.standard_exponential(out=eve)
     return bob, eve

@@ -87,7 +87,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--seed", type=int, default=42,
                        help="64-bit unsigned RNG seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker bound for Monte Carlo chunks (output-invariant)")
+                       help="most worker threads for Monte Carlo chunks, capped at "
+                            "the chunk count and the usable CPUs (output-invariant)")
 
     def add_schemes(p):
         p.add_argument("--scheme", dest="schemes", choices=[s.value for s in TasScheme],

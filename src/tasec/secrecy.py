@@ -16,12 +16,15 @@ two links; this package has no closed form or product-form quadrature for it
 and evaluates it by Monte Carlo (ROUTES; `asc` runs a scheme's routes). MC
 runs are chunked onto derived substreams so the estimate is a pure function
 of (scenario, scheme, trials, seed, stream) no matter how many workers execute
-the chunks. One kernel, `_capacities`, gives each realization's capacity to
-MC and the self-checks. O-TAS needs no selected index: its capacity is
-[log2 max_i R_i]^+ over the per-antenna SNR ratios R_i (`snr_ratios`).
+the chunks; each chunk draws into idle buffers that earlier chunks left
+(`_take_buffers`). One kernel, `_capacities`, gives each realization's
+capacity to MC and the self-checks. O-TAS needs no selected index: its
+capacity is [log2 max_i R_i]^+ over the per-antenna SNR ratios R_i
+(`snr_ratios`).
 """
 
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -108,12 +111,7 @@ def asc(scenario: Scenario, scheme: TasScheme, method: Method | None = None, *,
 def secrecy_capacity(gamma_b, gamma_e):
     """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio,
     elementwise over arrays of instantaneous SNRs."""
-    return _capacity_of_ratio((1.0 + gamma_b) / (1.0 + gamma_e))
-
-
-def _capacity_of_ratio(ratio):
-    """[log2 ratio]^+ of SNR ratios (1+gamma_b)/(1+gamma_e)."""
-    return np.maximum(0.0, np.log2(ratio))
+    return np.maximum(0.0, np.log2((1.0 + gamma_b) / (1.0 + gamma_e)))
 
 
 # ----------------------------------------------------------------------------
@@ -138,6 +136,10 @@ def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
     That is the ratio at the argmax, with the same float operations, and a
     NaN ratio wins both. The other schemes select indices, then take the
     ratio of the gathered gains, and leave the blocks untouched.
+
+    The returned array is new and the caller's to keep or overwrite: it
+    shares no memory with the blocks, which the next draw may refill. The
+    clamped log is taken in place on the ratios.
     """
     if scheme is TasScheme.OTAS:
         ratios = snr_ratios(scenario, bob, eve)
@@ -148,22 +150,60 @@ def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
         idx = select_indices(scheme, scenario, bob, eve, rng=stream)
         rows = np.arange(idx.size)
         ratio = snr_ratios(scenario, bob[rows, idx], eve[rows, idx])
-    return _capacity_of_ratio(ratio)
+    np.log2(ratio, out=ratio)
+    return np.maximum(0.0, ratio, out=ratio)
+
+
+# Pairs of flat gain buffers that no chunk is drawing into. They outlive the
+# chunks and the mc_asc calls, and so the worker threads, which live for one
+# call. There are as many pairs as chunks that ever ran at once, each
+# 2 * MC_CHUNK_SIZE * M * 8 bytes at most. list.pop and list.append are atomic, so no two
+# chunks draw into the same pair.
+_idle_buffers: list[tuple[np.ndarray, np.ndarray]] = []
+
+
+def _take_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An idle pair of flat buffers of at least `n` elements each; a smaller
+    one is dropped for a new pair."""
+    try:
+        pair = _idle_buffers.pop()
+    except IndexError:
+        pair = None
+    if pair is None or pair[0].size < n:
+        pair = (np.empty(n), np.empty(n))
+    return pair
 
 
 def _chunk_moments(scenario: Scenario, scheme: TasScheme, rng: RngStream,
                    index: int, size: int) -> tuple[int, float, float]:
     """Secrecy-capacity sample moments (n, mean, sum of squared deviations)
-    for one chunk, drawn from the substream derived for `index`. A gamma0 g
-    that overflows a double shows as an inf or NaN mean, which mc_asc
-    reports; no floating-point warning is raised."""
+    for one chunk, drawn from the substream derived for `index` into an idle
+    pair of gain buffers, which is idle again once the capacities are out.
+    The blocks used are the ones the draw returns. The moments reduce the
+    capacities in place, with the same float operations as
+    np.sum((cs - mean) ** 2). A gamma0 g that overflows a double shows as an
+    inf or NaN mean, which mc_asc reports; no floating-point warning is
+    raised."""
     stream = rng.substream(index)
-    bob, eve = draw_gain_blocks(scenario, stream, size)
+    m = scenario.num_antennas
+    pair = _take_buffers(size * m)
+    bob, eve = draw_gain_blocks(scenario, stream, size,
+                                out=tuple(b[:size * m].reshape(size, m) for b in pair))
     with np.errstate(all="ignore"):
         cs = _capacities(scenario, scheme, bob, eve, stream)
+        _idle_buffers.append(pair)
         mean = float(cs.mean())
-        m2 = float(np.sum((cs - mean) ** 2))
+        cs -= mean
+        cs *= cs
+        m2 = float(cs.sum())
     return size, mean, m2
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _merge_moments(a: tuple[int, float, float],
@@ -185,8 +225,10 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
 
     Chunks of MC_CHUNK_SIZE trials run on substreams derived from the chunk
     index, and their moments merge in chunk order, so the estimate does not
-    depend on `threads`. ValueError is raised at the top of the dB range,
-    where a drawn gamma0*g overflows a double and the mean is not finite.
+    depend on `threads`. At most `threads` workers run, and never more than
+    there are chunks or CPUs this process may use. ValueError is raised at
+    the top of the dB range, where a drawn gamma0*g overflows a double and
+    the mean is not finite.
     """
     trials = require_int(trials, "trials", 2)
     threads = require_int(threads, "threads", 1)
@@ -200,8 +242,9 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
         index, size = entry
         return _chunk_moments(scenario, scheme, rng, index, size)
 
-    if threads > 1 and len(layout) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(layout), _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, layout))
     else:
         results = [job(entry) for entry in layout]

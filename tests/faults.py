@@ -31,3 +31,16 @@ def drop_last_antenna(monkeypatch):
         return snr_ratios(scenario, bob, eve)
 
     monkeypatch.setattr(secrecy, "snr_ratios", faulty_snr_ratios)
+
+
+def scale_bob_gains(monkeypatch, factor):
+    """Scale every drawn legitimate-link gain by `factor`. The scaled block is
+    a new array, not the `out` buffer it was drawn into, so only a caller
+    that uses the blocks the draw returns sees the fault."""
+    draw = secrecy.draw_gain_blocks
+
+    def biased_draw(scenario, rng, count, out=None):
+        bob, eve = draw(scenario, rng, count, out=out)
+        return factor * bob, eve
+
+    monkeypatch.setattr(secrecy, "draw_gain_blocks", biased_draw)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tasec import secrecy
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
 
 from oracles import ks_statistic
@@ -128,3 +129,67 @@ def test_sibling_chunk_substreams_are_independent_exp1(branch):
     assert abs(rho) < 0.01
     rho_first = float(np.corrcoef(blocks[:-1, 0], blocks[1:, 0])[0, 1])
     assert abs(rho_first) < 0.13  # 4 sigma at 999 pairs
+
+
+@pytest.mark.parametrize("count", [secrecy.MC_CHUNK_SIZE, 1234], ids=["full", "partial"])
+@pytest.mark.parametrize("m", [1, 2, 8, 64])
+def test_draw_into_out_matches_allocating_draw(m, count):
+    # `out` as Monte Carlo passes it: prefix views of larger flat buffers
+    # that still hold an earlier chunk's values
+    scenario = Scenario(1.0, 1.0, m)
+    fresh = draw_gain_blocks(scenario, RngStream(5, m).substream(count), count)
+    flat = [np.full(count * m + 7, np.nan) for _ in range(2)]
+    out = tuple(buf[:count * m].reshape(count, m) for buf in flat)
+    drawn = draw_gain_blocks(scenario, RngStream(5, m).substream(count), count, out=out)
+    assert drawn[0] is out[0] and drawn[1] is out[1]
+    assert np.array_equal(drawn[0], fresh[0]) and np.array_equal(drawn[1], fresh[1])
+    assert np.isnan(flat[0][count * m:]).all() and np.isnan(flat[1][count * m:]).all()
+
+
+def _read_only(shape):
+    block = np.empty(shape)
+    block.flags.writeable = False
+    return block
+
+
+@pytest.mark.parametrize("make_bob", [
+    lambda shape: np.empty(shape[::-1]).T,         # Fortran order
+    lambda shape: np.empty((shape[0], 2 * shape[1]))[:, ::2],  # strided
+    _read_only,
+    lambda shape: np.empty(shape, dtype=np.float32),
+    lambda shape: np.empty((shape[0] + 1, shape[1])),
+    lambda shape: np.empty((shape[0], shape[1] + 1)),
+    lambda shape: np.empty(shape[0] * shape[1]),
+    lambda shape: np.empty(shape).tolist(),
+], ids=["fortran", "strided", "read-only", "float32", "rows", "columns", "flat",
+        "list"])
+def test_draw_rejects_malformed_out(make_bob):
+    scenario, shape = Scenario(1.0, 1.0, 3), (5, 3)
+    with pytest.raises(ValueError, match="out bob block must be"):
+        draw_gain_blocks(scenario, RngStream(1), 5, out=(make_bob(shape), np.empty(shape)))
+    with pytest.raises(ValueError, match="out eve block must be"):
+        draw_gain_blocks(scenario, RngStream(1), 5, out=(np.empty(shape), make_bob(shape)))
+
+
+def test_draw_rejects_overlapping_out():
+    scenario, block = Scenario(1.0, 1.0, 3), np.empty((5, 3))
+    with pytest.raises(ValueError, match="must not overlap"):
+        draw_gain_blocks(scenario, RngStream(1), 5, out=(block, block))
+    flat = np.empty(18)
+    with pytest.raises(ValueError, match="must not overlap"):
+        draw_gain_blocks(scenario, RngStream(1), 5,
+                         out=(flat[:15].reshape(5, 3), flat[3:].reshape(5, 3)))
+
+
+def test_draw_without_out_returns_new_arrays():
+    scenario = Scenario(1.0, 1.0, 4)
+    secrecy.mc_asc(scenario, "otas", 1000, RngStream(3))  # fills this thread's buffers
+    blocks = [*draw_gain_blocks(scenario, RngStream(3).substream(0), 1000),
+              *draw_gain_blocks(scenario, RngStream(3).substream(0), 1000)]
+    assert np.array_equal(blocks[0], blocks[2])
+    buffers = [b for pair in secrecy._idle_buffers for b in pair]
+    assert buffers
+    for i, block in enumerate(blocks):
+        assert block.base is None and block.flags.owndata
+        assert not any(np.shares_memory(block, other)
+                       for other in (*blocks[i + 1:], *buffers))

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -12,7 +15,7 @@ from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            asc_quadrature, mc_asc, secrecy_capacity)
 from tasec.selection import TasScheme, snr_ratios
 
-from faults import drop_last_antenna, negate_btas_terms
+from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains
 from oracles import asc_integral_oracle
 
 # Single-antenna ASC at unit SNRs, frozen by high-precision evaluation of
@@ -282,19 +285,71 @@ def test_chunk_layout_only_last_chunk_partial(trials):
 
 
 @pytest.mark.parametrize("scheme", [TasScheme.OTAS, TasScheme.RANDOM])
-def test_mc_thread_count_does_not_change_uneven_layout(scheme):
-    # four chunks, the last one partial: three workers get unequal shares
-    scenario = Scenario(10.0, 3.0, 4)
+def test_mc_thread_count_does_not_change_uneven_layout(scheme, monkeypatch):
+    # four chunks, the last one partial: three workers get unequal shares,
+    # each reusing its buffers from chunk to chunk, on any number of CPUs
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
     trials = 3 * MC_CHUNK_SIZE + 17
-    runs = [mc_asc(scenario, scheme, trials, RngStream(7, 3), threads=threads)
-            for threads in (1, 2, 3)]
-    assert all(r.value == runs[0].value for r in runs)
-    assert all(r.std_error == runs[0].std_error for r in runs)
+    for m in (4, 16):
+        scenario = Scenario(10.0, 3.0, m)
+        runs = [mc_asc(scenario, scheme, trials, RngStream(7, 3), threads=threads)
+                for threads in (1, 2, 3)]
+        assert all(r.value == runs[0].value for r in runs)
+        assert all(r.std_error == runs[0].std_error for r in runs)
+
+
+def record_pool_sizes(monkeypatch):
+    """Replace mc_asc's ThreadPoolExecutor by a serial stand-in that starts
+    no thread; returns the list of `max_workers` it was asked for."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(secrecy, "ThreadPoolExecutor", SerialPool)
+    return workers
+
+
+@pytest.mark.parametrize("threads, chunks, cpus, workers", [
+    (5000, 10, 3, [3]),
+    (5000, 2, 64, [2]),
+    (2, 10, 64, [2]),
+    (5000, 1, 64, []),   # one chunk runs on the calling thread
+    (5000, 10, 1, []),
+])
+def test_mc_worker_count_is_bounded(threads, chunks, cpus, workers, monkeypatch):
+    pools = record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(secrecy.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    scenario, trials = Scenario(10.0, 3.0, 2), (chunks - 1) * MC_CHUNK_SIZE + 5
+    est = mc_asc(scenario, TasScheme.OTAS, trials, RngStream(8), threads=threads)
+    assert pools == workers
+    assert est == mc_asc(scenario, TasScheme.OTAS, trials, RngStream(8))
+
+
+@pytest.mark.parametrize("cpu_count, workers", [(4, [4]), (None, [])])
+def test_mc_worker_bound_without_sched_getaffinity(cpu_count, workers, monkeypatch):
+    pools = record_pool_sizes(monkeypatch)
+    monkeypatch.delattr(secrecy.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(secrecy.os, "cpu_count", lambda: cpu_count)
+    mc_asc(Scenario(10.0, 3.0, 2), TasScheme.OTAS, 10 * MC_CHUNK_SIZE, RngStream(8),
+           threads=5000)
+    assert pools == workers
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mc_without_a_stream_fails_before_any_work(threads, monkeypatch):
-    def no_draws(*args):
+    def no_draws(*args, **kwargs):
         raise AssertionError("drew gains without a stream")
     monkeypatch.setattr(secrecy, "draw_gain_blocks", no_draws)
     scenario = Scenario(10.0, 3.0, 4)
@@ -377,9 +432,78 @@ def test_otas_chunk_moments_on_crafted_blocks(kind, monkeypatch):
     eve = np.array([e for _, e in rows])
     scenario = Scenario(1.0, 1.0, 3)
     monkeypatch.setattr(secrecy, "draw_gain_blocks",
-                        lambda scenario, stream, count: (bob.copy(), eve.copy()))
+                        lambda scenario, stream, count, out=None: (bob.copy(), eve.copy()))
     got = _chunk_moments(scenario, TasScheme.OTAS, RngStream(1), 0, len(rows))
     assert repr(got) == repr(argmax_moments(scenario, bob, eve))
+
+
+def argmax_estimate(scenario, trials, rng):
+    """O-TAS (value, std_error) from `argmax_moments` on each chunk's draw into
+    new arrays, merged in chunk order by Chan's update."""
+    moments = [argmax_moments(scenario, *draw_gain_blocks(scenario, rng.substream(i), size))
+               for i, size in _chunk_layout(trials)]
+    n, mean, m2 = reduce(secrecy._merge_moments, moments)
+    return repr(mean), repr(math.sqrt(m2 / (n - 1)) / math.sqrt(n))
+
+
+# A wide block first, then a narrow one with a partial chunk, then a middle
+# one: each draw reuses a prefix of the buffers the first one grew.
+BUFFER_SEQUENCE = [((20.0, 10.0, 64), MC_CHUNK_SIZE),
+                   ((-10.0, 0.0, 2), MC_CHUNK_SIZE + 1234),
+                   ((40.0, 30.0, 16), 2 * MC_CHUNK_SIZE)]
+
+
+def test_reused_buffers_match_new_arrays_across_calls(monkeypatch):
+    monkeypatch.setattr(secrecy, "_idle_buffers", [])
+    for (gb_db, ge_db, m), trials in BUFFER_SEQUENCE:
+        scenario = scenario_db(gb_db, ge_db, m)
+        est = mc_asc(scenario, TasScheme.OTAS, trials, RngStream(77, m))
+        assert (repr(est.value), repr(est.std_error)) == argmax_estimate(
+            scenario, trials, RngStream(77, m))
+    # one thread drew every chunk into the one pair the first chunk grew
+    assert [(b.size, e.size) for b, e in secrecy._idle_buffers] == [
+        (64 * MC_CHUNK_SIZE, 64 * MC_CHUNK_SIZE)]
+
+
+def test_concurrent_mc_calls_match_sequential_calls(monkeypatch):
+    # more calling threads than CPUs, each with its own workers, switching often
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 2)
+    calls = [(scenario_db(gb_db, ge_db, m), scheme, trials, threads)
+             for ((gb_db, ge_db, m), trials), scheme, threads in zip(
+                 BUFFER_SEQUENCE * 2, [TasScheme.OTAS, TasScheme.RANDOM] * 3,
+                 [1, 2, 2, 1, 1, 2])]
+    expected = [mc_asc(scenario, scheme, trials, RngStream(5, i), threads=threads)
+                for i, (scenario, scheme, trials, threads) in enumerate(calls)]
+    got = [None] * len(calls)
+    start = threading.Barrier(len(calls))
+
+    def call(i):
+        scenario, scheme, trials, threads = calls[i]
+        start.wait(timeout=60)
+        got[i] = mc_asc(scenario, scheme, trials, RngStream(5, i), threads=threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == expected
+
+
+def test_biased_legitimate_gains_move_the_otas_estimate(monkeypatch):
+    # a fault in the drawn gains must reach the estimate through the reused
+    # buffers, not be drawn over by them
+    scenario = Scenario(10.0, 10.0, 4)
+    healthy = mc_asc(scenario, TasScheme.OTAS, 200_000, RngStream(6), threads=2)
+    scale_bob_gains(monkeypatch, 1.05)
+    biased = mc_asc(scenario, TasScheme.OTAS, 200_000, RngStream(6), threads=2)
+    assert biased.value - healthy.value > 6.0 * healthy.std_error
 
 
 # O-TAS estimates frozen as repr: (gb_db, ge_db, M, trials, stream id) ->
