@@ -10,7 +10,11 @@ form never forms exp(x) for x > 1, which would overflow long before E1(x)
 underflows at the extreme SNR ratios of wide dB sweeps.
 
 Both branches do an amount of work set by x alone, with no convergence
-test. Against 40-digit mpmath their relative error stays below 7e-16
+test. Their loops read the recurrence coefficients from constant tuples of
+doubles built at import (_SERIES_RATIOS, _CF_TERMS) instead of forming
+them from ints on every step. The coefficients are integers below 2^15,
+exact as doubles, so each step is the same IEEE operation on the same
+values. Against 40-digit mpmath their relative error stays below 7e-16
 (3.2 eps) on [5e-324, 1.8e308]; the worst points, 6.96e-16 in 30,000, lie
 just below 1, where E1 is a small difference of its series terms.
 """
@@ -29,6 +33,14 @@ _SERIES_TERMS = 20
 # for x <= 1, so the shorter sum rounds to the same double as 20 terms.
 _SERIES_CUTS = tuple((((n + 1) * math.factorial(n + 1) * 2.0 ** -74) ** (1.0 / (n + 1)), n)
                      for n in (3, 5, 8, 12, 16))
+# (k, (k+1)^2) for k = _SERIES_TERMS-1 .. 1, innermost first as the nesting runs.
+_SERIES_RATIOS = tuple((float(k), float((k + 1) * (k + 1)))
+                       for k in range(_SERIES_TERMS - 1, 0, -1))
+
+# The deepest continued fraction, at x -> 1+, is 8 + 119 = 127 terms.
+_CF_DEPTH = 127
+# (2k - 1, k^2) for k = _CF_DEPTH .. 1, deepest first as the recurrence runs.
+_CF_TERMS = tuple((float(2 * k - 1), float(k * k)) for k in range(_CF_DEPTH, 0, -1))
 
 
 def _e1_scaled_series(x: float) -> float:
@@ -43,8 +55,8 @@ def _e1_scaled_series(x: float) -> float:
     else:
         terms = _SERIES_TERMS
     nested = 1.0
-    for k in range(terms - 1, 0, -1):
-        nested = 1.0 - x * k / ((k + 1) * (k + 1)) * nested
+    for k, k1_squared in _SERIES_RATIOS[_SERIES_TERMS - terms:]:
+        nested = 1.0 - x * k / k1_squared * nested
     log_part = -math.log(x)
     rest = x * nested - EULER_GAMMA
     return log_part + (math.expm1(x) * (log_part + rest) + rest)
@@ -63,8 +75,8 @@ def _e1_scaled_cf(x: float) -> float:
     """
     depth = 8 + int(120.0 / x)
     tail = x + (2 * depth + 1)
-    for k in range(depth, 0, -1):
-        tail = x + (2 * k - 1) - k * k / tail
+    for odd, k_squared in _CF_TERMS[_CF_DEPTH - depth:]:
+        tail = x + odd - k_squared / tail
     return 1.0 / tail
 
 

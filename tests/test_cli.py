@@ -526,6 +526,43 @@ def test_verify_respects_configured_trials(capsys):
 
 
 # ----------------------------------------------------------------------------
+# pinned output
+# ----------------------------------------------------------------------------
+
+_ASC_POINT = ["--gamma-b-db", "10", "--gamma-e-db", "10", "-M", "8"]
+_ASC_HEADER = ",".join(ASC_CSV_HEADER)
+_CROSSOVER_HEADER = "gamma_b0_db,M,crossover_ratio_db,residual"
+
+# The exact stdout of the scalar routes, frozen from version 0.4.0 before
+# the E1 coefficient tables and the quadrature node table. Both are meant
+# to leave every double as it was, so a speed-up that moves a digit fails.
+PINNED_STDOUT = {
+    "btas-closed": (["asc", "--scheme", "btas", "--method", "closed", *_ASC_POINT],
+                    _ASC_HEADER, "btas,closed,10,10,8,1.8448141502078137,,"),
+    "etas-closed": (["asc", "--scheme", "etas", "--method", "closed", *_ASC_POINT],
+                    _ASC_HEADER, "etas,closed,10,10,8,1.9832632327215598,,"),
+    "random-quad-low": (["asc", "--scheme", "random", "--method", "quad",
+                         "--gamma-b-db", "-30", "--gamma-e-db", "40", "-M", "1"],
+                        _ASC_HEADER, "random,quad,-30,40,1,1.4398181286864375e-10,,"),
+    "btas-quad-top": (["asc", "--scheme", "btas", "--method", "quad",
+                       "--gamma-b-db", "3000", "--gamma-e-db", "0", "-M", "64"],
+                      _ASC_HEADER, "btas,quad,3000,0,64,997.9161121057773,,"),
+    "crossover-low": (["crossover", "--gamma-b-db", "-90", "-M", "64"], _CROSSOVER_HEADER,
+                      "-90,64,10.989372123333622,-2.386979502944115e-14"),
+    "crossover-10db": (["crossover", "--gamma-b-db", "10", "-M", "8"], _CROSSOVER_HEADER,
+                       "10,8,-1.2306619993820851,1.1102230246251559e-15"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_scalar_stdout_is_pinned(name, capsys):
+    args, header, row = PINNED_STDOUT[name]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert out == f"{header}\n{row}\n"
+
+
+# ----------------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tasec import expint
 from tasec.expint import EULER_GAMMA, delta_e, exp_scaled_e1
 
 from oracles import scaled_e1_oracle
@@ -117,11 +119,47 @@ def test_series_term_table_keeps_every_bit(monkeypatch):
     # A shorter series drops less than 2^-74, far below half an ulp of the
     # result, so it rounds to the same double as the full 20-term sum: at
     # each cut, just past it, and over a log grid of (0, 1].
-    from tasec import expint
-
     edges = [x_max * f for x_max, _ in expint._SERIES_CUTS
              for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
     points = edges + list(np.logspace(-12.0, 0.0, 4001))
     short = [expint._e1_scaled_series(x) for x in points]
     monkeypatch.setattr(expint, "_SERIES_CUTS", ())
     assert short == [expint._e1_scaled_series(x) for x in points]
+
+
+def _int_loop_scaled_e1(x):
+    """exp(x) E1(x) by both recurrences with every coefficient formed from
+    ints inside the loop, the form before the coefficient tables."""
+    if x > 1.0:
+        depth = 8 + int(120.0 / x)
+        tail = x + (2 * depth + 1)
+        for k in range(depth, 0, -1):
+            tail = x + (2 * k - 1) - k * k / tail
+        return 1.0 / tail
+    terms = next((n for x_max, n in expint._SERIES_CUTS if x <= x_max),
+                 expint._SERIES_TERMS)
+    nested = 1.0
+    for k in range(terms - 1, 0, -1):
+        nested = 1.0 - x * k / ((k + 1) * (k + 1)) * nested
+    log_part = -math.log(x)
+    rest = x * nested - EULER_GAMMA
+    return log_part + (math.expm1(x) * (log_part + rest) + rest)
+
+
+def test_coefficient_tables_match_the_int_loops_bit_for_bit():
+    # The tables hold small integers, exact as doubles, so every step is the
+    # same IEEE operation: over the whole domain, more densely over the two
+    # decades on each side of 1 where both loops run longest, at and around
+    # each series cut, at the branch point 1 and at the deepest fraction.
+    rng = np.random.default_rng(20261019)
+    top = math.log(sys.float_info.max)
+    points = [float(x) for x in np.exp(rng.uniform(math.log(5e-324), top, 100_000))]
+    points += [float(x) for x in np.exp(rng.uniform(math.log(0.01), math.log(100.0), 20_000))]
+    points += [5e-324, sys.float_info.max, 1.0, math.nextafter(1.0, 2.0)]
+    for x_max, _ in expint._SERIES_CUTS:
+        points += [float(x) for x in np.linspace(0.999 * x_max, 1.001 * x_max, 201)]
+        points.append(x_max)
+    assert 8 + int(120.0 / math.nextafter(1.0, 2.0)) == len(expint._CF_TERMS)
+    points = [x for x in points if x > 0.0]
+    mismatches = [x for x in points if exp_scaled_e1(x) != _int_loop_scaled_e1(x)]
+    assert len(points) > 100_000 and mismatches == []

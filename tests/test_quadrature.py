@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tasec import quadrature, secrecy
 from tasec.channel import Scenario
 from tasec.errors import ConvergenceError
 from tasec.experiments import db_to_linear
@@ -105,3 +106,109 @@ def test_quadrature_matches_closed_forms_over_the_range(gb_db, ge_db, m):
     if closed.method is Method.CLOSED:  # else it is this quadrature itself
         btas = asc_quadrature(scenario, TasScheme.BTAS).value
         assert btas == pytest.approx(closed.value, abs=1e-10)
+
+
+def _exp_grid_integrate(f, abs_tol=1e-10, scale=1.0):
+    """integrate_half_line as it was before the node table: every grid,
+    the first one too, is np.exp of its own k * h."""
+    share = 0.25 * abs_tol
+    lo = math.log(share)
+    hi = min(math.log(2.0 * math.log(1.0 / share)) + math.log(scale), quadrature._T_LIMIT)
+    hi = max(hi, lo + 2.0 * quadrature._STEP)
+
+    def trapezoid(t, h):
+        with np.errstate(all="ignore"):
+            x = np.exp(t)
+            g = x * np.asarray(f(x), dtype=float)
+        return g, h * float(g.sum())
+
+    h = quadrature._STEP
+    while True:
+        k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+        g, total = trapezoid(k * h, h)
+        lo_open, hi_open = abs(g[0]) > share, abs(g[-1]) > share
+        if not (lo_open or hi_open):
+            break
+        widen = 0.5 * (hi - lo)
+        lo = max(lo - widen, -quadrature._T_LIMIT) if lo_open else lo
+        hi = min(hi + widen, quadrature._T_LIMIT) if hi_open else hi
+    coarse = 2.0 * h * float(g[k[0] % 2::2].sum())
+    t0, n = k[0] * h, k.size - 1
+    while abs(total - coarse) > 0.5 * abs_tol:
+        _, mid = trapezoid(t0 + (np.arange(n) + 0.5) * h, 0.5 * h)
+        coarse, total = total, 0.5 * total + mid
+        h, n = 0.5 * h, 2 * n
+    return total
+
+
+def _recording(f, grids):
+    """f, appending each argument it is called with to `grids`."""
+    def recorded(x):
+        grids.append(x)
+        return f(x)
+    return recorded
+
+
+def test_node_table_is_read_only():
+    def decay(x):
+        return np.exp(-x)
+
+    def writes(x):
+        x *= 2.0
+        return np.exp(-x)
+
+    before = integrate_half_line(decay)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_half_line(writes)
+    assert integrate_half_line(decay) == before
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-10, 1.0, 1e10, 1e300])
+def test_table_grid_matches_a_per_call_exp_grid(scale):
+    def f(x):
+        return np.exp(-x / scale) / scale / (1.0 + x)
+
+    grids = []
+    value = integrate_half_line(_recording(f, grids), scale=scale)
+    assert value == _exp_grid_integrate(f, scale=scale)
+    assert np.shares_memory(grids[0], quadrature._NODES)
+
+
+def test_widened_ends_match_a_per_call_exp_grid():
+    # f is 1e4 at 0, so the left end moves out over further table slices
+    rate = 1e4
+
+    def f(x):
+        return rate * np.exp(-rate * x)
+
+    grids = []
+    value = integrate_half_line(_recording(f, grids), abs_tol=1e-12, scale=1.0 / rate)
+    assert value == _exp_grid_integrate(f, abs_tol=1e-12, scale=1.0 / rate)
+    assert sum(np.shares_memory(x, quadrature._NODES) for x in grids) > 1
+
+
+# Each of these halves the step; at 3,066 dB the right end clamps to the
+# table's last node.
+@pytest.mark.parametrize("gb_db, ge_db, m, last_node", [
+    (10.0, 10.0, 32, False), (10.0, 10.0, 64, False), (3000.0, 0.0, 64, False),
+    (3066.0, 0.0, 64, True),
+])
+def test_asc_quadrature_matches_a_per_call_exp_grid(monkeypatch, gb_db, ge_db, m,
+                                                     last_node):
+    scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
+    grids = []
+    monkeypatch.setattr(secrecy, "integrate_half_line",
+                        lambda f, **kw: integrate_half_line(_recording(f, grids), **kw))
+    value = asc_quadrature(scenario, TasScheme.BTAS).value
+    monkeypatch.setattr(secrecy, "integrate_half_line", _exp_grid_integrate)
+    assert value == asc_quadrature(scenario, TasScheme.BTAS).value
+    on_table = [np.shares_memory(x, quadrature._NODES) for x in grids]
+    assert on_table[0] and not all(on_table)
+    assert any(x[-1] == quadrature._NODES[-1] for x in grids) == last_node
+
+
+def test_tolerance_below_the_smallest_node():
+    # abs_tol/4 under exp(-709.75): the left end starts at the table's first
+    # node, where the integrand has not vanished
+    with pytest.raises(ConvergenceError, match="range of a double"):
+        integrate_half_line(lambda x: np.exp(-x), abs_tol=1e-310)
