@@ -4,8 +4,12 @@ A sweep walks one dB-valued axis (legitimate SNR, eavesdropper SNR, or their
 ratio) over a linear-in-dB grid and emits one row per grid point, antenna
 count, scheme and method. A scheme uses its closed form where
 `secrecy.ROUTES` has one; the others (otas, random) are estimated by Monte
-Carlo on substreams derived from (grid index, antenna index, scheme), so
-repeated runs of the same spec are byte-identical regardless of worker count.
+Carlo. The Monte Carlo rows of one curve, an (antenna count, scheme) pair,
+come from one `mc_asc_curve` call on the substream derived from (antenna
+index, scheme): common random numbers, each chunk drawn once for every grid
+point. A row's value therefore does not depend on the rest of the grid or
+on the worker count, and repeated runs of the same spec are byte-identical.
+Rows of one curve are positively correlated; curves are independent.
 """
 
 import math
@@ -16,8 +20,10 @@ import numpy as np
 
 from .channel import RngStream, Scenario, require_int
 from .errors import DegenerateNormalizationError, NoCrossoverError
+# mc_asc is not called here, but stays a name of this module: the benchmark
+# (bench/worker.py, bench/spans.py) wraps experiments.mc_asc.
 from .secrecy import (ROUTES, AscEstimate, Method, asc, asc_btas_closed,
-                      asc_etas_closed, mc_asc)
+                      asc_etas_closed, mc_asc, mc_asc_curve)
 from .selection import TasScheme
 
 
@@ -27,9 +33,10 @@ class SweptParameter(str, Enum):
     RATIO_DB = "ratio"
 
 
-# Fixed stream branch per scheme so the same substream schedule is used no
-# matter which schemes a spec asks for (the normalization denominator must
-# see the exact O-TAS stream an O-TAS row would use).
+# Fixed stream branch per scheme, so a curve's substream (antenna index,
+# branch) is the same no matter which schemes a spec asks for: the
+# normalization denominator sees the exact O-TAS realizations an O-TAS row
+# would use, at every grid point.
 _SCHEME_BRANCH = {
     TasScheme.OTAS: 0,
     TasScheme.BTAS: 1,
@@ -158,39 +165,40 @@ def _grid_point_dbs(spec: SweepSpec, value_db: float) -> tuple[float, float]:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate the sweep; rows come out ordered by
     (swept value, antennas, scheme, method). A scheme's closed form where
-    one exists, else Monte Carlo; normalized `std_error` as in SweepSpec."""
+    one exists, else Monte Carlo; normalized `std_error` as in SweepSpec.
+    The Monte Carlo rows of one (antenna count, scheme) curve share their
+    fading realizations (mc_asc_curve)."""
     antennas = tuple(sorted(set(spec.antennas)))
     schemes = tuple(sorted(set(spec.schemes), key=lambda s: s.value))
-    values = np.linspace(spec.start_db, spec.stop_db, spec.points)
+    values = [float(v) for v in np.linspace(spec.start_db, spec.stop_db, spec.points)]
+    grid = [_grid_point_dbs(spec, value_db) for value_db in values]
     base = RngStream(spec.seed)
+
+    scenarios = {m: [Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
+                     for gb_db, ge_db in grid] for m in antennas}
+
+    mc_schemes = [s for s in schemes if Method.CLOSED not in ROUTES[s]
+                  or spec.mc_overlay]
+    if spec.normalize_to_otas and TasScheme.OTAS not in mc_schemes:
+        mc_schemes.append(TasScheme.OTAS)
+    curves = {(m, scheme): mc_asc_curve(scenarios[m], scheme, spec.mc_trials,
+                                        base.substream(mi, _SCHEME_BRANCH[scheme]),
+                                        threads=threads)
+              for mi, m in enumerate(antennas) for scheme in mc_schemes}
+
     rows: list[SweepRow] = []
-
-    for pi, value_db in enumerate(float(v) for v in values):
-        gb_db, ge_db = _grid_point_dbs(spec, value_db)
-        for mi, m in enumerate(antennas):
-            scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
-
-            def mc(scheme: TasScheme) -> AscEstimate:
-                return mc_asc(scenario, scheme, spec.mc_trials,
-                              base.substream(pi, mi, _SCHEME_BRANCH[scheme]),
-                              threads=threads)
-
-            otas_est = mc(TasScheme.OTAS) \
-                if spec.normalize_to_otas or TasScheme.OTAS in schemes else None
-            denom = otas_est.value if spec.normalize_to_otas else 1.0
+    for pi, (value_db, (gb_db, ge_db)) in enumerate(zip(values, grid)):
+        for m in antennas:
+            denom = (curves[m, TasScheme.OTAS][pi].value
+                     if spec.normalize_to_otas else 1.0)
             if denom <= 0.0:
                 raise DegenerateNormalizationError(
                     f"O-TAS estimate is zero at swept={value_db} dB, M={m}; "
                     "cannot normalize")
-
             for scheme in schemes:
-                if scheme is TasScheme.OTAS:
-                    estimates = [otas_est]
-                elif Method.CLOSED in ROUTES[scheme]:
-                    closed = asc(scenario, scheme, Method.CLOSED)
-                    estimates = [closed, mc(scheme)] if spec.mc_overlay else [closed]
-                else:
-                    estimates = [mc(scheme)]
+                estimates = [curves[m, scheme][pi]] if (m, scheme) in curves else []
+                if Method.CLOSED in ROUTES[scheme]:
+                    estimates.insert(0, asc(scenarios[m][pi], scheme, Method.CLOSED))
                 for est in estimates:  # x / 1.0 == x, so plain rows are unchanged
                     std_error = None if est.std_error is None else est.std_error / denom
                     rows.append(SweepRow(

@@ -17,15 +17,18 @@ and evaluates it by Monte Carlo (ROUTES; `asc` runs a scheme's routes). MC
 runs are chunked onto derived substreams so the estimate is a pure function
 of (scenario, scheme, trials, seed, stream) no matter how many workers execute
 the chunks; each chunk draws into idle buffers that earlier chunks left
-(`_take_buffers`). One kernel, `_capacities`, gives each realization's
-capacity to MC and the self-checks. O-TAS needs no selected index: its
-capacity is [log2 max_i R_i]^+ over the per-antenna SNR ratios R_i
-(`snr_ratios`).
+(`_take_buffers`). A chunk is drawn and selected once and serves every
+scenario of a curve (`mc_asc_curve`; `mc_asc` is its one-scenario case).
+One kernel, `_ratio_capacities`, gives each realization's capacity to MC
+and, through `_capacities`, to the self-checks. O-TAS needs no selected
+index: its capacity is [log2 max_i R_i]^+ over the per-antenna SNR ratios
+R_i (`snr_ratios`).
 """
 
 import math
 import os
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +48,11 @@ _LN2 = math.log(2.0)
 # chunks are scheduled across workers. A (chunk, M) float64 gain block stays
 # in cache, and short runs still split into several chunks for the workers.
 MC_CHUNK_SIZE = 16_384
+
+# Gains per tile in which `_ratio_capacities` forms SNR ratios out of place.
+# The two tiles, 256 KiB, stay in L2 while the running maximum reads them,
+# and are few enough per chunk that numpy's per-call cost stays small.
+_TILE_ELEMENTS = 16_384
 
 # Largest rounding-error bound a B-TAS closed-form value may carry; past it
 # the value comes from quadrature (see asc_btas_closed).
@@ -127,38 +135,67 @@ def _chunk_layout(trials: int) -> list[tuple[int, int]]:
     return layout
 
 
+def _selected_gains(scheme: TasScheme, scenario: Scenario, bob: np.ndarray,
+                    eve: np.ndarray, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The gains each realization's capacity is taken at, from (count, M)
+    blocks, which are left untouched: the blocks themselves for O-TAS, whose
+    capacity is the largest over the antennas, else the 1-D gains at the
+    antenna `scheme` selects (random consumes `stream`)."""
+    if scheme is TasScheme.OTAS:
+        return bob, eve
+    idx = select_indices(scheme, scenario, bob, eve, rng=stream)
+    rows = np.arange(idx.size)
+    return bob[rows, idx], eve[rows, idx]
+
+
+def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
+                      out: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+                      ) -> np.ndarray:
+    """Each realization's secrecy capacity at `scenario`'s SNRs, from the
+    gains `_selected_gains` returns: log2 of the largest SNR ratio in a row
+    of 2-D gains (the one ratio of 1-D gains), clamped at 0, written to and
+    returned as `out`.
+
+    The gains are left as they are, for the next scenario: `snr_ratios`
+    forms the ratios of at most _TILE_ELEMENTS gains at a time out of place,
+    in the heads of the two flat `scratch` buffers, and each row's largest
+    ratio is a running maximum over the tile's columns (an axis-1 reduce is
+    slow on rows this short). That is the ratio at the argmax, with the
+    same float operations, and a NaN ratio wins it.
+    """
+    count = len(bob)
+    step = max(1, _TILE_ELEMENTS // (bob.size // count))
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        part = bob[rows]
+        tiles = tuple(b[:part.size].reshape(part.shape) for b in scratch)
+        ratios = snr_ratios(scenario, part, eve[rows], out=tiles)
+        ratios = ratios.reshape(len(ratios), -1)
+        ratio = out[rows]
+        np.copyto(ratio, ratios[:, 0])
+        for column in ratios.T[1:]:
+            np.maximum(ratio, column, out=ratio)
+    np.log2(out, out=out)
+    return np.maximum(0.0, out, out=out)
+
+
 def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
                 eve: np.ndarray, stream: RngStream) -> np.ndarray:
     """Each realization's secrecy capacity at the antenna `scheme` selects,
-    from (count, M) gain blocks; random consumes `stream`. O-TAS takes each
-    row's largest SNR ratio in place, overwriting the blocks, as a running
-    maximum over the M columns (an axis-1 reduce is slow on rows this short).
-    That is the ratio at the argmax, with the same float operations, and a
-    NaN ratio wins both. The other schemes select indices, then take the
-    ratio of the gathered gains, and leave the blocks untouched.
-
-    The returned array is new and the caller's to keep or overwrite: it
-    shares no memory with the blocks, which the next draw may refill. The
-    clamped log is taken in place on the ratios.
-    """
-    if scheme is TasScheme.OTAS:
-        ratios = snr_ratios(scenario, bob, eve)
-        ratio = ratios[:, 0].copy()
-        for column in ratios.T[1:]:
-            np.maximum(ratio, column, out=ratio)
-    else:
-        idx = select_indices(scheme, scenario, bob, eve, rng=stream)
-        rows = np.arange(idx.size)
-        ratio = snr_ratios(scenario, bob[rows, idx], eve[rows, idx])
-    np.log2(ratio, out=ratio)
-    return np.maximum(0.0, ratio, out=ratio)
+    from (count, M) gain blocks, which are left untouched, as a new array:
+    the selection and capacity kernels of a Monte Carlo chunk at one
+    scenario (random consumes `stream`)."""
+    gains = _selected_gains(scheme, scenario, bob, eve, stream)
+    scratch = (np.empty(_TILE_ELEMENTS), np.empty(_TILE_ELEMENTS))
+    return _ratio_capacities(scenario, *gains, np.empty(len(bob)), scratch)
 
 
-# Pairs of flat gain buffers that no chunk is drawing into. They outlive the
-# chunks and the mc_asc calls, and so the worker threads, which live for one
-# call. There are as many pairs as chunks that ever ran at once, each
-# 2 * MC_CHUNK_SIZE * M * 8 bytes at most. list.pop and list.append are atomic, so no two
-# chunks draw into the same pair.
+# Pairs of flat buffers that no chunk is using. They outlive the chunks and
+# the Monte Carlo calls, and so the worker threads, which live for one call.
+# There are as many pairs as chunks that ever ran at once, each
+# 2 * (MC_CHUNK_SIZE * M + _TILE_ELEMENTS) * 8 bytes at most: a chunk's gain
+# blocks, then the tile scratch of `_ratio_capacities`. list.pop and list.append
+# are atomic, so no two chunks use the same pair.
 _idle_buffers: list[tuple[np.ndarray, np.ndarray]] = []
 
 
@@ -174,29 +211,35 @@ def _take_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _chunk_moments(scenario: Scenario, scheme: TasScheme, rng: RngStream,
-                   index: int, size: int) -> tuple[int, float, float]:
+def _chunk_moments(scenarios: tuple[Scenario, ...], scheme: TasScheme, rng: RngStream,
+                   index: int, size: int) -> list[tuple[int, float, float]]:
     """Secrecy-capacity sample moments (n, mean, sum of squared deviations)
-    for one chunk, drawn from the substream derived for `index` into an idle
-    pair of gain buffers, which is idle again once the capacities are out.
-    The blocks used are the ones the draw returns. The moments reduce the
-    capacities in place, with the same float operations as
-    np.sum((cs - mean) ** 2). A gamma0 g that overflows a double shows as an
-    inf or NaN mean, which mc_asc reports; no floating-point warning is
-    raised."""
+    of one chunk at each of `scenarios`, which share one antenna count. The
+    chunk is drawn once, from the substream derived for `index`, into an
+    idle pair of buffers, and selected once; the blocks used are the ones
+    the draw returns. Each scenario's capacities are then reduced in place,
+    with the same float operations as np.sum((cs - mean) ** 2), and the
+    pair is idle again after the last. A gamma0 g that overflows a double
+    shows as an inf or NaN mean, which mc_asc_curve reports; no
+    floating-point warning is raised."""
     stream = rng.substream(index)
-    m = scenario.num_antennas
-    pair = _take_buffers(size * m)
-    bob, eve = draw_gain_blocks(scenario, stream, size,
-                                out=tuple(b[:size * m].reshape(size, m) for b in pair))
+    block = size * scenarios[0].num_antennas
+    pair = _take_buffers(block + _TILE_ELEMENTS)
+    bob, eve = draw_gain_blocks(scenarios[0], stream, size,
+                                out=tuple(b[:block].reshape(size, -1) for b in pair))
+    scratch = tuple(b[block:] for b in pair)
+    moments = []
     with np.errstate(all="ignore"):
-        cs = _capacities(scenario, scheme, bob, eve, stream)
-        _idle_buffers.append(pair)
-        mean = float(cs.mean())
-        cs -= mean
-        cs *= cs
-        m2 = float(cs.sum())
-    return size, mean, m2
+        gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
+        cs = np.empty(size)  # after the selection's temporaries are freed
+        for scenario in scenarios:
+            _ratio_capacities(scenario, *gains, cs, scratch)
+            mean = float(cs.mean())
+            cs -= mean
+            cs *= cs
+            moments.append((size, mean, float(cs.sum())))
+    _idle_buffers.append(pair)
+    return moments
 
 
 def _usable_cpus() -> int:
@@ -218,18 +261,28 @@ def _merge_moments(a: tuple[int, float, float],
     return n, mean, m2
 
 
-def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
-           rng: RngStream, threads: int = 1) -> AscEstimate:
-    """Monte Carlo ASC: average the clamped secrecy capacity at the selected
-    antenna over `trials` independent fading realizations.
+def mc_asc_curve(scenarios: Sequence[Scenario], scheme: TasScheme, trials: int,
+                 rng: RngStream, threads: int = 1) -> list[AscEstimate]:
+    """Monte Carlo ASC at each of `scenarios`, which share one antenna
+    count, on common random numbers: every chunk of realizations is drawn
+    once and serves every scenario. Each estimate is bit-identical to
+    mc_asc's on the same stream, and its std_error is its own; estimates at
+    different scenarios are positively correlated.
 
     Chunks of MC_CHUNK_SIZE trials run on substreams derived from the chunk
-    index, and their moments merge in chunk order, so the estimate does not
-    depend on `threads`. At most `threads` workers run, and never more than
-    there are chunks or CPUs this process may use. ValueError is raised at
-    the top of the dB range, where a drawn gamma0*g overflows a double and
-    the mean is not finite.
+    index, and each scenario's moments merge in chunk order, so the
+    estimates do not depend on `threads`. At most `threads` workers run,
+    and never more than there are chunks or CPUs this process may use.
+    ValueError is raised at the top of the dB range, where a drawn gamma0*g
+    overflows a double and a mean is not finite; it names the first such
+    scenario.
     """
+    scenarios = tuple(scenarios)
+    if not scenarios:
+        raise ValueError("Monte Carlo needs at least one scenario")
+    if len({s.num_antennas for s in scenarios}) > 1:
+        raise ValueError("the scenarios of one Monte Carlo curve must share "
+                         "one antenna count")
     trials = require_int(trials, "trials", 2)
     threads = require_int(threads, "threads", 1)
     if not isinstance(rng, RngStream):
@@ -240,7 +293,7 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
 
     def job(entry):
         index, size = entry
-        return _chunk_moments(scenario, scheme, rng, index, size)
+        return _chunk_moments(scenarios, scheme, rng, index, size)
 
     workers = min(threads, len(layout), _usable_cpus())
     if workers > 1:
@@ -249,15 +302,26 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
     else:
         results = [job(entry) for entry in layout]
 
-    n, mean, m2 = reduce(_merge_moments, results)  # in chunk order
-    if not math.isfinite(mean):
-        raise ValueError(
-            f"Monte Carlo: gamma0*g overflows a double at gamma_b0="
-            f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; use "
-            "method closed or quad where the scheme has them")
-    std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    return AscEstimate(value=mean, method=Method.MC, trials=trials,
-                       std_error=std_error)
+    estimates = []
+    for scenario, moments in zip(scenarios, zip(*results)):
+        n, mean, m2 = reduce(_merge_moments, moments)  # in chunk order
+        if not math.isfinite(mean):
+            raise ValueError(
+                f"Monte Carlo: gamma0*g overflows a double at gamma_b0="
+                f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; use "
+                "method closed or quad where the scheme has them")
+        std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        estimates.append(AscEstimate(value=mean, method=Method.MC, trials=trials,
+                                     std_error=std_error))
+    return estimates
+
+
+def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
+           rng: RngStream, threads: int = 1) -> AscEstimate:
+    """Monte Carlo ASC: average the clamped secrecy capacity at the selected
+    antenna over `trials` independent fading realizations. The one-scenario
+    case of mc_asc_curve, with its chunks, workers and errors."""
+    return mc_asc_curve((scenario,), scheme, trials, rng, threads)[0]
 
 
 # ----------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Four criteria are supported:
   otas    the largest SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E)
           over the antennas (`snr_ratios`); needs both links' CSI and
           maximizes the instantaneous secrecy capacity pointwise. Its one
-          kernel, `secrecy._capacities`, takes the row max and no index.
+          kernel, `secrecy._ratio_capacities`, takes the row max and no index.
   btas    argmax of the legitimate gain (classical criterion).
   etas    argmin of the eavesdropper gain.
   random  uniform choice, the no-selection-gain baseline.
@@ -30,20 +30,25 @@ class TasScheme(str, Enum):
 
 
 def snr_ratios(scenario: Scenario, bob_gains: np.ndarray,
-               eve_gains: np.ndarray) -> np.ndarray:
+               eve_gains: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> np.ndarray:
     """Per-antenna SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E), whose
     log2 is the instantaneous secrecy capacity before its clamp at 0.
 
-    Computed in place, without temporaries: both float gain arrays are
-    overwritten, and the returned array is `bob_gains`. A gamma0 g that
-    overflows a double gives an inf or NaN ratio, or a ratio of 0.
+    Computed without temporaries. Without `out` it is in place: both float
+    gain arrays are overwritten, and the returned array is `bob_gains`.
+    With `out=(bob_out, eve_out)`, two float arrays of the gains' shape, the
+    gains are left untouched, the same float operations run in those two,
+    and `bob_out` is returned. A gamma0 g that overflows a double gives an
+    inf or NaN ratio, or a ratio of 0.
     """
-    bob_gains *= scenario.gamma_b0
-    bob_gains += 1.0
-    eve_gains *= scenario.gamma_e0
-    eve_gains += 1.0
-    bob_gains /= eve_gains
-    return bob_gains
+    bob, eve = (bob_gains, eve_gains) if out is None else out
+    np.multiply(bob_gains, scenario.gamma_b0, out=bob)
+    bob += 1.0
+    np.multiply(eve_gains, scenario.gamma_e0, out=eve)
+    eve += 1.0
+    bob /= eve
+    return bob
 
 
 def select_indices(scheme: TasScheme, scenario: Scenario,

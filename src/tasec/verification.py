@@ -5,6 +5,7 @@ Monte Carlo vs closed form, selector vs selector), so a defect in any single
 route shows up as a failed cross-check rather than a silently wrong number.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .channel import RngStream, Scenario, draw_gain_blocks
 from .experiments import db_to_linear
-from .secrecy import Method, _capacities, _chunk_layout, asc
+from .secrecy import AscEstimate, Method, _capacities, _chunk_layout, asc
 from .selection import TasScheme
 
 MC_GRID_DB = (0.0, 10.0, 20.0)
@@ -39,6 +40,24 @@ class CheckResult:
 
 def _scenario(gb_db: float, ge_db: float, m: int) -> Scenario:
     return Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
+
+
+def _sigmas(est: AscEstimate, reference: float) -> float:
+    """|est - reference| in standard errors of `est`. A standard error of 0
+    (every trial alike, as where no trial has a positive capacity) counts
+    as 0 sigma if the two are equal, else as infinitely many."""
+    diff = abs(est.value - reference)
+    if est.std_error > 0.0:
+        return diff / est.std_error
+    return 0.0 if diff == 0.0 else math.inf
+
+
+def _zero_error_note(points: list[str]) -> str:
+    """The detail's note naming the points whose estimate has a standard
+    error of 0 and misses its reference."""
+    if not points:
+        return ""
+    return f"; std_error 0 off the reference at {', '.join(points)}"
 
 
 def check_closed_vs_quadrature() -> CheckResult:
@@ -69,6 +88,7 @@ def check_mc_vs_closed(trials: int, seed: int, threads: int = 1) -> CheckResult:
     worst_sigma = 0.0
     failures = 0
     task = 0
+    zero_errors = []
     for gb_db, ge_db, m in product(MC_GRID_DB, MC_GRID_DB, MC_ANTENNAS):
         scenario = _scenario(gb_db, ge_db, m)
         for scheme in (TasScheme.BTAS, TasScheme.ETAS):
@@ -76,19 +96,21 @@ def check_mc_vs_closed(trials: int, seed: int, threads: int = 1) -> CheckResult:
             est = asc(scenario, scheme, Method.MC, trials=trials,
                       rng=base.substream(_BRANCH_MC_VS_CLOSED, task), threads=threads)
             task += 1
-            sigma = abs(est.value - closed.value) / est.std_error
+            sigma = _sigmas(est, closed.value)
+            if math.isinf(sigma):
+                zero_errors.append(f"{scheme.value} ({gb_db:g}, {ge_db:g}) dB M={m}")
             worst_sigma = max(worst_sigma, sigma)
             if sigma > MC_SIGMA:
                 failures += 1
     return CheckResult(
         "mc-vs-closed", failures == 0,
         f"{task} points x {trials} trials, worst deviation = "
-        f"{worst_sigma:.2f} sigma (limit {MC_SIGMA:g})")
+        f"{worst_sigma:.2f} sigma (limit {MC_SIGMA:g})" + _zero_error_note(zero_errors))
 
 
 def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
-    """Per-realization optimality of O-TAS at (10, 10) dB, M=8, by the capacity
-    kernel Monte Carlo runs; O-TAS goes last, as it overwrites the blocks."""
+    """Per-realization optimality of O-TAS at (10, 10) dB, M=8, by the
+    selection and capacity kernels Monte Carlo runs."""
     scenario = _scenario(10.0, 10.0, 8)
     base = RngStream(seed)
     violations = 0
@@ -137,16 +159,19 @@ def check_single_antenna(trials: int, seed: int, threads: int = 1) -> CheckResul
 
     base = RngStream(seed)
     worst_sigma = 0.0
+    zero_errors = []
     for task, (gb_db, ge_db) in enumerate(product(MC_GRID_DB, MC_GRID_DB)):
         scenario = _scenario(gb_db, ge_db, 1)
         est = asc(scenario, TasScheme.OTAS, Method.MC, trials=trials,
                   rng=base.substream(_BRANCH_SINGLE_ANTENNA, task), threads=threads)
-        sigma = abs(est.value - asc(scenario, TasScheme.BTAS).value) / est.std_error
+        sigma = _sigmas(est, asc(scenario, TasScheme.BTAS).value)
+        if math.isinf(sigma):
+            zero_errors.append(f"otas ({gb_db:g}, {ge_db:g}) dB M=1")
         worst_sigma = max(worst_sigma, sigma)
     return CheckResult(
         "single-antenna-degeneracy", worst_sigma <= MC_SIGMA,
         f"closed forms match to {EXACT_IDENTITY_TOL:g}; optimal-scheme MC "
-        f"worst deviation = {worst_sigma:.2f} sigma")
+        f"worst deviation = {worst_sigma:.2f} sigma" + _zero_error_note(zero_errors))
 
 
 def run_verification(trials: int = 1_000_000, seed: int = 42,

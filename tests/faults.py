@@ -25,10 +25,11 @@ def drop_last_antenna(monkeypatch):
     the gathered gains the other schemes select are left as they are."""
     snr_ratios = secrecy.snr_ratios
 
-    def faulty_snr_ratios(scenario, bob, eve):
+    def faulty_snr_ratios(scenario, bob, eve, out=None):
         if bob.ndim == 2:
-            return snr_ratios(scenario, bob[:, :-1], eve[:, :-1])
-        return snr_ratios(scenario, bob, eve)
+            bob, eve = bob[:, :-1], eve[:, :-1]
+            out = None if out is None else tuple(o[:, :-1] for o in out)
+        return snr_ratios(scenario, bob, eve, out)
 
     monkeypatch.setattr(secrecy, "snr_ratios", faulty_snr_ratios)
 

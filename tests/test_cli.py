@@ -489,6 +489,16 @@ def test_tiny_snr_fails_before_any_work(args, expected, capsys):
     assert "too small" in err and "gamma_b0=" in err and "gamma_e0=" in err
 
 
+def test_mc_overflow_in_a_sweep_names_the_point(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--swept", "gamma-b", "--from-db", "0", "--to-db", "3080",
+         "--points", "2", "-M", "8", "--scheme", "otas", "--trials", "1000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Monte Carlo: gamma0*g overflows a double at "
+                          "gamma_b0=1e+308, gamma_e0=10;")
+
+
 def test_degenerate_normalization_exit_code(capsys):
     # a vanishing legitimate SNR drives the O-TAS reference to exactly zero
     code, _, err = run_cli(
@@ -516,6 +526,32 @@ def test_verify_detects_injected_sign_fault(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "--trials", "4096"], capsys)
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_verify_with_few_trials_never_raises(seed, capsys):
+    # At 100 trials every capacity at (0, 20) dB can be 0: a standard error
+    # of 0 is a named failure where the value misses the closed form, not a
+    # division by zero.
+    code, out, _ = run_cli(["verify", "--trials", "100", "--seed", str(seed)], capsys)
+    lines = out.strip().splitlines()
+    assert code in (0, 1)
+    assert len(lines) == 6 and lines[-1].endswith("checks passed")
+    assert "raised" not in out
+    for line in lines[:-1]:
+        if "inf sigma" in line:
+            assert line.startswith("FAIL") and "std_error 0 off the reference at" in line
+
+
+def test_verify_zero_standard_error_counts_as_zero_sigma_on_equal_values():
+    from tasec.secrecy import AscEstimate
+    from tasec.verification import _sigmas
+
+    exact = AscEstimate(value=0.0, method=Method.MC, trials=100, std_error=0.0)
+    assert _sigmas(exact, 0.0) == 0.0
+    assert _sigmas(exact, 1e-3) == float("inf")
+    spread = AscEstimate(value=1.0, method=Method.MC, trials=100, std_error=0.5)
+    assert _sigmas(spread, 2.0) == 2.0
 
 
 def test_verify_respects_configured_trials(capsys):

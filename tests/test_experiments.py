@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from tasec import experiments
-from tasec.channel import Scenario
-from tasec.errors import NoCrossoverError
+from tasec.channel import RngStream, Scenario
+from tasec.errors import DegenerateNormalizationError, NoCrossoverError
 from tasec.experiments import (SweepRow, SweepSpec, SweptParameter,
                                adaptive_scheme, db_to_linear, find_crossover,
                                run_sweep)
-from tasec.secrecy import asc_btas_closed, asc_etas_closed
+from tasec.secrecy import MC_CHUNK_SIZE, asc_btas_closed, asc_etas_closed, mc_asc_curve
 from tasec.selection import TasScheme
 
 # Crossover ratios gamma_e0/gamma_b0 [dB] for M=8, frozen from a bisection
@@ -227,6 +227,51 @@ def test_sweep_normalization():
             assert r.asc == 1.0
         else:
             assert 0.0 <= r.asc <= 1.0 + 0.05
+
+
+def test_sweep_mc_row_does_not_depend_on_the_rest_of_the_grid():
+    # A curve's realizations are drawn per (antenna count, scheme), not per
+    # grid point, so a point's Monte Carlo rows are the same in any grid
+    # that contains it.
+    def rows_at(stop_db, points):
+        spec = closed_spec(start_db=0.0, stop_db=stop_db, points=points,
+                           antennas=(2, 16), schemes=("otas", "btas", "random"),
+                           mc_trials=MC_CHUNK_SIZE + 100, seed=9, mc_overlay=True)
+        return [r for r in run_sweep(spec, threads=2)
+                if r.swept_value_db in (0.0, 10.0) and r.method == "mc"]
+
+    short = rows_at(10.0, 2)
+    assert len(short) == 2 * 2 * 3
+    assert short == rows_at(30.0, 4)
+
+
+def test_sweep_matches_one_mc_asc_curve_per_antenna_count_and_scheme():
+    spec = closed_spec(start_db=0.0, stop_db=20.0, points=3, antennas=(4, 2),
+                       schemes=("otas", "etas"), mc_trials=5000, seed=21,
+                       mc_overlay=True)
+    rows = [r for r in run_sweep(spec) if r.method == "mc"]
+    base = RngStream(21)
+    for mi, m in enumerate((2, 4)):
+        scenarios = [Scenario(db_to_linear(v), db_to_linear(10.0), m)
+                     for v in (0.0, 10.0, 20.0)]
+        for scheme in (TasScheme.ETAS, TasScheme.OTAS):
+            curve = mc_asc_curve(scenarios, scheme, 5000,
+                                 base.substream(mi, experiments._SCHEME_BRANCH[scheme]))
+            got = [r for r in rows if r.antennas == m and r.scheme == scheme.value]
+            assert [(r.asc, r.std_error) for r in got] == [
+                (e.value, e.std_error) for e in curve]
+
+
+def test_sweep_errors_name_the_failing_point():
+    spec = closed_spec(start_db=0.0, stop_db=3080.0, points=2, schemes=("otas",),
+                       mc_trials=1000)
+    with pytest.raises(ValueError, match=r"overflows a double at gamma_b0=1e\+308"):
+        run_sweep(spec)
+    spec = closed_spec(swept="ratio", start_db=-1.0, stop_db=1.0, points=2,
+                       fixed_gamma_db=-200.0, schemes=("btas",), mc_trials=512,
+                       normalize_to_otas=True)
+    with pytest.raises(DegenerateNormalizationError, match="swept=-1.0 dB, M=2"):
+        run_sweep(spec)
 
 
 # ----------------------------------------------------------------------------

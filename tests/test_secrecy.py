@@ -12,7 +12,7 @@ from tasec.errors import UnsupportedSchemeError
 from tasec import secrecy
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            _chunk_moments, asc, asc_btas_closed, asc_etas_closed,
-                           asc_quadrature, mc_asc, secrecy_capacity)
+                           asc_quadrature, mc_asc, mc_asc_curve, secrecy_capacity)
 from tasec.selection import TasScheme, snr_ratios
 
 from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains
@@ -406,7 +406,7 @@ def test_otas_chunk_moments_match_argmax_reference(m, size):
                          (10.0, 10.0), (40.0, 40.0)):
         scenario = scenario_db(gb_db, ge_db, m)
         bob, eve = draw_gain_blocks(scenario, rng.substream(3), size)
-        got = _chunk_moments(scenario, TasScheme.OTAS, rng, 3, size)
+        got, = _chunk_moments((scenario,), TasScheme.OTAS, rng, 3, size)
         assert repr(got) == repr(argmax_moments(scenario, bob, eve))
 
 
@@ -433,7 +433,7 @@ def test_otas_chunk_moments_on_crafted_blocks(kind, monkeypatch):
     scenario = Scenario(1.0, 1.0, 3)
     monkeypatch.setattr(secrecy, "draw_gain_blocks",
                         lambda scenario, stream, count, out=None: (bob.copy(), eve.copy()))
-    got = _chunk_moments(scenario, TasScheme.OTAS, RngStream(1), 0, len(rows))
+    got, = _chunk_moments((scenario,), TasScheme.OTAS, RngStream(1), 0, len(rows))
     assert repr(got) == repr(argmax_moments(scenario, bob, eve))
 
 
@@ -460,9 +460,10 @@ def test_reused_buffers_match_new_arrays_across_calls(monkeypatch):
         est = mc_asc(scenario, TasScheme.OTAS, trials, RngStream(77, m))
         assert (repr(est.value), repr(est.std_error)) == argmax_estimate(
             scenario, trials, RngStream(77, m))
-    # one thread drew every chunk into the one pair the first chunk grew
-    assert [(b.size, e.size) for b, e in secrecy._idle_buffers] == [
-        (64 * MC_CHUNK_SIZE, 64 * MC_CHUNK_SIZE)]
+    # one thread drew every chunk into the one pair the first chunk grew:
+    # its gain blocks, then the tile scratch of the capacities
+    size = 64 * MC_CHUNK_SIZE + secrecy._TILE_ELEMENTS
+    assert [(b.size, e.size) for b, e in secrecy._idle_buffers] == [(size, size)]
 
 
 def test_concurrent_mc_calls_match_sequential_calls(monkeypatch):
@@ -504,6 +505,62 @@ def test_biased_legitimate_gains_move_the_otas_estimate(monkeypatch):
     scale_bob_gains(monkeypatch, 1.05)
     biased = mc_asc(scenario, TasScheme.OTAS, 200_000, RngStream(6), threads=2)
     assert biased.value - healthy.value > 6.0 * healthy.std_error
+
+
+# ----------------------------------------------------------------------------
+# Curves: one draw per chunk serves every scenario
+# ----------------------------------------------------------------------------
+
+# Points of one curve, far apart in both SNRs, in dB.
+CURVE_POINTS_DB = ((-10.0, 0.0), (10.0, 5.0), (40.0, 30.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 16])
+@pytest.mark.parametrize("scheme", list(TasScheme))
+def test_curve_matches_separate_calls_on_the_same_stream(scheme, m, monkeypatch):
+    # three chunks, the last one partial, on up to three workers; tiles of
+    # 1,000 gains split every chunk unevenly, the default keeps it whole or
+    # nearly so
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
+    scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in CURVE_POINTS_DB]
+    trials = 2 * MC_CHUNK_SIZE + 17
+    separate = [mc_asc(scenario, scheme, trials, RngStream(13, m)) for scenario in scenarios]
+    for tile in (1_000, secrecy._TILE_ELEMENTS):
+        monkeypatch.setattr(secrecy, "_TILE_ELEMENTS", tile)
+        for threads in (1, 2, 3):
+            curve = mc_asc_curve(scenarios, scheme, trials, RngStream(13, m),
+                                 threads=threads)
+            assert [(repr(e.value), repr(e.std_error)) for e in curve] == [
+                (repr(e.value), repr(e.std_error)) for e in separate]
+
+
+def test_curve_draws_each_chunk_once(monkeypatch):
+    draws = []
+    draw = secrecy.draw_gain_blocks
+
+    def counted(scenario, rng, count, out=None):
+        draws.append(count)
+        return draw(scenario, rng, count, out=out)
+
+    monkeypatch.setattr(secrecy, "draw_gain_blocks", counted)
+    scenarios = [scenario_db(gb_db, 10.0, 8) for gb_db in (0.0, 10.0, 20.0, 30.0)]
+    mc_asc_curve(scenarios, TasScheme.OTAS, MC_CHUNK_SIZE + 5, RngStream(4))
+    assert draws == [MC_CHUNK_SIZE, 5]
+
+
+def test_curve_argument_errors():
+    with pytest.raises(ValueError, match="at least one scenario"):
+        mc_asc_curve([], TasScheme.OTAS, 100, RngStream(1))
+    with pytest.raises(ValueError, match="share one antenna count"):
+        mc_asc_curve([Scenario(1.0, 1.0, 2), Scenario(1.0, 1.0, 4)],
+                     TasScheme.OTAS, 100, RngStream(1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_curve_overflow_names_the_failing_scenario():
+    scenarios = [Scenario(10.0, 1.0, 8), Scenario(1e308, 1.0, 8)]
+    with pytest.raises(ValueError, match=r"overflows a double at gamma_b0=1e\+308"):
+        mc_asc_curve(scenarios, TasScheme.OTAS, 1000, RngStream(42))
 
 
 # O-TAS estimates frozen as repr: (gb_db, ge_db, M, trials, stream id) ->
