@@ -4,12 +4,12 @@ A sweep walks one dB-valued axis (legitimate SNR, eavesdropper SNR, or their
 ratio) over a linear-in-dB grid and emits one row per grid point, antenna
 count, scheme and method. A scheme uses its closed form where
 `secrecy.ROUTES` has one; the others (otas, random) are estimated by Monte
-Carlo. The Monte Carlo rows of one curve, an (antenna count, scheme) pair,
-come from one `mc_asc_curve` call on the substream derived from (antenna
-index, scheme): common random numbers, each chunk drawn once for every grid
-point. A row's value therefore does not depend on the rest of the grid or
-on the worker count, and repeated runs of the same spec are byte-identical.
-Rows of one curve are positively correlated; curves are independent.
+Carlo. All Monte Carlo rows of one antenna count come from one
+`mc_asc_curve` call on the substream of the antenna index: common random
+numbers, each chunk drawn once for every scheme and grid point. A row thus
+does not depend on the rest of the grid, the other schemes or the worker
+count, and repeated runs of a spec are byte-identical. Rows of one antenna
+count are correlated, positively wherever measured.
 """
 
 import math
@@ -32,17 +32,6 @@ class SweptParameter(str, Enum):
     GAMMA_E_DB = "gamma-e"
     RATIO_DB = "ratio"
 
-
-# Fixed stream branch per scheme, so a curve's substream (antenna index,
-# branch) is the same no matter which schemes a spec asks for: the
-# normalization denominator sees the exact O-TAS realizations an O-TAS row
-# would use, at every grid point.
-_SCHEME_BRANCH = {
-    TasScheme.OTAS: 0,
-    TasScheme.BTAS: 1,
-    TasScheme.ETAS: 2,
-    TasScheme.RANDOM: 3,
-}
 
 CROSSOVER_LOG_RATIO_TOL = 1e-12
 CROSSOVER_WIDTH_TOL_DB = 1e-10
@@ -72,8 +61,9 @@ class SweepSpec:
     closed-form schemes as validation overlays. `normalize_to_otas` divides
     each row's `asc` and `std_error` by the O-TAS Monte Carlo value at its
     point: `std_error` is then the row's own error over that value, the
-    O-TAS row's is the O-TAS estimate's relative standard error q, and a
-    row's full error is hypot(std_error, asc * q).
+    O-TAS row's is the O-TAS estimate's relative standard error q, and
+    hypot(std_error, asc * q) overstates a Monte Carlo row's full error, as
+    its realizations are the O-TAS row's (README, "CSV output").
     """
 
     swept: SweptParameter
@@ -166,8 +156,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate the sweep; rows come out ordered by
     (swept value, antennas, scheme, method). A scheme's closed form where
     one exists, else Monte Carlo; normalized `std_error` as in SweepSpec.
-    The Monte Carlo rows of one (antenna count, scheme) curve share their
-    fading realizations (mc_asc_curve)."""
+    The Monte Carlo rows of one antenna count, of every scheme and grid
+    point, share their fading realizations (mc_asc_curve)."""
     antennas = tuple(sorted(set(spec.antennas)))
     schemes = tuple(sorted(set(spec.schemes), key=lambda s: s.value))
     values = [float(v) for v in np.linspace(spec.start_db, spec.stop_db, spec.points)]
@@ -181,22 +171,21 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
                   or spec.mc_overlay]
     if spec.normalize_to_otas and TasScheme.OTAS not in mc_schemes:
         mc_schemes.append(TasScheme.OTAS)
-    curves = {(m, scheme): mc_asc_curve(scenarios[m], scheme, spec.mc_trials,
-                                        base.substream(mi, _SCHEME_BRANCH[scheme]),
-                                        threads=threads)
-              for mi, m in enumerate(antennas) for scheme in mc_schemes}
+    curves = {m: mc_asc_curve(scenarios[m], mc_schemes, spec.mc_trials,
+                              base.substream(mi, 0), threads=threads)
+              for mi, m in enumerate(antennas) if mc_schemes}
 
     rows: list[SweepRow] = []
     for pi, (value_db, (gb_db, ge_db)) in enumerate(zip(values, grid)):
         for m in antennas:
-            denom = (curves[m, TasScheme.OTAS][pi].value
+            denom = (curves[m][TasScheme.OTAS][pi].value
                      if spec.normalize_to_otas else 1.0)
             if denom <= 0.0:
                 raise DegenerateNormalizationError(
                     f"O-TAS estimate is zero at swept={value_db} dB, M={m}; "
                     "cannot normalize")
             for scheme in schemes:
-                estimates = [curves[m, scheme][pi]] if (m, scheme) in curves else []
+                estimates = [curves[m][scheme][pi]] if scheme in mc_schemes else []
                 if Method.CLOSED in ROUTES[scheme]:
                     estimates.insert(0, asc(scenarios[m][pi], scheme, Method.CLOSED))
                 for est in estimates:  # x / 1.0 == x, so plain rows are unchanged

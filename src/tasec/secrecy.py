@@ -17,8 +17,9 @@ and evaluates it by Monte Carlo (ROUTES; `asc` runs a scheme's routes). MC
 runs are chunked onto derived substreams so the estimate is a pure function
 of (scenario, scheme, trials, seed, stream) no matter how many workers execute
 the chunks; each chunk draws into idle buffers that earlier chunks left
-(`_take_buffers`). A chunk is drawn and selected once and serves every
-scenario of a curve (`mc_asc_curve`; `mc_asc` is its one-scenario case).
+(`_take_buffers`). A chunk is drawn once and serves every scheme and every
+scenario of one antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme,
+one-scenario case).
 One kernel, `_ratio_capacities`, gives each realization's capacity to MC
 and, through `_capacities`, to the self-checks. O-TAS needs no selected
 index: its capacity is [log2 max_i R_i]^+ over the per-antenna SNR ratios
@@ -33,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -144,8 +146,8 @@ def _selected_gains(scheme: TasScheme, scenario: Scenario, bob: np.ndarray,
     if scheme is TasScheme.OTAS:
         return bob, eve
     idx = select_indices(scheme, scenario, bob, eve, rng=stream)
-    rows = np.arange(idx.size)
-    return bob[rows, idx], eve[rows, idx]
+    idx += np.arange(0, bob.size, bob.shape[1])  # flat positions, no row array
+    return bob.take(idx), eve.take(idx)
 
 
 def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
@@ -211,16 +213,18 @@ def _take_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _chunk_moments(scenarios: tuple[Scenario, ...], scheme: TasScheme, rng: RngStream,
-                   index: int, size: int) -> list[tuple[int, float, float]]:
+def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ...],
+                   rng: RngStream, index: int, size: int
+                   ) -> list[tuple[int, float, float]]:
     """Secrecy-capacity sample moments (n, mean, sum of squared deviations)
-    of one chunk at each of `scenarios`, which share one antenna count. The
-    chunk is drawn once, from the substream derived for `index`, into an
-    idle pair of buffers, and selected once; the blocks used are the ones
-    the draw returns. Each scenario's capacities are then reduced in place,
-    with the same float operations as np.sum((cs - mean) ** 2), and the
-    pair is idle again after the last. A gamma0 g that overflows a double
-    shows as an inf or NaN mean, which mc_asc_curve reports; no
+    of one chunk at each (scheme, scenario) pair of `schemes` x `scenarios`,
+    scheme-major; the scenarios share one antenna count. The chunk is drawn
+    once, from the substream derived for `index`, into an idle pair of
+    buffers (the blocks used are the ones the draw returns), then selected
+    once per scheme; only random consumes the substream, after the draw.
+    Capacities are reduced in place in one buffer, with the same float
+    operations as np.sum((cs - mean) ** 2). A gamma0 g that overflows a
+    double gives an inf or NaN mean, which mc_asc_curve reports; no
     floating-point warning is raised."""
     stream = rng.substream(index)
     block = size * scenarios[0].num_antennas
@@ -228,16 +232,17 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], scheme: TasScheme, rng: RngS
     bob, eve = draw_gain_blocks(scenarios[0], stream, size,
                                 out=tuple(b[:block].reshape(size, -1) for b in pair))
     scratch = tuple(b[block:] for b in pair)
-    moments = []
+    moments, cs = [], np.empty(size)
     with np.errstate(all="ignore"):
-        gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
-        cs = np.empty(size)  # after the selection's temporaries are freed
-        for scenario in scenarios:
-            _ratio_capacities(scenario, *gains, cs, scratch)
-            mean = float(cs.mean())
-            cs -= mean
-            cs *= cs
-            moments.append((size, mean, float(cs.sum())))
+        for scheme in schemes:
+            gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
+            for scenario in scenarios:
+                _ratio_capacities(scenario, *gains, cs, scratch)
+                mean = float(cs.mean())
+                cs -= mean
+                cs *= cs
+                moments.append((size, mean, float(cs.sum())))
+            del gains  # freed before the next scheme selects
     _idle_buffers.append(pair)
     return moments
 
@@ -261,21 +266,23 @@ def _merge_moments(a: tuple[int, float, float],
     return n, mean, m2
 
 
-def mc_asc_curve(scenarios: Sequence[Scenario], scheme: TasScheme, trials: int,
-                 rng: RngStream, threads: int = 1) -> list[AscEstimate]:
-    """Monte Carlo ASC at each of `scenarios`, which share one antenna
-    count, on common random numbers: every chunk of realizations is drawn
-    once and serves every scenario. Each estimate is bit-identical to
-    mc_asc's on the same stream, and its std_error is its own; estimates at
-    different scenarios are positively correlated.
+def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
+                 trials: int, rng: RngStream, threads: int = 1
+                 ) -> dict[TasScheme, list[AscEstimate]]:
+    """Monte Carlo ASC of each of the distinct `schemes` at each of
+    `scenarios`, which share one antenna count, as a list per scheme in the
+    order given. Every chunk is drawn once and serves every scheme and
+    scenario (common random numbers). Each estimate is bit-identical to
+    mc_asc's on the same stream and has its own std_error; the estimates of
+    one call are correlated, positively wherever measured.
 
     Chunks of MC_CHUNK_SIZE trials run on substreams derived from the chunk
-    index, and each scenario's moments merge in chunk order, so the
+    index, and each estimate's moments merge in chunk order, so the
     estimates do not depend on `threads`. At most `threads` workers run,
     and never more than there are chunks or CPUs this process may use.
     ValueError is raised at the top of the dB range, where a drawn gamma0*g
     overflows a double and a mean is not finite; it names the first such
-    scenario.
+    scheme, in the order given, and its first such scenario.
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -283,17 +290,21 @@ def mc_asc_curve(scenarios: Sequence[Scenario], scheme: TasScheme, trials: int,
     if len({s.num_antennas for s in scenarios}) > 1:
         raise ValueError("the scenarios of one Monte Carlo curve must share "
                          "one antenna count")
+    named = () if isinstance(schemes, str) else tuple(map(TasScheme, schemes))
+    if not named or len(set(named)) < len(named):
+        raise ValueError("Monte Carlo needs a non-empty sequence of distinct "
+                         f"schemes, got {schemes!r}")
+    schemes = named
     trials = require_int(trials, "trials", 2)
     threads = require_int(threads, "threads", 1)
     if not isinstance(rng, RngStream):
         raise ValueError(f"Monte Carlo needs an RngStream as rng, got {rng!r}")
-    scheme = TasScheme(scheme)
 
     layout = _chunk_layout(trials)
 
     def job(entry):
         index, size = entry
-        return _chunk_moments(scenarios, scheme, rng, index, size)
+        return _chunk_moments(scenarios, schemes, rng, index, size)
 
     workers = min(threads, len(layout), _usable_cpus())
     if workers > 1:
@@ -302,26 +313,26 @@ def mc_asc_curve(scenarios: Sequence[Scenario], scheme: TasScheme, trials: int,
     else:
         results = [job(entry) for entry in layout]
 
-    estimates = []
-    for scenario, moments in zip(scenarios, zip(*results)):
+    curves = {scheme: [] for scheme in schemes}
+    for (scheme, scenario), moments in zip(product(schemes, scenarios), zip(*results)):
         n, mean, m2 = reduce(_merge_moments, moments)  # in chunk order
         if not math.isfinite(mean):
             raise ValueError(
                 f"Monte Carlo: gamma0*g overflows a double at gamma_b0="
-                f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; use "
-                "method closed or quad where the scheme has them")
+                f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; for "
+                f"{scheme.value}, use method closed or quad where the scheme has them")
         std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-        estimates.append(AscEstimate(value=mean, method=Method.MC, trials=trials,
-                                     std_error=std_error))
-    return estimates
+        curves[scheme].append(AscEstimate(value=mean, method=Method.MC, trials=trials,
+                                          std_error=std_error))
+    return curves
 
 
 def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
            rng: RngStream, threads: int = 1) -> AscEstimate:
     """Monte Carlo ASC: average the clamped secrecy capacity at the selected
-    antenna over `trials` independent fading realizations. The one-scenario
-    case of mc_asc_curve, with its chunks, workers and errors."""
-    return mc_asc_curve((scenario,), scheme, trials, rng, threads)[0]
+    antenna over `trials` independent fading realizations. The one-scenario,
+    one-scheme case of mc_asc_curve, with its chunks, workers and errors."""
+    return mc_asc_curve((scenario,), (scheme,), trials, rng, threads)[TasScheme(scheme)][0]
 
 
 # ----------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tasec import experiments
+from tasec import experiments, secrecy
 from tasec.channel import RngStream, Scenario
 from tasec.errors import DegenerateNormalizationError, NoCrossoverError
 from tasec.experiments import (SweepRow, SweepSpec, SweptParameter,
@@ -246,20 +246,56 @@ def test_sweep_mc_row_does_not_depend_on_the_rest_of_the_grid():
 
 
 def test_sweep_matches_one_mc_asc_curve_per_antenna_count_and_scheme():
+    # one call per antenna count serves every scheme, on the substream that
+    # O-TAS alone used before schemes shared their realizations
     spec = closed_spec(start_db=0.0, stop_db=20.0, points=3, antennas=(4, 2),
-                       schemes=("otas", "etas"), mc_trials=5000, seed=21,
+                       schemes=("otas", "etas", "random"), mc_trials=5000, seed=21,
                        mc_overlay=True)
     rows = [r for r in run_sweep(spec) if r.method == "mc"]
     base = RngStream(21)
     for mi, m in enumerate((2, 4)):
         scenarios = [Scenario(db_to_linear(v), db_to_linear(10.0), m)
                      for v in (0.0, 10.0, 20.0)]
-        for scheme in (TasScheme.ETAS, TasScheme.OTAS):
-            curve = mc_asc_curve(scenarios, scheme, 5000,
-                                 base.substream(mi, experiments._SCHEME_BRANCH[scheme]))
+        curves = mc_asc_curve(scenarios, (TasScheme.ETAS, TasScheme.OTAS,
+                                          TasScheme.RANDOM), 5000, base.substream(mi, 0))
+        for scheme, curve in curves.items():
             got = [r for r in rows if r.antennas == m and r.scheme == scheme.value]
             assert [(r.asc, r.std_error) for r in got] == [
                 (e.value, e.std_error) for e in curve]
+
+
+def test_sweep_draws_each_chunk_once_per_antenna_count(monkeypatch):
+    draws = []
+    draw = secrecy.draw_gain_blocks
+
+    def counted(scenario, rng, count, out=None):
+        draws.append((scenario.num_antennas, count))
+        return draw(scenario, rng, count, out=out)
+
+    monkeypatch.setattr(secrecy, "draw_gain_blocks", counted)
+    spec = closed_spec(start_db=0.0, stop_db=30.0, points=4, antennas=(16, 2),
+                       schemes=tuple(TasScheme), mc_trials=MC_CHUNK_SIZE + 5,
+                       mc_overlay=True, normalize_to_otas=True)
+    run_sweep(spec, threads=2)
+    assert sorted(draws) == [(2, 5), (2, MC_CHUNK_SIZE), (16, 5), (16, MC_CHUNK_SIZE)]
+
+
+@pytest.mark.parametrize("swept, fixed_db", [("gamma-b", 10.0), ("ratio", 5.0)])
+def test_sweep_mc_rows_never_exceed_otas_at_their_point(swept, fixed_db):
+    # every scheme's capacity is at most O-TAS's on each shared realization,
+    # so its mean is too, and a normalized Monte Carlo row is at most 1
+    for normalize in (False, True):
+        spec = closed_spec(swept=swept, start_db=-20.0, stop_db=30.0, points=6,
+                           fixed_gamma_db=fixed_db, antennas=(1, 2, 8),
+                           schemes=tuple(TasScheme), mc_trials=MC_CHUNK_SIZE + 100,
+                           seed=5, mc_overlay=True, normalize_to_otas=normalize)
+        mc = [r for r in run_sweep(spec) if r.method == "mc"]
+        otas = {(r.swept_value_db, r.antennas): r.asc for r in mc if r.scheme == "otas"}
+        others = [r for r in mc if r.scheme != "otas"]
+        assert len(others) == 6 * 3 * 3
+        for r in others:
+            assert r.asc <= otas[r.swept_value_db, r.antennas]
+            assert r.asc <= 1.0 or not normalize
 
 
 def test_sweep_errors_name_the_failing_point():

@@ -406,7 +406,7 @@ def test_otas_chunk_moments_match_argmax_reference(m, size):
                          (10.0, 10.0), (40.0, 40.0)):
         scenario = scenario_db(gb_db, ge_db, m)
         bob, eve = draw_gain_blocks(scenario, rng.substream(3), size)
-        got, = _chunk_moments((scenario,), TasScheme.OTAS, rng, 3, size)
+        got, = _chunk_moments((scenario,), (TasScheme.OTAS,), rng, 3, size)
         assert repr(got) == repr(argmax_moments(scenario, bob, eve))
 
 
@@ -433,7 +433,7 @@ def test_otas_chunk_moments_on_crafted_blocks(kind, monkeypatch):
     scenario = Scenario(1.0, 1.0, 3)
     monkeypatch.setattr(secrecy, "draw_gain_blocks",
                         lambda scenario, stream, count, out=None: (bob.copy(), eve.copy()))
-    got, = _chunk_moments((scenario,), TasScheme.OTAS, RngStream(1), 0, len(rows))
+    got, = _chunk_moments((scenario,), (TasScheme.OTAS,), RngStream(1), 0, len(rows))
     assert repr(got) == repr(argmax_moments(scenario, bob, eve))
 
 
@@ -508,11 +508,15 @@ def test_biased_legitimate_gains_move_the_otas_estimate(monkeypatch):
 
 
 # ----------------------------------------------------------------------------
-# Curves: one draw per chunk serves every scenario
+# Curves: one draw per chunk serves every scheme and scenario
 # ----------------------------------------------------------------------------
 
 # Points of one curve, far apart in both SNRs, in dB.
 CURVE_POINTS_DB = ((-10.0, 0.0), (10.0, 5.0), (40.0, 30.0))
+
+
+def curve_reprs(estimates):
+    return [(repr(e.value), repr(e.std_error)) for e in estimates]
 
 
 @pytest.mark.parametrize("m", [1, 2, 16])
@@ -528,10 +532,29 @@ def test_curve_matches_separate_calls_on_the_same_stream(scheme, m, monkeypatch)
     for tile in (1_000, secrecy._TILE_ELEMENTS):
         monkeypatch.setattr(secrecy, "_TILE_ELEMENTS", tile)
         for threads in (1, 2, 3):
-            curve = mc_asc_curve(scenarios, scheme, trials, RngStream(13, m),
+            curve = mc_asc_curve(scenarios, (scheme,), trials, RngStream(13, m),
                                  threads=threads)
-            assert [(repr(e.value), repr(e.std_error)) for e in curve] == [
-                (repr(e.value), repr(e.std_error)) for e in separate]
+            assert list(curve) == [scheme]
+            assert curve_reprs(curve[scheme]) == curve_reprs(separate)
+
+
+@pytest.mark.parametrize("m", [1, 2, 16])
+def test_all_schemes_in_one_call_match_one_scheme_calls(m, monkeypatch):
+    # random consumes each chunk's substream after the draw and the others
+    # do not, so no scheme's estimates depend on which schemes share the
+    # chunk or in what order
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
+    scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in CURVE_POINTS_DB]
+    trials = 2 * MC_CHUNK_SIZE + 17
+    alone = {scheme: curve_reprs(mc_asc_curve(scenarios, (scheme,), trials,
+                                              RngStream(17, m))[scheme])
+             for scheme in TasScheme}
+    for order in (list(TasScheme), list(reversed(TasScheme))):
+        for threads in (1, 2, 3):
+            curves = mc_asc_curve(scenarios, order, trials, RngStream(17, m),
+                                  threads=threads)
+            assert list(curves) == order
+            assert {s: curve_reprs(c) for s, c in curves.items()} == alone
 
 
 def test_curve_draws_each_chunk_once(monkeypatch):
@@ -544,23 +567,31 @@ def test_curve_draws_each_chunk_once(monkeypatch):
 
     monkeypatch.setattr(secrecy, "draw_gain_blocks", counted)
     scenarios = [scenario_db(gb_db, 10.0, 8) for gb_db in (0.0, 10.0, 20.0, 30.0)]
-    mc_asc_curve(scenarios, TasScheme.OTAS, MC_CHUNK_SIZE + 5, RngStream(4))
+    mc_asc_curve(scenarios, list(TasScheme), MC_CHUNK_SIZE + 5, RngStream(4))
     assert draws == [MC_CHUNK_SIZE, 5]
 
 
-def test_curve_argument_errors():
+def test_curve_argument_errors(monkeypatch):
+    monkeypatch.setattr(secrecy, "draw_gain_blocks", None)  # no draw is reached
+    point = [Scenario(1.0, 1.0, 2)]
     with pytest.raises(ValueError, match="at least one scenario"):
-        mc_asc_curve([], TasScheme.OTAS, 100, RngStream(1))
+        mc_asc_curve([], (TasScheme.OTAS,), 100, RngStream(1))
     with pytest.raises(ValueError, match="share one antenna count"):
         mc_asc_curve([Scenario(1.0, 1.0, 2), Scenario(1.0, 1.0, 4)],
-                     TasScheme.OTAS, 100, RngStream(1))
+                     (TasScheme.OTAS,), 100, RngStream(1))
+    for schemes in ([], ("btas", TasScheme.OTAS, TasScheme.BTAS), TasScheme.OTAS):
+        with pytest.raises(ValueError, match="non-empty sequence of distinct schemes,"
+                                             " got ") as info:
+            mc_asc_curve(point, schemes, 100, RngStream(1))
+        assert "\n" not in str(info.value)
 
 
 @pytest.mark.filterwarnings("error")
 def test_curve_overflow_names_the_failing_scenario():
     scenarios = [Scenario(10.0, 1.0, 8), Scenario(1e308, 1.0, 8)]
-    with pytest.raises(ValueError, match=r"overflows a double at gamma_b0=1e\+308"):
-        mc_asc_curve(scenarios, TasScheme.OTAS, 1000, RngStream(42))
+    with pytest.raises(ValueError, match=r"overflows a double at gamma_b0=1e\+308, "
+                                         r"gamma_e0=1; for etas, use"):
+        mc_asc_curve(scenarios, (TasScheme.ETAS, TasScheme.OTAS), 1000, RngStream(42))
 
 
 # O-TAS estimates frozen as repr: (gb_db, ge_db, M, trials, stream id) ->
