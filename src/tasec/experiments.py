@@ -96,7 +96,7 @@ class SweepSpec:
             raise ValueError("at least one antenna count is required")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        if self.needs_mc and self.mc_trials < 2:
+        if self.mc_schemes and self.mc_trials < 2:
             raise ValueError(
                 "mc_trials >= 2 required: this sweep requests a Monte Carlo "
                 "path (otas/random scheme, overlay, or normalization)")
@@ -112,10 +112,15 @@ class SweepSpec:
             Scenario(*map(db_to_linear, dbs), max(self.antennas))
 
     @property
-    def needs_mc(self) -> bool:
-        """A scheme without a closed form, or overlay, or normalization."""
-        return (any(Method.CLOSED not in ROUTES[s] for s in self.schemes)
-                or self.normalize_to_otas or self.mc_overlay)
+    def mc_schemes(self) -> tuple[TasScheme, ...]:
+        """The schemes with Monte Carlo rows, by name: those without a closed
+        form, or every scheme with overlay; then O-TAS, if normalization
+        needs it. The sweep needs Monte Carlo if this is not empty."""
+        schemes = sorted(set(self.schemes), key=lambda s: s.value)
+        mc = [s for s in schemes if self.mc_overlay or Method.CLOSED not in ROUTES[s]]
+        if self.normalize_to_otas and TasScheme.OTAS not in mc:
+            mc.append(TasScheme.OTAS)
+        return tuple(mc)
 
 
 @dataclass(frozen=True)
@@ -167,10 +172,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     scenarios = {m: [Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
                      for gb_db, ge_db in grid] for m in antennas}
 
-    mc_schemes = [s for s in schemes if Method.CLOSED not in ROUTES[s]
-                  or spec.mc_overlay]
-    if spec.normalize_to_otas and TasScheme.OTAS not in mc_schemes:
-        mc_schemes.append(TasScheme.OTAS)
+    mc_schemes = spec.mc_schemes
     curves = {m: mc_asc_curve(scenarios[m], mc_schemes, spec.mc_trials,
                               base.substream(mi, 0), threads=threads)
               for mi, m in enumerate(antennas) if mc_schemes}

@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -59,6 +59,15 @@ _TILE_ELEMENTS = 16_384
 # Largest rounding-error bound a B-TAS closed-form value may carry; past it
 # the value comes from quadrature (see asc_btas_closed).
 BTAS_CLOSED_TOL = 1e-9
+
+
+# The largest M whose every C(M, k) fits a double: past it the B-TAS sum
+# cannot be bounded, and asc_btas_closed hands over to quadrature before the
+# O(M^2) big-integer work of forming every C(M, k). C(M, M // 2) is the
+# largest C(M, k), grows with M and is at most 2^M, so the search starts at
+# the largest M whose 2^M fits.
+_BTAS_SUM_MAX_M = next(m for m in count(sys.float_info.max_exp - 1)
+                       if math.comb(m + 1, (m + 1) // 2) > sys.float_info.max)
 
 
 class Method(str, Enum):
@@ -363,7 +372,8 @@ def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
 def asc_btas_closed(scenario: Scenario) -> AscEstimate:
     """ASC of legitimate-based selection by the alternating binomial sum over
     delta_e terms, or by asc_quadrature (method quad) where the sum's error
-    bound 8 eps S exceeds BTAS_CLOSED_TOL or S overflows. Quadrature raises
+    bound 8 eps S exceeds BTAS_CLOSED_TOL or S overflows (always past
+    M = 1,029, _BTAS_SUM_MAX_M). Quadrature raises
     ConvergenceError only where its tail passes the largest double, above a
     gamma_b0 of about 3,067 dB.
 
@@ -377,6 +387,8 @@ def asc_btas_closed(scenario: Scenario) -> AscEstimate:
     M = 18.
     """
     m = scenario.num_antennas
+    if m > _BTAS_SUM_MAX_M:
+        return asc_quadrature(scenario, TasScheme.BTAS)
     inv_gb = 1.0 / scenario.gamma_b0
     inv_ge = 1.0 / scenario.gamma_e0
     args = [(math.comb(m, k), k * inv_gb, inv_ge + k * inv_gb)

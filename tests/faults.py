@@ -34,6 +34,21 @@ def drop_last_antenna(monkeypatch):
     monkeypatch.setattr(secrecy, "snr_ratios", faulty_snr_ratios)
 
 
+def scale_otas_ratios(monkeypatch, factor):
+    """Scale the ratios `secrecy.snr_ratios` returns for 2-D gain blocks,
+    the O-TAS path, by `factor`. The 1-D ratios of the gathered gains the
+    other schemes select are left as they are."""
+    snr_ratios = secrecy.snr_ratios
+
+    def scaled_snr_ratios(scenario, bob, eve, out=None):
+        ratios = snr_ratios(scenario, bob, eve, out)
+        if bob.ndim == 2:
+            ratios *= factor
+        return ratios
+
+    monkeypatch.setattr(secrecy, "snr_ratios", scaled_snr_ratios)
+
+
 def scale_bob_gains(monkeypatch, factor):
     """Scale every drawn legitimate-link gain by `factor`. The scaled block is
     a new array, not the `out` buffer it was drawn into, so only a caller

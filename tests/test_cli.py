@@ -14,8 +14,9 @@ from tasec.errors import ConvergenceError, UnsupportedSchemeError
 from tasec.experiments import db_to_linear
 from tasec.secrecy import ROUTES, Method, asc, asc_etas_closed, asc_quadrature
 from tasec.selection import TasScheme
+from tasec.verification import run_verification
 
-from faults import negate_btas_terms
+from faults import negate_btas_terms, scale_otas_ratios
 
 
 def run_cli(args, capsys):
@@ -526,6 +527,25 @@ def test_verify_detects_injected_sign_fault(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "--trials", "4096"], capsys)
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+def test_verify_stdout_is_the_same_at_one_and_two_threads(monkeypatch, capsys):
+    # 20,000 trials are two chunks, so both workers run at 2 threads
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 2)
+    outputs = [run_cli(["verify", "--trials", "20000", "--threads", threads], capsys)
+               for threads in ("1", "2")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_mc_vs_closed_covers_otas_at_one_antenna(monkeypatch):
+    # O-TAS at M = 1 meets the B-TAS closed form in mc-vs-closed, the only
+    # Monte Carlo comparison of O-TAS with a deterministic route
+    assert all(r.passed for r in run_verification(20000, 42))
+    scale_otas_ratios(monkeypatch, 1.05)
+    results = run_verification(20000, 42)
+    assert [r.name for r in results if not r.passed] == ["mc-vs-closed"]
+    assert "45 points x 20000 trials" in results[1].detail
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5])

@@ -107,6 +107,25 @@ def test_spec_rejects_out_of_range_grid(swept, start_db, stop_db, fixed_db,
                     fixed_gamma_db=fixed_db)
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    (dict(schemes=("etas", "btas")), ()),
+    (dict(schemes=("random", "btas", "otas")), ("otas", "random")),
+    (dict(schemes=("etas", "btas"), mc_overlay=True), ("btas", "etas")),
+    (dict(schemes=("random", "etas"), normalize_to_otas=True), ("random", "otas")),
+    (dict(schemes=("otas", "btas"), normalize_to_otas=True), ("otas",)),
+])
+def test_spec_mc_schemes(overrides, expected):
+    # one rule for which rows are Monte Carlo; a sweep needs Monte Carlo,
+    # and so mc_trials >= 2, exactly where it is not empty
+    spec = closed_spec(mc_trials=2, **overrides)
+    assert spec.mc_schemes == tuple(map(TasScheme, expected))
+    if expected:
+        with pytest.raises(ValueError, match="mc_trials >= 2"):
+            closed_spec(mc_trials=1, **overrides)
+    else:
+        assert closed_spec(mc_trials=0, **overrides).mc_schemes == ()
+
+
 def test_spec_rejects_tiny_snr_at_largest_antenna_count():
     # 64/10^-307 overflows a double; 8/10^-307 does not.
     for swept in ("gamma-b", "gamma-e"):

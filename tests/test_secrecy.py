@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from functools import reduce
 from itertools import product
 
@@ -129,6 +130,15 @@ def test_btas_large_antenna_counts():
     wide = asc_btas_closed(scenario_db(10.0, 10.0, 1100))
     assert wide.method is Method.QUAD
     assert wide.value > BTAS_REFERENCES[(10.0, 10.0, 64)]
+    # past M = 1,029 it hands over before forming any C(M, k), so a huge
+    # M answers as fast as quadrature does
+    assert secrecy._BTAS_SUM_MAX_M == 1029
+    huge = scenario_db(10.0, 10.0, 100_000)
+    start = time.perf_counter()
+    est = asc_btas_closed(huge)
+    assert time.perf_counter() - start < 1.0
+    assert est == asc_quadrature(huge, TasScheme.BTAS)
+    assert est.method is Method.QUAD
 
 
 def test_closed_forms_match_independent_oracle():
