@@ -197,8 +197,8 @@ def _read_config_file(path: str, keys: dict[str, argparse.Action]) -> dict:
     return values
 
 
-def parse_config(argv: list[str], config_file: str | None = None) -> argparse.Namespace:
-    """Flags beat the config file, which beats the parser's defaults.
+def parse_config(argv: list[str]) -> argparse.Namespace:
+    """Flags beat the `--config` file, which beats the parser's defaults.
 
     The namespace also carries the library objects the run needs (`scenario`
     for asc, `spec` for sweep), built here so that their errors are usage
@@ -214,8 +214,7 @@ def parse_config(argv: list[str], config_file: str | None = None) -> argparse.Na
     ns = argparse.Namespace(subcommand=name, config=None,
                             **{action.dest: None for action in keys.values()})
     command.parse_args(argv[argv.index(name) + 1:], ns)
-    path = ns.config or config_file
-    config = _read_config_file(path, keys) if path else {}
+    config = _read_config_file(ns.config, keys) if ns.config else {}
     for action in keys.values():
         if getattr(ns, action.dest) is None:
             setattr(ns, action.dest, config.get(action.dest, action.default))

@@ -22,8 +22,7 @@ from .channel import RngStream, Scenario, require_int
 from .errors import DegenerateNormalizationError, NoCrossoverError
 # mc_asc is not called here, but stays a name of this module: the benchmark
 # (bench/worker.py, bench/spans.py) wraps experiments.mc_asc.
-from .secrecy import (ROUTES, AscEstimate, Method, asc, asc_btas_closed,
-                      asc_etas_closed, mc_asc, mc_asc_curve)
+from .secrecy import ROUTES, AscEstimate, Method, asc, mc_asc, mc_asc_curve
 from .selection import TasScheme
 
 
@@ -217,8 +216,8 @@ def find_crossover(gamma_b0_db: float, antennas: int,
 
     def gap(ratio_db: float) -> float:
         scenario = Scenario(gamma_b0, db_to_linear(gamma_b0_db + ratio_db), antennas)
-        btas = asc_btas_closed(scenario).value
-        etas = asc_etas_closed(scenario).value
+        btas = asc(scenario, TasScheme.BTAS, Method.CLOSED).value
+        etas = asc(scenario, TasScheme.ETAS, Method.CLOSED).value
         if btas == 0.0 or etas == 0.0:
             raise ValueError(
                 f"closed-form ASC is 0 at gamma_b0={gamma_b0_db} dB, ratio={ratio_db} "
@@ -264,8 +263,8 @@ def find_crossover(gamma_b0_db: float, antennas: int,
 def adaptive_scheme(scenario: Scenario) -> tuple[TasScheme, AscEstimate]:
     """Pick whichever sub-optimal criterion has the larger closed-form ASC
     at this operating point (ties go to the legitimate-based scheme)."""
-    btas = asc_btas_closed(scenario)
-    etas = asc_etas_closed(scenario)
+    btas = asc(scenario, TasScheme.BTAS, Method.CLOSED)
+    etas = asc(scenario, TasScheme.ETAS, Method.CLOSED)
     if btas.value >= etas.value:
         return TasScheme.BTAS, btas
     return TasScheme.ETAS, etas

@@ -29,20 +29,17 @@ class TasScheme(str, Enum):
     RANDOM = "random"
 
 
-def snr_ratios(scenario: Scenario, bob_gains: np.ndarray,
-               eve_gains: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> np.ndarray:
+def snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray,
+               out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per-antenna SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E), whose
     log2 is the instantaneous secrecy capacity before its clamp at 0.
 
-    Computed without temporaries. Without `out` it is in place: both float
-    gain arrays are overwritten, and the returned array is `bob_gains`.
-    With `out=(bob_out, eve_out)`, two float arrays of the gains' shape, the
-    gains are left untouched, the same float operations run in those two,
-    and `bob_out` is returned. A gamma0 g that overflows a double gives an
-    inf or NaN ratio, or a ratio of 0.
+    Computed without temporaries in `out=(bob_out, eve_out)`, two float
+    arrays of the gains' shape; the gains are left untouched, and `bob_out`
+    is returned. A gamma0 g that overflows a double gives an inf or NaN
+    ratio, or a ratio of 0.
     """
-    bob, eve = (bob_gains, eve_gains) if out is None else out
+    bob, eve = out
     np.multiply(bob_gains, scenario.gamma_b0, out=bob)
     bob += 1.0
     np.multiply(eve_gains, scenario.gamma_e0, out=eve)

@@ -51,12 +51,21 @@ def _sigmas(est: AscEstimate, reference: float) -> float:
     return 0.0 if diff == 0.0 else math.inf
 
 
+def _max_diff(name: str, pairs: list[tuple[float, float]], tol: float,
+              what: str) -> CheckResult:
+    """`name` passes when no pair of values differs by more than `tol`. The
+    detail line gives the number of pairs, `what` they are, and the worst
+    difference."""
+    worst = max((abs(a - b) for a, b in pairs), default=0.0)
+    return CheckResult(name, worst <= tol,
+                       f"{len(pairs)} {what}max |diff| = {worst:.3e} (tol {tol:g})")
+
+
 def check_closed_vs_quadrature() -> CheckResult:
     """Both closed forms against the quadrature of the ASC integral. Where
     the B-TAS sum hands over to quadrature (method quad), the point is
     skipped: it would compare quadrature with itself."""
-    worst = 0.0
-    count = skipped = 0
+    pairs, skipped = [], 0
     for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, QUAD_ANTENNAS):
         scenario = _scenario(gb_db, ge_db, m)
         for scheme in (TasScheme.BTAS, TasScheme.ETAS):
@@ -64,13 +73,10 @@ def check_closed_vs_quadrature() -> CheckResult:
             if closed.method is Method.QUAD:
                 skipped += 1
                 continue
-            quad = asc(scenario, scheme, Method.QUAD)
-            worst = max(worst, abs(quad.value - closed.value))
-            count += 1
-    return CheckResult(
-        "closed-vs-quadrature", worst <= CLOSED_VS_QUAD_TOL,
-        f"{count} comparisons ({skipped} B-TAS points handed over to quadrature "
-        f"skipped), max |diff| = {worst:.3e} (tol {CLOSED_VS_QUAD_TOL:g})")
+            pairs.append((closed.value, asc(scenario, scheme, Method.QUAD).value))
+    return _max_diff("closed-vs-quadrature", pairs, CLOSED_VS_QUAD_TOL,
+                     f"comparisons ({skipped} B-TAS points handed over to "
+                     "quadrature skipped), ")
 
 
 def check_mc_vs_closed(trials: int, seed: int, threads: int = 1) -> CheckResult:
@@ -127,32 +133,24 @@ def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
 def check_factor_m_identity() -> CheckResult:
     """E-TAS closed form equals the single-antenna form with the
     eavesdropper SNR divided by M, over -30..40 dB and M up to 64."""
-    worst = 0.0
-    count = 0
-    for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, QUAD_ANTENNAS):
-        multi = asc(_scenario(gb_db, ge_db, m), TasScheme.ETAS, Method.CLOSED)
-        ge = db_to_linear(ge_db)
-        single = asc(Scenario(db_to_linear(gb_db), ge / m, 1), TasScheme.ETAS)
-        worst = max(worst, abs(multi.value - single.value))
-        count += 1
-    return CheckResult(
-        "factor-m-identity", worst <= EXACT_IDENTITY_TOL,
-        f"{count} points, max |diff| = {worst:.3e} (tol {EXACT_IDENTITY_TOL:g})")
+    pairs = [(asc(_scenario(gb_db, ge_db, m), TasScheme.ETAS, Method.CLOSED).value,
+              asc(Scenario(db_to_linear(gb_db), db_to_linear(ge_db) / m, 1),
+                  TasScheme.ETAS).value)
+             for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, QUAD_ANTENNAS)]
+    return _max_diff("factor-m-identity", pairs, EXACT_IDENTITY_TOL, "points, ")
 
 
 def check_single_antenna() -> CheckResult:
     """With one antenna every criterion selects the same antenna: the two
     closed forms must coincide over -30..40 dB. (O-TAS at M = 1 meets the
     B-TAS closed form in mc-vs-closed.)"""
-    worst = 0.0
-    for gb_db, ge_db in product(QUAD_GRID_DB, QUAD_GRID_DB):
-        scenario = _scenario(gb_db, ge_db, 1)
-        worst = max(worst, abs(asc(scenario, TasScheme.BTAS, Method.CLOSED).value
-                               - asc(scenario, TasScheme.ETAS, Method.CLOSED).value))
-    return CheckResult(
-        "single-antenna-degeneracy", worst <= EXACT_IDENTITY_TOL,
-        f"{len(QUAD_GRID_DB) ** 2} points at M=1, closed forms max |diff| = "
-        f"{worst:.3e} (tol {EXACT_IDENTITY_TOL:g})")
+    scenarios = [_scenario(gb_db, ge_db, 1)
+                 for gb_db, ge_db in product(QUAD_GRID_DB, QUAD_GRID_DB)]
+    pairs = [(asc(scenario, TasScheme.BTAS, Method.CLOSED).value,
+              asc(scenario, TasScheme.ETAS, Method.CLOSED).value)
+             for scenario in scenarios]
+    return _max_diff("single-antenna-degeneracy", pairs, EXACT_IDENTITY_TOL,
+                     "points at M=1, closed forms ")
 
 
 def run_verification(trials: int = 1_000_000, seed: int = 42,

@@ -25,10 +25,10 @@ def drop_last_antenna(monkeypatch):
     the gathered gains the other schemes select are left as they are."""
     snr_ratios = secrecy.snr_ratios
 
-    def faulty_snr_ratios(scenario, bob, eve, out=None):
+    def faulty_snr_ratios(scenario, bob, eve, out):
         if bob.ndim == 2:
             bob, eve = bob[:, :-1], eve[:, :-1]
-            out = None if out is None else tuple(o[:, :-1] for o in out)
+            out = tuple(o[:, :-1] for o in out)
         return snr_ratios(scenario, bob, eve, out)
 
     monkeypatch.setattr(secrecy, "snr_ratios", faulty_snr_ratios)
@@ -40,7 +40,7 @@ def scale_otas_ratios(monkeypatch, factor):
     other schemes select are left as they are."""
     snr_ratios = secrecy.snr_ratios
 
-    def scaled_snr_ratios(scenario, bob, eve, out=None):
+    def scaled_snr_ratios(scenario, bob, eve, out):
         ratios = snr_ratios(scenario, bob, eve, out)
         if bob.ndim == 2:
             ratios *= factor

@@ -5,12 +5,14 @@ trapezoid-in-ln-x code paths: the exponential-integral oracle is SciPy's
 adaptive Gauss-Kronrod (QUADPACK) quadrature of the defining integral
 (after the exact shift t = x + s so the integrand stays well scaled at large
 x), and the ASC oracle integrates the product-form integrand the same way.
+The low-SNR crossover limit needs no E1 at all.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 
 def scaled_e1_oracle(x: float) -> float:
@@ -30,6 +32,27 @@ def asc_integral_oracle(f_eve, sf_bob) -> float:
     value, _ = quad(lambda x: f_eve(x) * sf_bob(x) / (1.0 + x), 0.0, np.inf,
                     epsabs=1e-12, epsrel=1e-12, limit=500)
     return value / math.log(2.0)
+
+
+def low_snr_crossover_ratio(m: int) -> float:
+    """rho*(M): the ratio gamma_e0 / gamma_b0 at which the B-TAS and E-TAS
+    ASC cross as gamma_b0 -> 0 at a fixed ratio rho.
+
+    There C ~ (gamma_b0 / ln 2) (X - rho Y)^+, and for Y ~ Exp(1)
+    E[(X - rho Y)^+] = E[X] - rho (1 - L_X(1/rho)), with L_X the Laplace
+    transform of the selected legitimate gain X. B-TAS (X the max of M unit
+    exponentials, Y ~ Exp(1)) gives H_M - rho (1 - prod_k k rho / (k rho + 1));
+    E-TAS (X ~ Exp(1), Y the min of M) gives M / (M + rho). rho* is the root
+    of the difference, which is positive at rho = 1 and negative for large
+    rho when M >= 2; no term cancels.
+    """
+    harmonic = math.fsum(1.0 / k for k in range(1, m + 1))
+
+    def gap(rho):
+        laplace = math.prod(k * rho / (k * rho + 1.0) for k in range(1, m + 1))
+        return harmonic - rho * (1.0 - laplace) - m / (m + rho)
+
+    return brentq(gap, 1.0, 1e3, xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

@@ -400,7 +400,9 @@ def argmax_moments(scenario, bob, eve):
     """Chunk moments the way O-TAS was first computed: select the index,
     gather both links there, and take the clamped log of their SNR ratio."""
     with np.errstate(all="ignore"):
-        idx = np.argmax(snr_ratios(scenario, bob.copy(), eve.copy()), axis=1)
+        idx = np.argmax(snr_ratios(scenario, bob, eve,
+                                   out=(np.empty_like(bob), np.empty_like(eve))),
+                        axis=1)
         rows = np.arange(bob.shape[0])
         cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
                               scenario.gamma_e0 * eve[rows, idx])
