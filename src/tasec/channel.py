@@ -16,14 +16,23 @@ _UINT64_MAX = 2**64 - 1
 
 
 def require_positive(value: float, name: str) -> None:
+    """Reject all but a finite real `value` > 0; bools are not real here."""
+    if type(value) is float and 0.0 < value < math.inf:  # NaN fails too
+        return
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or value <= 0:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int that rounds past the largest double
+        finite = False
+    if not finite or value <= 0:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def require_int(value, name: str, low: int) -> int:
     """`value` as an int >= `low`: numpy integers pass, bools and floats do not."""
+    if type(value) is int and value >= low:
+        return value
     if isinstance(value, bool) or not hasattr(value, "__index__") \
             or operator.index(value) < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -92,4 +92,7 @@ def exp_scaled_e1(x: float) -> float:
 
 def delta_e(a: float, b: float) -> float:
     """exp(a) E1(a) - exp(b) E1(b); positive iff b > a, zero iff a == b."""
-    return exp_scaled_e1(a) - exp_scaled_e1(b)
+    require_positive(a, "a")
+    require_positive(b, "b")
+    return ((_e1_scaled_series(a) if a <= 1.0 else _e1_scaled_cf(a))
+            - (_e1_scaled_series(b) if b <= 1.0 else _e1_scaled_cf(b)))

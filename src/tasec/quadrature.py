@@ -41,7 +41,8 @@ def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
     T(h) = h sum_k g(k h) of g(t) = exp(t) f(exp(t)).
 
     `f` must evaluate elementwise on a 1-D numpy array, and is called once
-    per grid. Its argument x may be a read-only view of the node table that
+    per grid, inside the one np.errstate(all="ignore") each call enters.
+    Its argument x may be a read-only view of the node table that
     every call shares, so f must not write into x (numpy raises ValueError).
     `scale` is the largest x around which f rises or falls, such as the
     mean of its slowest exponential factor. The ends are first
@@ -67,37 +68,35 @@ def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
 
     def trapezoid(x, h):
         # A pole or an overflow inside f shows as an inf or NaN in the sum.
-        with np.errstate(all="ignore"):
-            g = x * np.asarray(f(x), dtype=float)
-        total = h * float(g.sum())
+        g = x * np.asarray(f(x), dtype=float)
+        total = h * float(np.add.reduce(g))
         if not math.isfinite(total):
             raise ConvergenceError("quadrature: the integrand is not finite")
         return g, total
 
-    h = _STEP
-    while True:
-        k0, k1 = math.ceil(lo / h), math.floor(hi / h)
-        g, total = trapezoid(_NODES[k0 + _K_MAX:k1 + _K_MAX + 1], h)
-        lo_open, hi_open = abs(g[0]) > share, abs(g[-1]) > share
-        if not (lo_open or hi_open):
-            break
-        if (lo_open and lo <= -_T_LIMIT) or (hi_open and hi >= _T_LIMIT):
-            raise ConvergenceError(
-                f"quadrature tolerance {abs_tol:.3e} not met: the integrand "
-                "does not vanish within the range of a double")
-        widen = 0.5 * (hi - lo)
-        lo = max(lo - widen, -_T_LIMIT) if lo_open else lo
-        hi = min(hi + widen, _T_LIMIT) if hi_open else hi
+    with np.errstate(all="ignore"):
+        h = _STEP
+        while True:
+            k0, k1 = math.ceil(lo / h), math.floor(hi / h)
+            g, total = trapezoid(_NODES[k0 + _K_MAX:k1 + _K_MAX + 1], h)
+            lo_open, hi_open = abs(g[0]) > share, abs(g[-1]) > share
+            if not (lo_open or hi_open):
+                break
+            if (lo_open and lo <= -_T_LIMIT) or (hi_open and hi >= _T_LIMIT):
+                raise ConvergenceError(
+                    f"quadrature tolerance {abs_tol:.3e} not met: the integrand "
+                    "does not vanish within the range of a double")
+            widen = 0.5 * (hi - lo)
+            lo = max(lo - widen, -_T_LIMIT) if lo_open else lo
+            hi = min(hi + widen, _T_LIMIT) if hi_open else hi
 
-    coarse = 2.0 * h * float(g[k0 % 2::2].sum())
-    t0, n = k0 * h, k1 - k0
-    while abs(total - coarse) > 0.5 * abs_tol:
-        if 2 * n + 1 > _MAX_NODES:
-            raise ConvergenceError(f"quadrature tolerance {abs_tol:.3e} not met "
-                                   f"within {_MAX_NODES} nodes")
-        with np.errstate(under="ignore"):
-            mid_nodes = np.exp(t0 + (np.arange(n) + 0.5) * h)
-        _, mid = trapezoid(mid_nodes, 0.5 * h)
-        coarse, total = total, 0.5 * total + mid
-        h, n = 0.5 * h, 2 * n
+        coarse = 2.0 * h * float(np.add.reduce(g[k0 % 2::2]))
+        t0, n = k0 * h, k1 - k0
+        while abs(total - coarse) > 0.5 * abs_tol:
+            if 2 * n + 1 > _MAX_NODES:
+                raise ConvergenceError(f"quadrature tolerance {abs_tol:.3e} not met "
+                                       f"within {_MAX_NODES} nodes")
+            _, mid = trapezoid(np.exp(t0 + (np.arange(n) + 0.5) * h), 0.5 * h)
+            coarse, total = total, 0.5 * total + mid
+            h, n = 0.5 * h, 2 * n
     return total

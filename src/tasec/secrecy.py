@@ -361,7 +361,9 @@ def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
     f_eve, sf_bob = link_laws(scheme, scenario)
 
     def integrand(x):
-        return f_eve(x) * sf_bob(x) / (1.0 + x)
+        y, sf = f_eve(x), sf_bob(x)  # F_E (1 - F_B) / (1 + x) in their arrays
+        y *= sf
+        return np.divide(y, np.add(x, 1.0, out=sf), out=y)
 
     value = integrate_half_line(integrand,
                                 scale=link_scale(scheme, scenario)) / _LN2

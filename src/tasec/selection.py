@@ -71,25 +71,38 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
 
 # ----------------------------------------------------------------------------
 # Gain CDFs: single link and the max/min order statistics of M i.i.d. links,
-# each stated once as a vectorized kernel that link_laws evaluates.
+# each stated once as a vectorized kernel that link_laws evaluates. Each
+# kernel's first step makes one array (`_own`), and the rest run in it;
+# x / -beta is -x / beta to the bit.
 # ----------------------------------------------------------------------------
 
+def _own(y):
+    """A ufunc's result as an array: a numpy scalar becomes a 0-d array."""
+    return y if type(y) is np.ndarray else np.array(y)
+
+
 def _cdf_exp(x, beta):
-    return -np.expm1(-x / beta)
+    y = _own(np.divide(x, -beta))
+    return np.negative(np.expm1(y, out=y), out=y)
 
 
 def _sf_exp(x, beta):
-    return np.exp(-x / beta)
+    y = _own(np.divide(x, -beta))
+    return np.exp(y, out=y)
 
 
 def _sf_max(x, beta, m):
     # 1 - (1 - exp(-x/beta))^m without cancellation in the deep tail.
-    with np.errstate(divide="ignore"):
-        return -np.expm1(m * np.log1p(-np.exp(-x / beta)))
+    y = _own(np.divide(x, -beta))
+    with np.errstate(divide="ignore"):  # log1p(-1) at x = 0
+        np.log1p(np.negative(np.exp(y, out=y), out=y), out=y)
+    y *= m
+    return np.negative(np.expm1(y, out=y), out=y)
 
 
 def _cdf_min(x, beta, m):
-    return -np.expm1(-(m / beta) * x)
+    y = _own(np.multiply(x, -(m / beta)))
+    return np.negative(np.expm1(y, out=y), out=y)
 
 
 def link_laws(scheme: TasScheme, scenario: Scenario):

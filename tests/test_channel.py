@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import operator
+
 from tasec import secrecy
-from tasec.channel import RngStream, Scenario, draw_gain_blocks
+from tasec.channel import (RngStream, Scenario, draw_gain_blocks, require_int,
+                           require_positive)
+from tasec.expint import exp_scaled_e1
 
 from oracles import ks_statistic
 
@@ -35,6 +39,56 @@ def test_scenario_validation():
             Scenario(gamma_b0, gamma_e0, m)
     Scenario(1e-300, 1e-300, 64)
     Scenario(1e-307, 1.0, 8)
+
+
+def test_an_int_past_the_largest_double_is_not_finite():
+    # math.isfinite(10**400) raises OverflowError; the check names the rule
+    with pytest.raises(ValueError, match="gamma_b0 must be finite and > 0"):
+        Scenario(10**400, 1.0, 1)
+    with pytest.raises(ValueError, match="x must be finite and > 0"):
+        exp_scaled_e1(10**400)
+    # an int that rounds to the largest double is still accepted
+    require_positive(int(np.finfo(float).max) + 1, "x")
+
+
+def _checks_before_fast_paths():
+    """require_positive and require_int as they were before their fast paths."""
+    def positive(value, name):
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+    def integer(value, name, low):
+        if isinstance(value, bool) or not hasattr(value, "__index__") \
+                or operator.index(value) < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        return operator.index(value)
+
+    return positive, integer
+
+
+def _outcome(check, *args):
+    try:
+        result = check(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return type(result), result
+
+
+CHECKED_INPUTS = [2.5, 1e-300, 1.7976931348623157e308, 3, 0, -1, 10**30,
+                  np.float64(2.5), np.float64(0.0), np.float32(2.5), np.int64(3),
+                  np.int64(0), np.uint8(1), True, False, float("nan"),
+                  float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -5e-324, "1.0",
+                  None, 1 + 0j]
+
+
+@pytest.mark.parametrize("value", CHECKED_INPUTS, ids=repr)
+def test_fast_paths_accept_and_reject_as_before(value):
+    positive, integer = _checks_before_fast_paths()
+    assert _outcome(require_positive, value, "v") == _outcome(positive, value, "v")
+    for low in (0, 1, 2):
+        assert _outcome(require_int, value, "v", low) == _outcome(integer, value, "v", low)
 
 
 def test_rng_stream_validation():

@@ -550,17 +550,45 @@ def test_verify_mc_vs_closed_covers_otas_at_one_antenna(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_verify_with_few_trials_never_raises(seed, capsys):
-    # At 100 trials every capacity at (0, 20) dB can be 0: a standard error
-    # of 0 is a named failure where the value misses the closed form, not a
-    # division by zero.
+    # At 100 trials every capacity at (0, 20) dB can be 0. No point expects
+    # 1,000 positive capacities, so mc-vs-closed compares none of them; a
+    # standard error of 0 would otherwise be a named failure, not a
+    # division by zero (next test).
     code, out, _ = run_cli(["verify", "--trials", "100", "--seed", str(seed)], capsys)
     lines = out.strip().splitlines()
-    assert code in (0, 1)
-    assert len(lines) == 6 and lines[-1].endswith("checks passed")
+    assert code == 0
+    assert len(lines) == 6 and lines[-1].endswith("5/5 checks passed")
     assert "raised" not in out
+    assert lines[1].endswith("(limit 4); under-sampled: 45 points")
     for line in lines[:-1]:
         if "inf sigma" in line:
             assert line.startswith("FAIL") and "std_error 0 off the reference at" in line
+
+
+def test_verify_skips_only_under_sampled_points():
+    from tasec.verification import (MC_ANTENNAS, MC_GRID_DB, MC_MIN_POSITIVE,
+                                    _positive_share, _scenario)
+
+    # P(C > 0): 1/(1 + rho) at M = 1, and the B-TAS product is 1 minus the
+    # alternating sum sum_k C(M, k) (-1)^k / (1 + k rho), here at M = 2
+    rho = 10.0
+    one = _scenario(0.0, 10.0, 1)
+    assert _positive_share(TasScheme.BTAS, one) == pytest.approx(1.0 / (1.0 + rho))
+    two = _scenario(0.0, 10.0, 2)
+    assert _positive_share(TasScheme.BTAS, two) \
+        == pytest.approx(1.0 - (1.0 - 2.0 / (1.0 + rho) + 1.0 / (1.0 + 2.0 * rho)))
+    assert _positive_share(TasScheme.ETAS, two) == pytest.approx(2.0 / (2.0 + rho))
+    # At the default 1e6 trials the fewest expected is 1e6/101, so no point
+    # is skipped and the output is as before the rule
+    fewest = min(1_000_000 * _positive_share(scheme, _scenario(gb, ge, m))
+                 for gb in MC_GRID_DB for ge in MC_GRID_DB for m in MC_ANTENNAS
+                 for scheme in (TasScheme.BTAS, TasScheme.ETAS))
+    assert fewest == pytest.approx(1e6 / 101) and fewest > MC_MIN_POSITIVE
+    # At 20,000 trials the four points at (0, 20) dB with fewer than 1,000
+    # expected positive capacities are skipped; the 41 others are compared
+    detail = run_verification(20000, 42)[1].detail
+    assert detail.startswith("45 points x 20000 trials")
+    assert detail.endswith("; under-sampled: 4 points")
 
 
 def test_verify_zero_standard_error_counts_as_zero_sigma_on_equal_values():
@@ -592,6 +620,8 @@ _CROSSOVER_HEADER = "gamma_b0_db,M,crossover_ratio_db,residual"
 # The exact stdout of the scalar routes, frozen from version 0.4.0 before
 # the E1 coefficient tables and the quadrature node table. Both are meant
 # to leave every double as it was, so a speed-up that moves a digit fails.
+# The quadrature rows at (10, 10) dB and the B-TAS hand-over at M = 64 were
+# frozen from version 0.8.0, before the in-place link-law kernels.
 PINNED_STDOUT = {
     "btas-closed": (["asc", "--scheme", "btas", "--method", "closed", *_ASC_POINT],
                     _ASC_HEADER, "btas,closed,10,10,8,1.8448141502078137,,"),
@@ -603,6 +633,15 @@ PINNED_STDOUT = {
     "btas-quad-top": (["asc", "--scheme", "btas", "--method", "quad",
                        "--gamma-b-db", "3000", "--gamma-e-db", "0", "-M", "64"],
                       _ASC_HEADER, "btas,quad,3000,0,64,997.9161121057773,,"),
+    "etas-quad": (["asc", "--scheme", "etas", "--method", "quad", *_ASC_POINT],
+                  _ASC_HEADER, "etas,quad,10,10,8,1.9832632327215602,,"),
+    "btas-quad": (["asc", "--scheme", "btas", "--method", "quad", *_ASC_POINT],
+                  _ASC_HEADER, "btas,quad,10,10,8,1.8448141502077824,,"),
+    "random-quad": (["asc", "--scheme", "random", "--method", "quad", *_ASC_POINT],
+                    _ASC_HEADER, "random,quad,10,10,8,0.75206797689791505,,"),
+    "btas-closed-hand-over": (["asc", "--scheme", "btas", "--method", "closed", "-M", "64",
+                               "--gamma-b-db", "-30", "--gamma-e-db", "10"],
+                              _ASC_HEADER, "btas,quad,-30,10,64,1.7342417988177538e-06,,"),
     "crossover-low": (["crossover", "--gamma-b-db", "-90", "-M", "64"], _CROSSOVER_HEADER,
                       "-90,64,10.989372123333622,-2.386979502944115e-14"),
     "crossover-10db": (["crossover", "--gamma-b-db", "10", "-M", "8"], _CROSSOVER_HEADER,

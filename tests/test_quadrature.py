@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from tasec.errors import ConvergenceError
 from tasec.experiments import db_to_linear
 from tasec.quadrature import integrate_half_line
 from tasec.secrecy import Method, asc_btas_closed, asc_etas_closed, asc_quadrature
-from tasec.selection import TasScheme
+from tasec.selection import TasScheme, link_scale
+from tasec.verification import QUAD_GRID_DB
 
 
 def test_half_line_exponential():
@@ -212,3 +214,53 @@ def test_tolerance_below_the_smallest_node():
     # node, where the integrand has not vanished
     with pytest.raises(ConvergenceError, match="range of a double"):
         integrate_half_line(lambda x: np.exp(-x), abs_tol=1e-310)
+
+
+def _out_of_place_integrand(scheme, scenario):
+    """asc_quadrature's integrand as it was before the in-place link-law
+    kernels: each law's expression verbatim, then F_E (1 - F_B) / (1 + x)."""
+    gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
+
+    def cdf_exp(x, beta):
+        return -np.expm1(-x / beta)
+
+    def sf_exp(x, beta):
+        return np.exp(-x / beta)
+
+    def sf_max(x, beta, m):
+        with np.errstate(divide="ignore"):
+            return -np.expm1(m * np.log1p(-np.exp(-x / beta)))
+
+    def cdf_min(x, beta, m):
+        return -np.expm1(-(m / beta) * x)
+
+    f_eve, sf_bob = {
+        TasScheme.BTAS: (lambda x: cdf_exp(x, ge), lambda x: sf_max(x, gb, m)),
+        TasScheme.ETAS: (lambda x: cdf_min(x, ge, m), lambda x: sf_exp(x, gb)),
+        TasScheme.RANDOM: (lambda x: cdf_exp(x, ge), lambda x: sf_exp(x, gb)),
+    }[scheme]
+    return lambda x: f_eve(x) * sf_bob(x) / (1.0 + x)
+
+
+@pytest.mark.parametrize("scheme", [TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM])
+def test_asc_quadrature_matches_the_out_of_place_integrand(scheme):
+    # The whole route, to the bit, against the old integrand on the old
+    # integrator, over -30..40 dB and M up to 64
+    for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, (1, 2, 8, 64)):
+        scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
+        reference = _exp_grid_integrate(_out_of_place_integrand(scheme, scenario),
+                                        scale=link_scale(scheme, scenario))
+        assert asc_quadrature(scenario, scheme).value \
+            == max(0.0, reference / math.log(2.0)), (gb_db, ge_db, m)
+
+
+@pytest.mark.parametrize("state", [{}, {"all": "raise"}, {"over": "warn", "under": "raise"}])
+def test_asc_quadrature_leaves_the_floating_point_state(state):
+    with np.errstate(**state):
+        before = np.geterr()
+        asc_quadrature(Scenario(10.0, 10.0, 8), TasScheme.BTAS)
+        assert np.geterr() == before
+        # the tail has not vanished at the largest double
+        with pytest.raises(ConvergenceError):
+            asc_quadrature(Scenario(db_to_linear(3080.0), 1.0, 32), TasScheme.BTAS)
+        assert np.geterr() == before

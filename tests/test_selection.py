@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,20 @@ def test_link_laws_are_the_public_cdfs(scheme, scenario):
     rounded = (bob_cdf == 1.0) & (x <= 700.0 * gb)
     assert rounded.any()
     assert np.all(sf[rounded] > 0.0)
+
+
+@pytest.mark.parametrize("scenario", LAW_SCENARIOS + [Scenario(1e300, 1e-300, 2)],
+                         ids=repr)
+def test_link_laws_raise_no_warning_at_zero_and_subnormal_x(scenario):
+    # At x = 0, and at 5e-324 under gamma_b0 = 1e300, the B-TAS survival
+    # takes log1p(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM):
+            f_eve, sf_bob = link_laws(scheme, scenario)
+            for x in (0.0, 5e-324, np.array([0.0, 5e-324])):
+                assert np.all(f_eve(x) >= 0.0) and np.all(sf_bob(x) <= 1.0)
+            assert f_eve(0.0) == 0.0 and sf_bob(0.0) == 1.0
 
 
 def test_link_laws_reject_otas():
