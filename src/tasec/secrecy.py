@@ -22,8 +22,9 @@ scenario of one antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme,
 one-scenario case).
 One kernel, `_ratio_capacities`, gives each realization's capacity to MC
 and, through `_capacities`, to the self-checks. O-TAS needs no selected
-index: its capacity is [log2 max_i R_i]^+ over the per-antenna SNR ratios
-R_i (`snr_ratios`).
+index: its capacity is log2 max(1, max_i R_i) over the per-antenna SNR
+ratios R_i (`snr_ratios`). A link whose reference SNR every scenario shares
+is folded into the gains once per chunk, not once per scenario.
 """
 
 import math
@@ -42,7 +43,7 @@ from .channel import RngStream, Scenario, draw_gain_blocks, require_int
 from .errors import UnsupportedSchemeError
 from .expint import delta_e
 from .quadrature import integrate_half_line
-from .selection import TasScheme, link_laws, link_scale, select_indices, snr_ratios
+from .selection import TasScheme, fold_gains, link_laws, link_scale, select_indices, snr_ratios
 
 _LN2 = math.log(2.0)
 
@@ -51,9 +52,10 @@ _LN2 = math.log(2.0)
 # in cache, and short runs still split into several chunks for the workers.
 MC_CHUNK_SIZE = 16_384
 
-# Gains per tile in which `_ratio_capacities` forms SNR ratios out of place.
-# The two tiles, 256 KiB, stay in L2 while the running maximum reads them,
-# and are few enough per chunk that numpy's per-call cost stays small.
+# Gains per tile in which `_ratio_capacities` forms SNR ratios out of place
+# in two scratch arrays, or twice as many in one when a side is folded: 256
+# KiB, which stays in L2 (4 MiB) while the running maximum reads it, in few
+# enough tiles per chunk that numpy's per-call cost stays small.
 _TILE_ELEMENTS = 16_384
 
 # Largest rounding-error bound a B-TAS closed-form value may carry; past it
@@ -149,9 +151,9 @@ def _chunk_layout(trials: int) -> list[tuple[int, int]]:
 def _selected_gains(scheme: TasScheme, scenario: Scenario, bob: np.ndarray,
                     eve: np.ndarray, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """The gains each realization's capacity is taken at, from (count, M)
-    blocks, which are left untouched: the blocks themselves for O-TAS, whose
-    capacity is the largest over the antennas, else the 1-D gains at the
-    antenna `scheme` selects (random consumes `stream`)."""
+    blocks: the blocks themselves for O-TAS, whose capacity is the largest
+    over the antennas, else new 1-D copies of the gains at the antenna
+    `scheme` selects (random consumes `stream`)."""
     if scheme is TasScheme.OTAS:
         return bob, eve
     idx = select_indices(scheme, scenario, bob, eve, rng=stream)
@@ -159,35 +161,45 @@ def _selected_gains(scheme: TasScheme, scenario: Scenario, bob: np.ndarray,
     return bob.take(idx), eve.take(idx)
 
 
+def _shared_side(scenarios: tuple[Scenario, ...]) -> tuple[str | None, float | None]:
+    """The link whose reference SNR every scenario shares, "eve" before
+    "bob", and that SNR; (None, None) if neither is shared."""
+    for side, gammas in (("eve", {s.gamma_e0 for s in scenarios}),
+                         ("bob", {s.gamma_b0 for s in scenarios})):
+        if len(gammas) == 1:
+            return side, gammas.pop()
+    return None, None
+
+
 def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
-                      out: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
-                      ) -> np.ndarray:
+                      out: np.ndarray, scratch: np.ndarray,
+                      folded: str | None = None) -> np.ndarray:
     """Each realization's secrecy capacity at `scenario`'s SNRs, from the
-    gains `_selected_gains` returns: log2 of the largest SNR ratio in a row
-    of 2-D gains (the one ratio of 1-D gains), clamped at 0, written to and
-    returned as `out`.
+    gains `_selected_gains` returns, the `folded` side already 1 + gamma0 g
+    (`snr_ratios`): log2 of the largest of 1 and the SNR ratios in a row of
+    2-D gains (the one ratio of 1-D gains), written to and returned as `out`.
 
     The gains are left as they are, for the next scenario: `snr_ratios`
-    forms the ratios of at most _TILE_ELEMENTS gains at a time out of place,
-    in the heads of the two flat `scratch` buffers, and each row's largest
-    ratio is a running maximum over the tile's columns (an axis-1 reduce is
-    slow on rows this short). That is the ratio at the argmax, with the
-    same float operations, and a NaN ratio wins it.
+    forms the ratios a tile at a time out of place in the flat `scratch`,
+    of at least 2 * max(_TILE_ELEMENTS, M) elements, and each row's largest
+    is a running maximum over the tile's columns from 1 (an axis-1 reduce
+    is slow on rows this short). That is the ratio at the argmax, with the
+    same float operations, or 1 where log2 would clamp at 0; a NaN wins it.
     """
     count = len(bob)
-    step = max(1, _TILE_ELEMENTS // (bob.size // count))
+    arrays = 1 if folded else 2  # scratch arrays per tile
+    step = max(1, 2 * _TILE_ELEMENTS // arrays // (bob.size // count))
     for start in range(0, count, step):
         rows = slice(start, start + step)
         part = bob[rows]
-        tiles = tuple(b[:part.size].reshape(part.shape) for b in scratch)
-        ratios = snr_ratios(scenario, part, eve[rows], out=tiles)
+        tiles = scratch[:arrays * part.size].reshape(arrays, *part.shape)
+        ratios = snr_ratios(scenario, part, eve[rows], out=tuple(tiles), folded=folded)
         ratios = ratios.reshape(len(ratios), -1)
         ratio = out[rows]
-        np.copyto(ratio, ratios[:, 0])
+        np.maximum(ratios[:, 0], 1.0, out=ratio)
         for column in ratios.T[1:]:
             np.maximum(ratio, column, out=ratio)
-    np.log2(out, out=out)
-    return np.maximum(0.0, out, out=out)
+    return np.log2(out, out=out)
 
 
 def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
@@ -197,29 +209,28 @@ def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
     the selection and capacity kernels of a Monte Carlo chunk at one
     scenario (random consumes `stream`)."""
     gains = _selected_gains(scheme, scenario, bob, eve, stream)
-    scratch = (np.empty(_TILE_ELEMENTS), np.empty(_TILE_ELEMENTS))
+    scratch = np.empty(2 * max(_TILE_ELEMENTS, bob.shape[1]))
     return _ratio_capacities(scenario, *gains, np.empty(len(bob)), scratch)
 
 
-# Pairs of flat buffers that no chunk is using. They outlive the chunks and
-# the Monte Carlo calls, and so the worker threads, which live for one call.
-# There are as many pairs as chunks that ever ran at once, each
-# 2 * (MC_CHUNK_SIZE * M + _TILE_ELEMENTS) * 8 bytes at most: a chunk's gain
-# blocks, then the tile scratch of `_ratio_capacities`. list.pop and list.append
-# are atomic, so no two chunks use the same pair.
-_idle_buffers: list[tuple[np.ndarray, np.ndarray]] = []
+# Flat buffers that no chunk is using. They outlive the chunks and the Monte
+# Carlo calls, and so the worker threads, which live for one call. There are
+# as many as chunks that ever ran at once, each 16 * (MC_CHUNK_SIZE * M +
+# max(_TILE_ELEMENTS, M)) bytes at most: a chunk's two gain blocks, then the
+# tile scratch of `_ratio_capacities`. list.pop and list.append are atomic,
+# so no two chunks use the same buffer.
+_idle_buffers: list[np.ndarray] = []
 
 
-def _take_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """An idle pair of flat buffers of at least `n` elements each; a smaller
-    one is dropped for a new pair."""
+def _take_buffer(n: int) -> np.ndarray:
+    """An idle flat buffer of at least `n` elements; a smaller one is dropped."""
     try:
-        pair = _idle_buffers.pop()
+        buffer = _idle_buffers.pop()
     except IndexError:
-        pair = None
-    if pair is None or pair[0].size < n:
-        pair = (np.empty(n), np.empty(n))
-    return pair
+        buffer = None
+    if buffer is None or buffer.size < n:
+        buffer = np.empty(n)
+    return buffer
 
 
 def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ...],
@@ -228,32 +239,41 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
     """Secrecy-capacity sample moments (n, mean, sum of squared deviations)
     of one chunk at each (scheme, scenario) pair of `schemes` x `scenarios`,
     scheme-major; the scenarios share one antenna count. The chunk is drawn
-    once, from the substream derived for `index`, into an idle pair of
-    buffers (the blocks used are the ones the draw returns), then selected
-    once per scheme; only random consumes the substream, after the draw.
-    Capacities are reduced in place in one buffer, with the same float
-    operations as np.sum((cs - mean) ** 2). A gamma0 g that overflows a
-    double gives an inf or NaN mean, which mc_asc_curve reports; no
-    floating-point warning is raised."""
+    once, from the substream derived for `index`, into an idle buffer (the
+    blocks used are the ones the draw returns), then selected once per
+    scheme; only random consumes the substream, after the draw. The link
+    `_shared_side` names is folded to 1 + gamma0 g in place, once a scheme:
+    in its 1-D copies, or in the drawn blocks for O-TAS, which runs last,
+    when every other scheme has selected on them. Capacities are reduced
+    in place in one array, with the same float operations as
+    np.sum((cs - mean) ** 2). A gamma0 g that overflows a double gives an
+    inf or NaN mean, which mc_asc_curve reports; no floating-point warning
+    is raised."""
     stream = rng.substream(index)
-    block = size * scenarios[0].num_antennas
-    pair = _take_buffers(block + _TILE_ELEMENTS)
+    m = scenarios[0].num_antennas
+    block = size * m
+    buffer = _take_buffer(2 * (block + max(_TILE_ELEMENTS, m)))
     bob, eve = draw_gain_blocks(scenarios[0], stream, size,
-                                out=tuple(b[:block].reshape(size, -1) for b in pair))
-    scratch = tuple(b[block:] for b in pair)
-    moments, cs = [], np.empty(size)
+                                out=tuple(buffer[:2 * block].reshape(2, size, m)))
+    scratch = buffer[2 * block:]
+    folded, gamma0 = _shared_side(scenarios)
+    moments, cs = {}, np.empty(size)
     with np.errstate(all="ignore"):
-        for scheme in schemes:
+        for scheme in sorted(schemes, key=lambda s: s is TasScheme.OTAS):
             gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
+            if folded:
+                side = gains[1] if folded == "eve" else gains[0]
+                fold_gains(side, gamma0, out=side)
+            moments[scheme] = []
             for scenario in scenarios:
-                _ratio_capacities(scenario, *gains, cs, scratch)
+                _ratio_capacities(scenario, *gains, cs, scratch, folded)
                 mean = float(cs.mean())
                 cs -= mean
                 cs *= cs
-                moments.append((size, mean, float(cs.sum())))
+                moments[scheme].append((size, mean, float(cs.sum())))
             del gains  # freed before the next scheme selects
-    _idle_buffers.append(pair)
-    return moments
+    _idle_buffers.append(buffer)
+    return [moment for scheme in schemes for moment in moments[scheme]]
 
 
 def _usable_cpus() -> int:
@@ -289,9 +309,11 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
     index, and each estimate's moments merge in chunk order, so the
     estimates do not depend on `threads`. At most `threads` workers run,
     and never more than there are chunks or CPUs this process may use.
-    Their gain buffers stay pooled for the life of the process: one pair per
+    Their gain buffers stay pooled for the life of the process: one per
     chunk that ever ran at once, each 16 * MC_CHUNK_SIZE * (M + 1) bytes for
-    the largest M it served. One 2-worker call at M = 64 leaves 32.5 MiB held.
+    the largest M it served (M <= 16,384). One 2-worker call at M = 64 leaves
+    32.5 MiB held. A link whose reference SNR every scenario shares is
+    folded into the gains once per chunk, not once per scenario.
     ValueError is raised at the top of the dB range, where a drawn gamma0*g
     overflows a double and a mean is not finite; it names the first such
     scheme, in the order given, and its first such scenario.

@@ -29,23 +29,31 @@ class TasScheme(str, Enum):
     RANDOM = "random"
 
 
+def fold_gains(gains: np.ndarray, gamma0: float, out: np.ndarray) -> np.ndarray:
+    """1 + gamma0 g, a link's SNR term of `snr_ratios`, written to and
+    returned as `out`, which may be `gains` itself."""
+    np.multiply(gains, gamma0, out=out)
+    out += 1.0
+    return out
+
+
 def snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray,
-               out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+               out: tuple[np.ndarray, ...], folded: str | None = None) -> np.ndarray:
     """Per-antenna SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E), whose
     log2 is the instantaneous secrecy capacity before its clamp at 0.
 
-    Computed without temporaries in `out=(bob_out, eve_out)`, two float
-    arrays of the gains' shape; the gains are left untouched, and `bob_out`
-    is returned. A gamma0 g that overflows a double gives an inf or NaN
-    ratio, or a ratio of 0.
+    Computed without temporaries in `out=(bob_out, eve_out)`, arrays of the
+    gains' shape, and returned as `out[0]`; the gains are left untouched. A
+    side `folded`, "bob" or "eve", already holds 1 + gamma0 g (`fold_gains`)
+    and takes no `out` array. A gamma0 g that overflows a double gives an
+    inf or NaN ratio, or a ratio of 0.
     """
-    bob, eve = out
-    np.multiply(bob_gains, scenario.gamma_b0, out=bob)
-    bob += 1.0
-    np.multiply(eve_gains, scenario.gamma_e0, out=eve)
-    eve += 1.0
-    bob /= eve
-    return bob
+    tiles = iter(out)
+    bob = (bob_gains if folded == "bob"
+           else fold_gains(bob_gains, scenario.gamma_b0, next(tiles)))
+    eve = (eve_gains if folded == "eve"
+           else fold_gains(eve_gains, scenario.gamma_e0, next(tiles)))
+    return np.divide(bob, eve, out=out[0])
 
 
 def select_indices(scheme: TasScheme, scenario: Scenario,

@@ -657,6 +657,86 @@ def test_scalar_stdout_is_pinned(name, capsys):
     assert out == f"{header}\n{row}\n"
 
 
+_ALL_SCHEMES = ["--scheme", "otas", "--scheme", "btas", "--scheme", "etas",
+                "--scheme", "random"]
+
+# The exact stdout of three small Monte Carlo sweeps, frozen from version
+# 0.9.0 before the reduction folded the link every grid point shares into
+# the gains: a gamma-b sweep shares gamma_e0 (20,000 trials, one full chunk
+# and a partial one), a gamma-e or ratio sweep shares gamma_b0.
+PINNED_SWEEP_STDOUT = {
+    "gamma-b-otas": (
+        ["sweep", "--swept", "gamma-b", "--from-db", "0", "--to-db", "30",
+         "--points", "3", "--gamma-e-db", "10", "-M", "2", "-M", "8",
+         "--scheme", "otas", "--trials", "20000", "--seed", "7"],
+        """\
+0,0,10,2,otas,mc,0.10385457122509521,0.0021494704912247099,20000
+0,0,10,8,otas,mc,0.37246273357812854,0.0036451672628005122,20000
+15,15,10,2,otas,mc,2.6184961957041728,0.010779680905061336,20000
+15,15,10,8,otas,mc,4.2380172182666653,0.0076284059647365177,20000
+30,30,10,2,otas,mc,7.4843674922785928,0.011845533731376806,20000
+30,30,10,8,otas,mc,9.1888029546805718,0.0077149396985868946,20000
+"""),
+    "gamma-e-overlay": (
+        ["sweep", "--swept", "gamma-e", "--from-db", "-10", "--to-db", "20",
+         "--points", "2", "--gamma-b-db", "10", "-M", "4", *_ALL_SCHEMES,
+         "--mc-overlay", "--trials", "5000", "--seed", "3"],
+        """\
+-10,10,-10,4,btas,closed,4.1105682457723018,,
+-10,10,-10,4,btas,mc,4.1042337502391124,0.011147568717896308,5000
+-10,10,-10,4,etas,closed,2.8713928711252796,,
+-10,10,-10,4,etas,mc,2.8413843313934826,0.018368065525997037,5000
+-10,10,-10,4,otas,mc,4.1108962825804625,0.011079432416721817,5000
+-10,10,-10,4,random,mc,2.7722647459011154,0.018612443288887906,5000
+20,10,20,4,btas,closed,0.24007975920323688,,
+20,10,20,4,btas,mc,0.23106564090434153,0.0097116640904653957,5000
+20,10,20,4,etas,closed,0.37720366205837402,,
+20,10,20,4,etas,mc,0.37365345226528446,0.011519868854896463,5000
+20,10,20,4,otas,mc,0.39689389807881209,0.011636327907218649,5000
+20,10,20,4,random,mc,0.11160112672824229,0.0065114210924963004,5000
+"""),
+    "ratio-normalized-overlay": (
+        ["sweep", "--swept", "ratio", "--from-db", "-10", "--to-db", "20",
+         "--points", "2", "--gamma-b-db", "5", "-M", "2", "-M", "16", *_ALL_SCHEMES,
+         "--mc-overlay", "--normalize-otas", "--trials", "3000", "--seed", "11"],
+        """\
+-10,5,-5,2,btas,closed,0.97131779356218306,,
+-10,5,-5,2,btas,mc,0.98802169312406063,0.0082233495020798842,3000
+-10,5,-5,2,etas,closed,0.77236308735027026,,
+-10,5,-5,2,etas,mc,0.78181968561810178,0.008996492106115736,3000
+-10,5,-5,2,otas,mc,1,0.0080548891882870465,3000
+-10,5,-5,2,random,mc,0.72465267880058681,0.0090504358660056933,3000
+-10,5,-5,16,btas,closed,0.97745588651823556,,
+-10,5,-5,16,btas,mc,0.97954962725982242,0.0031441981960965396,3000
+-10,5,-5,16,etas,closed,0.5308960440650331,,
+-10,5,-5,16,etas,mc,0.53120780084679542,0.0056630819737909181,3000
+-10,5,-5,16,otas,mc,1,0.0027939194508857569,3000
+-10,5,-5,16,random,mc,0.43377103572111358,0.0056313351611880095,3000
+20,5,25,2,btas,closed,0.77936047135757502,,
+20,5,25,2,btas,mc,0.81906465979213416,0.14463133698048897,3000
+20,5,25,2,etas,closed,0.96575950270046484,,
+20,5,25,2,etas,mc,1,0.15492165720419912,3000
+20,5,25,2,otas,mc,1,0.15492165720419912,3000
+20,5,25,2,random,mc,0.50145077180032349,0.10621241842631633,3000
+20,5,25,16,btas,closed,0.25295137410208896,,
+20,5,25,16,btas,mc,0.26849836400521299,0.033111450603662169,3000
+20,5,25,16,etas,closed,0.88422438268757431,,
+20,5,25,16,etas,mc,0.95783325826413646,0.056051783937512291,3000
+20,5,25,16,otas,mc,1,0.056899986946000111,3000
+20,5,25,16,random,mc,0.052925519257014102,0.013270636930135448,3000
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEP_STDOUT))
+def test_monte_carlo_sweep_stdout_is_pinned(name, capsys):
+    args, rows = PINNED_SWEEP_STDOUT[name]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert out == ",".join(SWEEP_CSV_HEADER) + "\n" + rows
+
+
+
 # ----------------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------------

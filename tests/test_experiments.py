@@ -12,6 +12,7 @@ from tasec.experiments import (SweepRow, SweepSpec, SweptParameter,
 from tasec.secrecy import MC_CHUNK_SIZE, asc_btas_closed, asc_etas_closed, mc_asc_curve
 from tasec.selection import TasScheme
 
+from faults import scale_otas_ratios
 from oracles import low_snr_crossover_ratio
 
 # Crossover ratios gamma_e0/gamma_b0 [dB] for M=8, frozen from a bisection
@@ -329,6 +330,18 @@ def test_sweep_errors_name_the_failing_point():
                        normalize_to_otas=True)
     with pytest.raises(DegenerateNormalizationError, match="swept=-1.0 dB, M=2"):
         run_sweep(spec)
+
+
+@pytest.mark.parametrize("swept, start_db", [("gamma-b", 0.0), ("ratio", -10.0)])
+def test_scaled_otas_ratios_move_the_sweep_rows(swept, start_db, monkeypatch):
+    # the fault hook reaches the O-TAS rows of a curve that shares gamma_e0
+    # (gamma-b) and of one that shares gamma_b0 (ratio)
+    spec = SweepSpec(swept, start_db, start_db + 20.0, 3, 10.0, (4,),
+                     (TasScheme.OTAS,), mc_trials=100_000, seed=8)
+    healthy = run_sweep(spec)
+    scale_otas_ratios(monkeypatch, 1.05)
+    for good, bad in zip(healthy, run_sweep(spec), strict=True):
+        assert bad.asc - good.asc > 6.0 * good.std_error
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from tasec import secrecy
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            _chunk_moments, asc, asc_btas_closed, asc_etas_closed,
                            asc_quadrature, mc_asc, mc_asc_curve, secrecy_capacity)
-from tasec.selection import TasScheme, snr_ratios
+from tasec.selection import TasScheme, select_indices, snr_ratios
 
 from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains
 from oracles import asc_integral_oracle
@@ -472,10 +472,10 @@ def test_reused_buffers_match_new_arrays_across_calls(monkeypatch):
         est = mc_asc(scenario, TasScheme.OTAS, trials, RngStream(77, m))
         assert (repr(est.value), repr(est.std_error)) == argmax_estimate(
             scenario, trials, RngStream(77, m))
-    # one thread drew every chunk into the one pair the first chunk grew:
-    # its gain blocks, then the tile scratch of the capacities
-    size = 64 * MC_CHUNK_SIZE + secrecy._TILE_ELEMENTS
-    assert [(b.size, e.size) for b, e in secrecy._idle_buffers] == [(size, size)]
+    # one thread drew every chunk into the one buffer the first chunk grew:
+    # its two gain blocks, then the tile scratch of the capacities
+    size = 2 * (64 * MC_CHUNK_SIZE + secrecy._TILE_ELEMENTS)
+    assert [b.size for b in secrecy._idle_buffers] == [size]
 
 
 def test_concurrent_mc_calls_match_sequential_calls(monkeypatch):
@@ -548,6 +548,81 @@ def test_curve_matches_separate_calls_on_the_same_stream(scheme, m, monkeypatch)
                                  threads=threads)
             assert list(curve) == [scheme]
             assert curve_reprs(curve[scheme]) == curve_reprs(separate)
+
+
+def selected_estimate(scheme, scenario, trials, rng):
+    """(value, std_error) as repr: `argmax_estimate` for O-TAS, else the
+    plain `secrecy_capacity` at the antenna `select_indices` picks, on each
+    chunk's draw into new arrays (random consumes the chunk's substream
+    after the draw), merged in chunk order by Chan's update."""
+    if scheme is TasScheme.OTAS:
+        return argmax_estimate(scenario, trials, rng)
+    moments = []
+    for i, size in _chunk_layout(trials):
+        stream = rng.substream(i)
+        bob, eve = draw_gain_blocks(scenario, stream, size)
+        idx = select_indices(scheme, scenario, bob, eve, rng=stream)
+        rows = np.arange(size)
+        with np.errstate(all="ignore"):
+            cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
+                                  scenario.gamma_e0 * eve[rows, idx])
+        mean = float(cs.mean())
+        moments.append((size, mean, float(np.sum((cs - mean) ** 2))))
+    n, mean, m2 = reduce(secrecy._merge_moments, moments)
+    return repr(mean), repr(math.sqrt(m2 / (n - 1)) / math.sqrt(n))
+
+
+# Curves whose points share gamma_e0, gamma_b0, both (one point repeated)
+# or neither, in dB. A shared link is folded into the gains once per chunk;
+# the 3,065 dB points put each side, folded or not, near the top of the dB
+# range, where a gamma0 g overflows a double only for g > 56.
+SHARED_CURVES_DB = {
+    "eve": ((-10.0, 5.0), (10.0, 5.0), (3065.0, 5.0)),
+    "eve-top": ((3050.0, 3065.0), (3065.0, 3065.0)),
+    "bob": ((3065.0, -10.0), (3065.0, 5.0), (3065.0, 3060.0)),
+    "both": ((10.0, 5.0), (10.0, 5.0)),
+    "neither": CURVE_POINTS_DB,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [1, 2, 16])
+@pytest.mark.parametrize("shared", list(SHARED_CURVES_DB))
+def test_folded_curves_match_unfolded_references(shared, m, monkeypatch):
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
+    scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in SHARED_CURVES_DB[shared]]
+    trials = 2 * MC_CHUNK_SIZE + 17
+    expected = {scheme: [selected_estimate(scheme, scenario, trials, RngStream(19, m))
+                         for scenario in scenarios] for scheme in TasScheme}
+    for tile in (1_000, secrecy._TILE_ELEMENTS):
+        monkeypatch.setattr(secrecy, "_TILE_ELEMENTS", tile)
+        for threads in (1, 2, 3):
+            curves = mc_asc_curve(scenarios, list(TasScheme), trials, RngStream(19, m),
+                                  threads=threads)
+            assert {s: curve_reprs(c) for s, c in curves.items()} == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_folded_legitimate_overflow_names_the_failing_scenario():
+    # gamma_b0 = 1e308 is shared and folded; the first scheme in the order
+    # given and its first scenario are named, as without the fold
+    scenarios = [Scenario(1e308, 1.0, 8), Scenario(1e308, 1e308, 8)]
+    for order, named in ((scenarios, "gamma_e0=1;"), (scenarios[::-1], "gamma_e0=1e\\+308;")):
+        with pytest.raises(ValueError, match=r"overflows a double at gamma_b0=1e\+308, "
+                                             + named + " for random, use"):
+            mc_asc_curve(order, (TasScheme.RANDOM, TasScheme.OTAS), 1000, RngStream(42))
+
+
+@pytest.mark.parametrize("scheme", [TasScheme.OTAS, TasScheme.ETAS])
+def test_antenna_count_past_a_tile(scheme):
+    # a row wider than a folded tile takes a tile of its own
+    m = 2 * secrecy._TILE_ELEMENTS + 5
+    # one point folds gamma_e0; two points share neither SNR and fold nothing
+    for points in (((10.0, 5.0),), ((10.0, 5.0), (20.0, 0.0))):
+        scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in points]
+        curve = mc_asc_curve(scenarios, (scheme,), 3, RngStream(23))
+        assert curve_reprs(curve[scheme]) == [
+            selected_estimate(scheme, scenario, 3, RngStream(23)) for scenario in scenarios]
 
 
 @pytest.mark.parametrize("m", [1, 2, 16])

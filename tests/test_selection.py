@@ -7,7 +7,7 @@ import pytest
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
 from tasec.secrecy import _capacities, secrecy_capacity
-from tasec.selection import TasScheme, link_laws, select_indices, snr_ratios
+from tasec.selection import TasScheme, fold_gains, link_laws, select_indices, snr_ratios
 
 from oracles import ks_statistic
 
@@ -151,6 +151,21 @@ def test_snr_ratios_in_place():
     assert bob.tolist() == [[1.0, 0.5]] and eve.tolist() == [[0.25, 2.0]]
     # (1 + 2 g_B) / (1 + 4 g_E)
     assert out[0].tolist() == [[1.5, 2.0 / 9.0]]
+
+
+def test_snr_ratios_with_a_folded_side():
+    # a side that already holds 1 + gamma0 g is read as it is, and the ratio
+    # lands in the one array given, bit for bit as without the fold
+    scenario = Scenario(3.0, 7.0, 4)
+    bob, eve = draw_gain_blocks(scenario, RngStream(29, 0), 64)
+    unfolded = snr_ratios(scenario, bob, eve, out=(np.empty_like(bob), np.empty_like(eve)))
+    for folded, gains in (("bob", (fold_gains(bob, 3.0, np.empty_like(bob)), eve)),
+                          ("eve", (bob, fold_gains(eve, 7.0, np.empty_like(eve))))):
+        kept = [g.copy() for g in gains]
+        out = np.empty_like(bob)
+        assert snr_ratios(scenario, *gains, out=(out,), folded=folded) is out
+        assert out.tobytes() == unfolded.tobytes()
+        assert all(np.array_equal(g, k) for g, k in zip(gains, kept))
 
 
 def test_single_antenna_all_schemes_pick_zero():
