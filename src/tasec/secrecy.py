@@ -16,8 +16,8 @@ two links; this package has no closed form or product-form quadrature for it
 and evaluates it by Monte Carlo (ROUTES; `asc` runs a scheme's routes). MC
 runs are chunked onto derived substreams so the estimate is a pure function
 of (scenario, scheme, trials, seed, stream) no matter how many workers execute
-the chunks; each chunk draws into idle buffers that earlier chunks left
-(`_take_buffers`). A chunk is drawn once and serves every scheme and every
+the chunks; each chunk draws into an idle flat buffer that an earlier chunk
+left (`_take_buffer`). A chunk is drawn once and serves every scheme and every
 scenario of one antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme,
 one-scenario case).
 One kernel, `_ratio_capacities`, gives each realization's capacity to MC

@@ -241,7 +241,7 @@ def test_draw_without_out_returns_new_arrays():
     blocks = [*draw_gain_blocks(scenario, RngStream(3).substream(0), 1000),
               *draw_gain_blocks(scenario, RngStream(3).substream(0), 1000)]
     assert np.array_equal(blocks[0], blocks[2])
-    buffers = [b for pair in secrecy._idle_buffers for b in pair]
+    buffers = list(secrecy._idle_buffers)
     assert buffers
     for i, block in enumerate(blocks):
         assert block.base is None and block.flags.owndata
