@@ -245,8 +245,8 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
     `_shared_side` names is folded to 1 + gamma0 g in place, once a scheme:
     in its 1-D copies, or in the drawn blocks for O-TAS, which runs last,
     when every other scheme has selected on them. Capacities are reduced
-    in place in one array, with the same float operations as
-    np.sum((cs - mean) ** 2). A gamma0 g that overflows a double gives an
+    in place in one array, with the same float operations as np.mean(cs)
+    and np.sum((cs - mean) ** 2). A gamma0 g that overflows a double gives an
     inf or NaN mean, which mc_asc_curve reports; no floating-point warning
     is raised."""
     stream = rng.substream(index)
@@ -267,10 +267,10 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
             moments[scheme] = []
             for scenario in scenarios:
                 _ratio_capacities(scenario, *gains, cs, scratch, folded)
-                mean = float(cs.mean())
+                mean = float(np.add.reduce(cs)) / size
                 cs -= mean
                 cs *= cs
-                moments[scheme].append((size, mean, float(cs.sum())))
+                moments[scheme].append((size, mean, float(np.add.reduce(cs))))
             del gains  # freed before the next scheme selects
     _idle_buffers.append(buffer)
     return [moment for scheme in schemes for moment in moments[scheme]]

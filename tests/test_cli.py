@@ -616,12 +616,85 @@ def test_verify_respects_configured_trials(capsys):
 _ASC_POINT = ["--gamma-b-db", "10", "--gamma-e-db", "10", "-M", "8"]
 _ASC_HEADER = ",".join(ASC_CSV_HEADER)
 _CROSSOVER_HEADER = "gamma_b0_db,M,crossover_ratio_db,residual"
+_SWEEP_HEADER = ",".join(SWEEP_CSV_HEADER)
+
+# Closed-form rows of a gamma-e sweep at three antenna counts: its B-TAS and
+# E-TAS sums revisit the same E1 arguments across rows.
+_GAMMA_E_CLOSED_ROWS = """\
+-10,10,-10,2,btas,closed,3.5265067551502858,,
+-10,10,-10,2,etas,closed,2.8379990748337733,,
+-10,10,-10,8,btas,closed,4.554420020192409,,
+-10,10,-10,8,etas,closed,2.8887230789149214,,
+-10,10,-10,16,btas,closed,4.9018848648871751,,
+-10,10,-10,16,etas,closed,2.8975591910479475,,
+-6,10,-6,2,btas,closed,3.3599499520552469,,
+-6,10,-6,2,etas,closed,2.7456619267029705,,
+-6,10,-6,8,btas,closed,4.3876271492794183,,
+-6,10,-6,8,etas,closed,2.8626903640782211,,
+-6,10,-6,16,btas,closed,4.7350919936326727,,
+-6,10,-6,16,etas,closed,2.8842448661585625,,
+-2,10,-2,2,btas,closed,3.0399717522889529,,
+-2,10,-2,2,etas,closed,2.5541965524835617,,
+-2,10,-2,8,btas,closed,4.0654467421544682,,
+-2,10,-2,8,etas,closed,2.8013224591855899,,
+-2,10,-2,16,btas,closed,4.4129113344072124,,
+-2,10,-2,16,etas,closed,2.8519148113133626,,
+2,10,2,2,btas,closed,2.518335996349911,,
+2,10,2,2,etas,closed,2.2129461424363521,,
+2,10,2,8,btas,closed,3.5282953222018918,,
+2,10,2,8,etas,closed,2.6667887316078183,,
+2,10,2,16,btas,closed,3.8756980779976709,,
+2,10,2,16,etas,closed,2.7767519022848521,,
+6,10,6,2,btas,closed,1.8252849740403703,,
+6,10,6,2,etas,closed,1.7149280685103256,,
+6,10,6,8,btas,closed,2.7606006613900504,,
+6,10,6,8,etas,closed,2.4062150418980202,,
+6,10,6,16,btas,closed,3.1046926583196983,,
+6,10,6,16,etas,closed,2.6161290556842212,,
+10,10,10,2,btas,closed,1.1134351770388899,,
+10,10,10,2,etas,closed,1.1427687536548559,,
+10,10,10,8,btas,closed,1.8448141502078137,,
+10,10,10,8,etas,closed,1.9832632327215598,,
+10,10,10,16,btas,closed,2.1543987575067831,,
+10,10,10,16,etas,closed,2.3169494066332721,,
+14,10,14,2,btas,closed,0.57162160949631735,,
+14,10,14,2,etas,closed,0.64202876727840141,,
+14,10,14,8,btas,closed,1.0183439321086225,,
+14,10,14,8,etas,closed,1.4324030235190579,,
+14,10,14,16,btas,closed,1.2345519088231558,,
+14,10,14,16,etas,closed,1.8553873852027503,,
+18,10,18,2,btas,closed,0.2585981172256866,,
+18,10,18,2,etas,closed,0.31028191671333144,,
+18,10,18,8,btas,closed,0.48017126845928382,,
+18,10,18,8,etas,closed,0.87743629388123656,,
+18,10,18,16,btas,closed,0.59614355103129446,,
+18,10,18,16,etas,closed,1.2894158970538285,,
+22,10,22,2,btas,closed,0.1089966236691769,,
+22,10,22,2,etas,closed,0.13564990590885406,,
+22,10,22,8,btas,closed,0.20636061170713704,,
+22,10,22,8,etas,closed,0.45523190293727817,,
+22,10,22,16,btas,closed,0.25921271839468463,,
+22,10,22,16,etas,closed,0.75687607806044865,,
+26,10,26,2,btas,closed,0.044441988887789663,,
+26,10,26,2,etas,closed,0.056256902436960618,,
+26,10,26,8,btas,closed,0.084842197241413467,,
+26,10,26,8,etas,closed,0.20793370309587766,,
+26,10,26,16,btas,closed,0.10711399728367864,,
+26,10,26,16,etas,closed,0.37868126899587801,,
+30,10,30,2,btas,closed,0.017865453818711546,,
+30,10,30,2,etas,closed,0.022778988265425428,,
+30,10,30,8,btas,closed,0.034222297479326938,,
+30,10,30,8,etas,closed,0.08813696800223797,,
+30,10,30,16,btas,closed,0.043296514016668994,,
+30,10,30,16,etas,closed,0.169011415677015,,"""
 
 # The exact stdout of the scalar routes, frozen from version 0.4.0 before
 # the E1 coefficient tables and the quadrature node table. Both are meant
 # to leave every double as it was, so a speed-up that moves a digit fails.
 # The quadrature rows at (10, 10) dB and the B-TAS hand-over at M = 64 were
-# frozen from version 0.8.0, before the in-place link-law kernels.
+# frozen from version 0.8.0, before the in-place link-law kernels. The
+# gamma-e sweep and the last two crossovers, which revisit E1 arguments,
+# were frozen from version 0.9.0 before the E1 memo.
 PINNED_STDOUT = {
     "btas-closed": (["asc", "--scheme", "btas", "--method", "closed", *_ASC_POINT],
                     _ASC_HEADER, "btas,closed,10,10,8,1.8448141502078137,,"),
@@ -646,6 +719,16 @@ PINNED_STDOUT = {
                       "-90,64,10.989372123333622,-2.386979502944115e-14"),
     "crossover-10db": (["crossover", "--gamma-b-db", "10", "-M", "8"], _CROSSOVER_HEADER,
                        "10,8,-1.2306619993820851,1.1102230246251559e-15"),
+    "crossover-10db-m16": (["crossover", "--gamma-b-db", "10", "-M", "16"], _CROSSOVER_HEADER,
+                           "10,16,-1.040364526693458,-1.6587842210938223e-12"),
+    "crossover-60db-wide": (["crossover", "--gamma-b-db", "60", "-M", "4",
+                             "--bracket-db", "-120", "30"], _CROSSOVER_HEADER,
+                            "60,4,-45.622732517052228,-4.8405723873668538e-13"),
+    "gamma-e-closed-sweep": (["sweep", "--swept", "gamma-e", "--from-db", "-10",
+                              "--to-db", "30", "--points", "11", "--gamma-b-db", "10",
+                              "-M", "2", "-M", "8", "-M", "16", "--scheme", "btas",
+                              "--scheme", "etas"],
+                             _SWEEP_HEADER, _GAMMA_E_CLOSED_ROWS),
 }
 
 

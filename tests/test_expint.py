@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasec import expint
+from tasec.channel import Scenario
+from tasec.experiments import db_to_linear, find_crossover
 from tasec.expint import EULER_GAMMA, delta_e, exp_scaled_e1
+from tasec.secrecy import asc_btas_closed, asc_etas_closed
 
 from oracles import scaled_e1_oracle
 
@@ -163,3 +167,73 @@ def test_coefficient_tables_match_the_int_loops_bit_for_bit():
     points = [x for x in points if x > 0.0]
     mismatches = [x for x in points if exp_scaled_e1(x) != _int_loop_scaled_e1(x)]
     assert len(points) > 100_000 and mismatches == []
+
+
+# ----------------------------------------------------------------------------
+# the E1 memo
+# ----------------------------------------------------------------------------
+
+_MEMO_GRID_DB = range(-30, 41, 10)
+_MEMO_ANTENNAS = (1, 2, 8, 16, 64)
+
+
+def _closed_forms_and_crossovers():
+    """repr of the closed forms and crossovers over the grid, errors included."""
+    out = []
+    for m in _MEMO_ANTENNAS:
+        for gb_db in _MEMO_GRID_DB:
+            for ge_db in _MEMO_GRID_DB:
+                scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
+                out.append(repr(asc_btas_closed(scenario)))
+                out.append(repr(asc_etas_closed(scenario)))
+            try:
+                out.append(repr(find_crossover(gb_db, m)))
+            except ValueError as exc:  # M = 1, or no sign change in the bracket
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_memo_leaves_closed_forms_and_crossovers_unchanged(monkeypatch):
+    memo = expint._exp_scaled_e1
+    with monkeypatch.context() as patch:
+        patch.setattr(expint, "_exp_scaled_e1", memo.__wrapped__)
+        uncached = _closed_forms_and_crossovers()
+    memo.cache_clear()
+    cold = _closed_forms_and_crossovers()
+    hits = memo.cache_info().hits
+    warm = _closed_forms_and_crossovers()
+    assert hits > 0 and memo.cache_info().hits > hits
+    assert cold == uncached
+    assert warm == uncached
+
+
+@pytest.mark.parametrize("value", [1, 2, 3, 7, 1000, 2**53, 2**53 + 1, 10**17 + 3])
+def test_memo_keeps_argument_types_apart(value):
+    # Each argument type gets the result the kernel returns for that type:
+    # a float for an int or a float, a numpy float64 for a numpy float64.
+    kernel = expint._exp_scaled_e1.__wrapped__
+    for order in itertools.permutations((value, float(value), np.float64(value))):
+        expint._exp_scaled_e1.cache_clear()
+        for x in order * 2:  # a miss, then a hit, of each type
+            result, expected = exp_scaled_e1(x), kernel(x)
+            assert (type(result), repr(result)) == (type(expected), repr(expected))
+            assert repr(delta_e(x, 2.5)) == repr(kernel(x) - kernel(2.5))
+
+
+def test_memo_keeps_neighbouring_doubles_apart():
+    kernel = expint._exp_scaled_e1.__wrapped__
+    expint._exp_scaled_e1.cache_clear()
+    for x in (1e-300, 1e-8, 0.37, 1.0, 1.0000001, 4.2, 1e6, 1e300):
+        near = [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf), x * (1 + 1e-12)]
+        for _ in range(2):
+            assert [exp_scaled_e1(y) for y in near] == [kernel(y) for y in near]
+
+
+def test_memo_is_bounded():
+    memo = expint._exp_scaled_e1
+    memo.cache_clear()
+    for k in range(1, 1001):
+        exp_scaled_e1(k / 7.0)
+    info = memo.cache_info()
+    assert info.maxsize == 256
+    assert info.currsize == 256 and info.misses == 1000
