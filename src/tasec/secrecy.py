@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import count, product
 
 import numpy as np
@@ -52,11 +52,17 @@ _LN2 = math.log(2.0)
 # in cache, and short runs still split into several chunks for the workers.
 MC_CHUNK_SIZE = 16_384
 
-# Gains per tile in which `_ratio_capacities` forms SNR ratios out of place
-# in two scratch arrays, or twice as many in one when a side is folded: 256
-# KiB, which stays in L2 (4 MiB) while the running maximum reads it, in few
-# enough tiles per chunk that numpy's per-call cost stays small.
-_TILE_ELEMENTS = 16_384
+# A tile of `_ratio_capacities` is sized by rows (`_tile_rows`): its
+# running maximum makes one numpy call per antenna and tile, and each call
+# releases and retakes the GIL, so longer calls let a second worker overlap
+# more. A tile has at least _TILE_ROWS rows, and never fewer than its one or
+# two scratch arrays fill with 32,768 gains in all (a quarter of
+# _TILE_ELEMENTS: the 1-D gains of a selecting scheme keep a whole chunk to
+# one tile). No scratch array holds more than _TILE_ELEMENTS gains, 1 MiB,
+# so past M = 16 a tile has fewer rows; two such arrays fill a 2 MiB
+# per-core L2 cache.
+_TILE_ROWS = 8_192
+_TILE_ELEMENTS = 131_072
 
 # Largest rounding-error bound a B-TAS closed-form value may carry; past it
 # the value comes from quadrature (see asc_btas_closed).
@@ -70,6 +76,19 @@ BTAS_CLOSED_TOL = 1e-9
 # the largest M whose 2^M fits.
 _BTAS_SUM_MAX_M = next(m for m in count(sys.float_info.max_exp - 1)
                        if math.comb(m + 1, (m + 1) // 2) > sys.float_info.max)
+
+
+@lru_cache(maxsize=16)
+def _btas_coefficients(m: int) -> tuple[tuple[float, ...], ...]:
+    """(k, (-1)^(k+1) C(M,k), C(M,k)) as doubles for k = 1..M, the
+    coefficients of the B-TAS sum, for M <= _BTAS_SUM_MAX_M. Held for the 16
+    antenna counts used last: about 145 bytes a term, so 150 KB at M = 1,029
+    and 2.4 MB at most."""
+    rows = []
+    for k in range(1, m + 1):
+        binom = float(math.comb(m, k))
+        rows.append((float(k), binom if k % 2 else -binom, binom))
+    return tuple(rows)
 
 
 class Method(str, Enum):
@@ -180,15 +199,16 @@ def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
     2-D gains (the one ratio of 1-D gains), written to and returned as `out`.
 
     The gains are left as they are, for the next scenario: `snr_ratios`
-    forms the ratios a tile at a time out of place in the flat `scratch`,
-    of at least 2 * max(_TILE_ELEMENTS, M) elements, and each row's largest
-    is a running maximum over the tile's columns from 1 (an axis-1 reduce
-    is slow on rows this short). That is the ratio at the argmax, with the
-    same float operations, or 1 where log2 would clamp at 0; a NaN wins it.
+    forms the ratios a tile of rows at a time out of place in the flat
+    `scratch`, of at least `_scratch_size(M)` elements, and each row's
+    largest is a running maximum over the tile's columns from 1 (an axis-1
+    reduce is slow on rows this short). That is the ratio at the argmax,
+    with the same float operations, or 1 where log2 would clamp at 0; a NaN
+    wins it. Tiles only split the rows, so no value depends on their size.
     """
     count = len(bob)
     arrays = 1 if folded else 2  # scratch arrays per tile
-    step = max(1, 2 * _TILE_ELEMENTS // arrays // (bob.size // count))
+    step = _tile_rows(bob.size // count, arrays)
     for start in range(0, count, step):
         rows = slice(start, start + step)
         part = bob[rows]
@@ -202,6 +222,21 @@ def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
     return np.log2(out, out=out)
 
 
+def _tile_rows(width: int, arrays: int) -> int:
+    """Rows per tile of `_ratio_capacities` for gains `width` to a row whose
+    ratios take `arrays` scratch arrays (see _TILE_ROWS)."""
+    return max(1, min(_TILE_ROWS, _TILE_ELEMENTS // width),
+               _TILE_ELEMENTS // 4 // (arrays * width))
+
+
+def _scratch_size(m: int) -> int:
+    """Scratch elements the largest tile of `_ratio_capacities` takes, over
+    (count, M) gains and their 1-D selections, folded or not: at most
+    2 * max(_TILE_ELEMENTS, M), and no more than a tile needs at small M."""
+    return max(arrays * width * _tile_rows(width, arrays)
+               for arrays in (1, 2) for width in (1, m))
+
+
 def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
                 eve: np.ndarray, stream: RngStream) -> np.ndarray:
     """Each realization's secrecy capacity at the antenna `scheme` selects,
@@ -209,7 +244,7 @@ def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
     the selection and capacity kernels of a Monte Carlo chunk at one
     scenario (random consumes `stream`)."""
     gains = _selected_gains(scheme, scenario, bob, eve, stream)
-    scratch = np.empty(2 * max(_TILE_ELEMENTS, bob.shape[1]))
+    scratch = np.empty(_scratch_size(bob.shape[1]))
     return _ratio_capacities(scenario, *gains, np.empty(len(bob)), scratch)
 
 
@@ -252,7 +287,7 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
     stream = rng.substream(index)
     m = scenarios[0].num_antennas
     block = size * m
-    buffer = _take_buffer(2 * (block + max(_TILE_ELEMENTS, m)))
+    buffer = _take_buffer(2 * block + _scratch_size(m))
     bob, eve = draw_gain_blocks(scenarios[0], stream, size,
                                 out=tuple(buffer[:2 * block].reshape(2, size, m)))
     scratch = buffer[2 * block:]
@@ -310,10 +345,11 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
     estimates do not depend on `threads`. At most `threads` workers run,
     and never more than there are chunks or CPUs this process may use.
     Their gain buffers stay pooled for the life of the process: one per
-    chunk that ever ran at once, each 16 * MC_CHUNK_SIZE * (M + 1) bytes for
-    the largest M it served (M <= 16,384). One 2-worker call at M = 64 leaves
-    32.5 MiB held. A link whose reference SNR every scenario shares is
-    folded into the gains once per chunk, not once per scenario.
+    chunk that ever ran at once, each at most 16 * MC_CHUNK_SIZE * (M + 8)
+    bytes for the largest M it served (M <= 131,072), 18 MiB at M = 64.
+    One 2-worker call at M = 64 leaves 36 MiB held. A link whose reference
+    SNR every scenario shares is folded into the gains once per chunk, not
+    once per scenario.
     ValueError is raised at the top of the dB range, where a drawn gamma0*g
     overflows a double and a mean is not finite; it names the first such
     scheme, in the order given, and its first such scenario.
@@ -418,18 +454,27 @@ def asc_btas_closed(scenario: Scenario) -> AscEstimate:
         return asc_quadrature(scenario, TasScheme.BTAS)
     inv_gb = 1.0 / scenario.gamma_b0
     inv_ge = 1.0 / scenario.gamma_e0
-    args = [(math.comb(m, k), k * inv_gb, inv_ge + k * inv_gb)
-            for k in range(1, m + 1)]
+    coefficients = _btas_coefficients(m)
+    # Every term of S is positive, so S is at least its middle term, the
+    # one with the largest C(M,k): where that term alone passes the bound,
+    # so does S, and the rest of it need not be formed.
+    k, _, binom = coefficients[(m - 1) // 2]
+    a = k * inv_gb
+    middle = binom * (math.log1p(1.0 / a) + math.log1p(1.0 / (inv_ge + a)))
+    if 8.0 * sys.float_info.epsilon * (middle / _LN2) > BTAS_CLOSED_TOL:
+        return asc_quadrature(scenario, TasScheme.BTAS)
+    args = [(signed, binom, k * inv_gb, inv_ge + k * inv_gb)
+            for k, signed, binom in coefficients]
     try:
         scale = math.fsum(binom * (math.log1p(1.0 / a) + math.log1p(1.0 / b))
-                          for binom, a, b in args) / _LN2
-    except OverflowError:  # C(M,k) or S beyond a double
+                          for _, binom, a, b in args) / _LN2
+    except OverflowError:  # S beyond a double
         scale = math.inf
     if 8.0 * sys.float_info.epsilon * scale > BTAS_CLOSED_TOL:
         return asc_quadrature(scenario, TasScheme.BTAS)
     terms = []
-    for k, (binom, a, b) in enumerate(args, start=1):
-        terms.append((binom if k % 2 else -binom) * delta_e(a, b))
+    for signed, _, a, b in args:
+        terms.append(signed * delta_e(a, b))
     # Clamp: for near-degenerate SNRs the sum of correctly-rounded terms can
     # land an ulp below zero.
     return AscEstimate(value=max(0.0, math.fsum(terms) / _LN2), method=Method.CLOSED)
