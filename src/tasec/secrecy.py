@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import count, product
 
 import numpy as np
@@ -55,12 +55,10 @@ MC_CHUNK_SIZE = 16_384
 # A tile of `_ratio_capacities` is sized by rows (`_tile_rows`): its
 # running maximum makes one numpy call per antenna and tile, and each call
 # releases and retakes the GIL, so longer calls let a second worker overlap
-# more. A tile has at least _TILE_ROWS rows, and never fewer than its one or
-# two scratch arrays fill with 32,768 gains in all (a quarter of
-# _TILE_ELEMENTS: the 1-D gains of a selecting scheme keep a whole chunk to
-# one tile). No scratch array holds more than _TILE_ELEMENTS gains, 1 MiB,
-# so past M = 16 a tile has fewer rows; two such arrays fill a 2 MiB
-# per-core L2 cache.
+# more. _TILE_ROWS caps the rows of a tile of 2-D gains, and _TILE_ELEMENTS
+# the gains of each of its scratch arrays (1 MiB, which bounds the scratch a
+# pooled buffer holds), so past M = 16 a tile has _TILE_ELEMENTS // M rows.
+# 1-D gains take a whole chunk to a tile.
 _TILE_ROWS = 8_192
 _TILE_ELEMENTS = 131_072
 
@@ -76,19 +74,6 @@ BTAS_CLOSED_TOL = 1e-9
 # the largest M whose 2^M fits.
 _BTAS_SUM_MAX_M = next(m for m in count(sys.float_info.max_exp - 1)
                        if math.comb(m + 1, (m + 1) // 2) > sys.float_info.max)
-
-
-@lru_cache(maxsize=16)
-def _btas_coefficients(m: int) -> tuple[tuple[float, ...], ...]:
-    """(k, (-1)^(k+1) C(M,k), C(M,k)) as doubles for k = 1..M, the
-    coefficients of the B-TAS sum, for M <= _BTAS_SUM_MAX_M. Held for the 16
-    antenna counts used last: about 145 bytes a term, so 150 KB at M = 1,029
-    and 2.4 MB at most."""
-    rows = []
-    for k in range(1, m + 1):
-        binom = float(math.comb(m, k))
-        rows.append((float(k), binom if k % 2 else -binom, binom))
-    return tuple(rows)
 
 
 class Method(str, Enum):
@@ -208,7 +193,7 @@ def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
     """
     count = len(bob)
     arrays = 1 if folded else 2  # scratch arrays per tile
-    step = _tile_rows(bob.size // count, arrays)
+    step = _tile_rows(bob.size // count)
     for start in range(0, count, step):
         rows = slice(start, start + step)
         part = bob[rows]
@@ -222,19 +207,17 @@ def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
     return np.log2(out, out=out)
 
 
-def _tile_rows(width: int, arrays: int) -> int:
-    """Rows per tile of `_ratio_capacities` for gains `width` to a row whose
-    ratios take `arrays` scratch arrays (see _TILE_ROWS)."""
-    return max(1, min(_TILE_ROWS, _TILE_ELEMENTS // width),
-               _TILE_ELEMENTS // 4 // (arrays * width))
+def _tile_rows(width: int) -> int:
+    """Rows per tile of `_ratio_capacities` for gains `width` to a row."""
+    if width == 1:
+        return MC_CHUNK_SIZE
+    return max(1, min(_TILE_ROWS, _TILE_ELEMENTS // width))
 
 
 def _scratch_size(m: int) -> int:
-    """Scratch elements the largest tile of `_ratio_capacities` takes, over
-    (count, M) gains and their 1-D selections, folded or not: at most
-    2 * max(_TILE_ELEMENTS, M), and no more than a tile needs at small M."""
-    return max(arrays * width * _tile_rows(width, arrays)
-               for arrays in (1, 2) for width in (1, m))
+    """Scratch elements `_ratio_capacities` takes for (count, M) gains and
+    their 1-D selections: two arrays of the larger tile."""
+    return 2 * max(_tile_rows(1), m * _tile_rows(m))
 
 
 def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
@@ -250,9 +233,9 @@ def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
 
 # Flat buffers that no chunk is using. They outlive the chunks and the Monte
 # Carlo calls, and so the worker threads, which live for one call. There are
-# as many as chunks that ever ran at once, each 16 * (MC_CHUNK_SIZE * M +
-# max(_TILE_ELEMENTS, M)) bytes at most: a chunk's two gain blocks, then the
-# tile scratch of `_ratio_capacities`. list.pop and list.append are atomic,
+# as many as chunks that ever ran at once, each 8 * (2 * MC_CHUNK_SIZE * M +
+# _scratch_size(M)) bytes at most: a chunk's two gain blocks, then the tile
+# scratch of `_ratio_capacities`. list.pop and list.append are atomic,
 # so no two chunks use the same buffer.
 _idle_buffers: list[np.ndarray] = []
 
@@ -454,27 +437,18 @@ def asc_btas_closed(scenario: Scenario) -> AscEstimate:
         return asc_quadrature(scenario, TasScheme.BTAS)
     inv_gb = 1.0 / scenario.gamma_b0
     inv_ge = 1.0 / scenario.gamma_e0
-    coefficients = _btas_coefficients(m)
-    # Every term of S is positive, so S is at least its middle term, the
-    # one with the largest C(M,k): where that term alone passes the bound,
-    # so does S, and the rest of it need not be formed.
-    k, _, binom = coefficients[(m - 1) // 2]
-    a = k * inv_gb
-    middle = binom * (math.log1p(1.0 / a) + math.log1p(1.0 / (inv_ge + a)))
-    if 8.0 * sys.float_info.epsilon * (middle / _LN2) > BTAS_CLOSED_TOL:
-        return asc_quadrature(scenario, TasScheme.BTAS)
-    args = [(signed, binom, k * inv_gb, inv_ge + k * inv_gb)
-            for k, signed, binom in coefficients]
+    args = [(math.comb(m, k), k * inv_gb, inv_ge + k * inv_gb)
+            for k in range(1, m + 1)]
     try:
         scale = math.fsum(binom * (math.log1p(1.0 / a) + math.log1p(1.0 / b))
-                          for _, binom, a, b in args) / _LN2
-    except OverflowError:  # S beyond a double
+                          for binom, a, b in args) / _LN2
+    except OverflowError:  # C(M,k) or S beyond a double
         scale = math.inf
     if 8.0 * sys.float_info.epsilon * scale > BTAS_CLOSED_TOL:
         return asc_quadrature(scenario, TasScheme.BTAS)
     terms = []
-    for signed, _, a, b in args:
-        terms.append(signed * delta_e(a, b))
+    for k, (binom, a, b) in enumerate(args, start=1):
+        terms.append((binom if k % 2 else -binom) * delta_e(a, b))
     # Clamp: for near-degenerate SNRs the sum of correctly-rounded terms can
     # land an ulp below zero.
     return AscEstimate(value=max(0.0, math.fsum(terms) / _LN2), method=Method.CLOSED)

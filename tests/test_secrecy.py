@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 import threading
 import time
@@ -10,11 +9,9 @@ import numpy as np
 import pytest
 
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
-from tasec.errors import ConvergenceError, UnsupportedSchemeError
-from tasec.expint import delta_e
+from tasec.errors import UnsupportedSchemeError
 from tasec import secrecy
-from tasec.secrecy import (_BTAS_SUM_MAX_M, _LN2, BTAS_CLOSED_TOL, MC_CHUNK_SIZE,
-                           AscEstimate, Method, _chunk_layout,
+from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            _chunk_moments, asc, asc_btas_closed, asc_etas_closed,
                            asc_quadrature, mc_asc, mc_asc_curve, secrecy_capacity)
 from tasec.selection import TasScheme, select_indices, snr_ratios
@@ -142,71 +139,6 @@ def test_btas_large_antenna_counts():
     assert time.perf_counter() - start < 1.0
     assert est == asc_quadrature(huge, TasScheme.BTAS)
     assert est.method is Method.QUAD
-
-
-def btas_closed_reference(scenario):
-    """asc_btas_closed as released in 0.10.0, verbatim: it forms every
-    C(M, k) on each call and sums the whole error bound before handing over."""
-    m = scenario.num_antennas
-    if m > _BTAS_SUM_MAX_M:
-        return asc_quadrature(scenario, TasScheme.BTAS)
-    inv_gb = 1.0 / scenario.gamma_b0
-    inv_ge = 1.0 / scenario.gamma_e0
-    args = [(math.comb(m, k), k * inv_gb, inv_ge + k * inv_gb)
-            for k in range(1, m + 1)]
-    try:
-        scale = math.fsum(binom * (math.log1p(1.0 / a) + math.log1p(1.0 / b))
-                          for binom, a, b in args) / _LN2
-    except OverflowError:  # C(M,k) or S beyond a double
-        scale = math.inf
-    if 8.0 * sys.float_info.epsilon * scale > BTAS_CLOSED_TOL:
-        return asc_quadrature(scenario, TasScheme.BTAS)
-    terms = []
-    for k, (binom, a, b) in enumerate(args, start=1):
-        terms.append((binom if k % 2 else -binom) * delta_e(a, b))
-    # Clamp: for near-degenerate SNRs the sum of correctly-rounded terms can
-    # land an ulp below zero.
-    return AscEstimate(value=max(0.0, math.fsum(terms) / _LN2), method=Method.CLOSED)
-
-
-def btas_outcome(closed, scenario):
-    """(repr of the value, method) of `closed` at `scenario`, or the type
-    and message of the error it raised."""
-    try:
-        est = closed(scenario)
-    except Exception as error:  # compared, not handled
-        return type(error), str(error)
-    return repr(est.value), est.method
-
-
-def btas_comparison_points():
-    """About 5,000 random points over -60..60 dB with M up to 64; (10, 10)
-    dB at M = 17..20, across the hand-over; M = 32, 64, 1,029 and 1,030 on
-    a coarse grid; and points at the top of the dB range, where quadrature
-    raises."""
-    rng = random.Random(2204)
-    points = [scenario_db(rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0),
-                          rng.randint(1, 64)) for _ in range(4_900)]
-    points += [scenario_db(10.0, 10.0, m) for m in range(17, 21)]
-    points += [scenario_db(gb_db, ge_db, m)
-               for gb_db, ge_db in product((-60.0, -20.0, 10.0, 60.0), repeat=2)
-               for m in (32, 64, 1_029, 1_030)]
-    points += [Scenario(gamma_b0, 1.0, m)
-               for gamma_b0 in (1e300, 1e308) for m in (1, 2, 64, 1_030)]
-    return points
-
-
-def test_btas_closed_matches_the_released_sum():
-    # the coefficient memo and the middle-term hand-over change neither the
-    # route nor a bit of the value, nor the error raised
-    seen = set()
-    for scenario in btas_comparison_points():
-        got = btas_outcome(asc_btas_closed, scenario)
-        assert got == btas_outcome(btas_closed_reference, scenario), scenario
-        seen.add(got[1] if isinstance(got[1], Method) else got[0])
-    assert seen == {Method.CLOSED, Method.QUAD, ConvergenceError}
-    assert [btas_outcome(asc_btas_closed, scenario_db(10.0, 10.0, m))[1]
-            for m in range(17, 21)] == [Method.CLOSED] * 2 + [Method.QUAD] * 2
 
 
 def test_closed_forms_match_independent_oracle():
@@ -548,7 +480,7 @@ def test_reused_buffers_match_new_arrays_across_calls(monkeypatch):
 
 
 def test_small_antenna_counts_reserve_only_the_scratch_their_tiles_use(monkeypatch):
-    # at M = 2 a tile holds 32,768 gains, one chunk of the 1-D selections,
+    # at M = 2 the scratch is two arrays of a chunk of the 1-D selections,
     # so the buffer is no larger than with tiles of 16,384 gains
     monkeypatch.setattr(secrecy, "_idle_buffers", [])
     mc_asc_curve([scenario_db(10.0, 0.0, 2)], list(TasScheme), MC_CHUNK_SIZE, RngStream(3))
@@ -604,6 +536,11 @@ def test_biased_legitimate_gains_move_the_otas_estimate(monkeypatch):
 CURVE_POINTS_DB = ((-10.0, 0.0), (10.0, 5.0), (40.0, 30.0))
 
 
+def thousand_gain_tiles(width):
+    """Rows per tile that split every chunk unevenly, 1-D gains too."""
+    return max(1, 1_000 // width)
+
+
 def curve_reprs(estimates):
     return [(repr(e.value), repr(e.std_error)) for e in estimates]
 
@@ -612,14 +549,14 @@ def curve_reprs(estimates):
 @pytest.mark.parametrize("scheme", list(TasScheme))
 def test_curve_matches_separate_calls_on_the_same_stream(scheme, m, monkeypatch):
     # three chunks, the last one partial, on up to three workers; tiles of
-    # 1,000 gains split every chunk unevenly, the default splits it in two
-    # at most
+    # at most 1,000 gains split every chunk unevenly, the default splits it
+    # in two at most
     monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
     scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in CURVE_POINTS_DB]
     trials = 2 * MC_CHUNK_SIZE + 17
     separate = [mc_asc(scenario, scheme, trials, RngStream(13, m)) for scenario in scenarios]
-    for tile in (1_000, secrecy._TILE_ELEMENTS):
-        monkeypatch.setattr(secrecy, "_TILE_ELEMENTS", tile)
+    for tile_rows in (thousand_gain_tiles, secrecy._tile_rows):
+        monkeypatch.setattr(secrecy, "_tile_rows", tile_rows)
         for threads in (1, 2, 3):
             curve = mc_asc_curve(scenarios, (scheme,), trials, RngStream(13, m),
                                  threads=threads)
@@ -674,8 +611,8 @@ def test_folded_curves_match_unfolded_references(shared, m, monkeypatch):
     for trials in (1_696, 2 * MC_CHUNK_SIZE + 17):
         expected = {scheme: [selected_estimate(scheme, scenario, trials, RngStream(19, m))
                              for scenario in scenarios] for scheme in TasScheme}
-        for tile in (1_000, secrecy._TILE_ELEMENTS):
-            monkeypatch.setattr(secrecy, "_TILE_ELEMENTS", tile)
+        for tile_rows in (thousand_gain_tiles, secrecy._tile_rows):
+            monkeypatch.setattr(secrecy, "_tile_rows", tile_rows)
             for threads in (1, 2, 3):
                 curves = mc_asc_curve(scenarios, list(TasScheme), trials,
                                       RngStream(19, m), threads=threads)
