@@ -10,11 +10,11 @@ from .experiments import (CrossoverResult, SweepRow, SweepSpec, SweptParameter,
                           run_sweep)
 from .expint import delta_e, exp_scaled_e1
 from .secrecy import (AscEstimate, Method, asc, asc_btas_closed, asc_etas_closed,
-                      asc_quadrature, mc_asc, mc_asc_curve, secrecy_capacity)
+                      asc_quadrature, mc_asc, mc_asc_curve)
 from .selection import TasScheme, link_laws, select_indices
 from .verification import CheckResult, run_verification
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "AscEstimate", "CheckResult", "ConvergenceError", "CrossoverResult",
@@ -24,5 +24,5 @@ __all__ = [
     "asc_etas_closed", "asc_quadrature", "db_to_linear",
     "delta_e", "draw_gain_blocks", "exp_scaled_e1", "find_crossover",
     "link_laws", "mc_asc", "mc_asc_curve", "run_sweep", "run_verification",
-    "secrecy_capacity", "select_indices",
+    "select_indices",
 ]

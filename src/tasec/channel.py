@@ -69,17 +69,18 @@ class RngStream:
     branch indices: SFC64 seeded by numpy's SeedSequence with those
     identifiers as its spawn key. `substream` derives independently seeded
     children from the identifiers alone (never from consumed state), which
-    is what makes chunked Monte Carlo independent of worker count.
+    is what makes chunked Monte Carlo independent of worker count. Every
+    identifier is checked here as `require_int` checks an integer, and the
+    seed and stream_id must be below 2^64.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _branch: tuple = ()):
         for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or not 0 <= value <= _UINT64_MAX:
+            if isinstance(value, bool) or not hasattr(value, "__index__") \
+                    or not 0 <= operator.index(value) <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-        self.seed = seed
-        self.stream_id = stream_id
-        self._branch = tuple(int(b) for b in _branch)
+        self.seed, self.stream_id = operator.index(seed), operator.index(stream_id)
+        self._branch = tuple(require_int(b, "branch index", 0) for b in _branch)
         self._generator = None
 
     @property
@@ -110,8 +111,7 @@ def draw_gain_blocks(scenario: Scenario, rng: RngStream, count: int,
     non-overlapping, writeable, C-contiguous float64 arrays of shape
     (count, M), it fills them with the same values and returns them; any
     other `out` raises ValueError."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
+    count = require_int(count, "count", 1)
     gen = rng.generator
     shape = (count, scenario.num_antennas)
     if out is None:

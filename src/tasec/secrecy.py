@@ -20,11 +20,13 @@ the chunks; each chunk draws into an idle flat buffer that an earlier chunk
 left (`_take_buffer`). A chunk is drawn once and serves every scheme and every
 scenario of one antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme,
 one-scenario case).
-One kernel, `_ratio_capacities`, gives each realization's capacity to MC
-and, through `_capacities`, to the self-checks. O-TAS needs no selected
-index: its capacity is log2 max(1, max_i R_i) over the per-antenna SNR
-ratios R_i (`snr_ratios`). A link whose reference SNR every scenario shares
-is folded into the gains once per chunk, not once per scenario.
+One kernel, `_ratio_capacities`, is the one secrecy-capacity formula: it
+gives each realization's capacity to MC and, through `_capacities`, to the
+self-checks. O-TAS needs no selected index: its capacity is
+log2 max(1, max_i R_i) over the per-antenna SNR ratios R_i (`_snr_ratios`).
+A link whose reference SNR every scenario shares (`_shared_side`) is folded
+to 1 + gamma0 g in the gains once per chunk (`_fold_gains`), not once per
+scenario.
 """
 
 import math
@@ -43,7 +45,7 @@ from .channel import RngStream, Scenario, draw_gain_blocks, require_int
 from .errors import UnsupportedSchemeError
 from .expint import delta_e
 from .quadrature import integrate_half_line
-from .selection import TasScheme, fold_gains, link_laws, link_scale, select_indices, snr_ratios
+from .selection import TasScheme, link_laws, select_indices
 
 _LN2 = math.log(2.0)
 
@@ -133,12 +135,6 @@ def asc(scenario: Scenario, scheme: TasScheme, method: Method | None = None, *,
     return asc_etas_closed(scenario)
 
 
-def secrecy_capacity(gamma_b, gamma_e):
-    """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio,
-    elementwise over arrays of instantaneous SNRs."""
-    return np.maximum(0.0, np.log2((1.0 + gamma_b) / (1.0 + gamma_e)))
-
-
 # ----------------------------------------------------------------------------
 # Monte Carlo
 # ----------------------------------------------------------------------------
@@ -175,15 +171,42 @@ def _shared_side(scenarios: tuple[Scenario, ...]) -> tuple[str | None, float | N
     return None, None
 
 
+def _fold_gains(gains: np.ndarray, gamma0: float, out: np.ndarray) -> np.ndarray:
+    """1 + gamma0 g, a link's SNR term of `_snr_ratios`, written to and
+    returned as `out`, which may be `gains` itself."""
+    np.multiply(gains, gamma0, out=out)
+    out += 1.0
+    return out
+
+
+def _snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray,
+                out: tuple[np.ndarray, ...], folded: str | None = None) -> np.ndarray:
+    """Per-antenna SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E), whose
+    log2 is the instantaneous secrecy capacity before its clamp at 0.
+
+    Computed without temporaries in `out=(bob_out, eve_out)`, arrays of the
+    gains' shape, and returned as `out[0]`; the gains are left untouched. A
+    side `folded`, "bob" or "eve", already holds 1 + gamma0 g (`_fold_gains`)
+    and takes no `out` array. A gamma0 g that overflows a double gives an
+    inf or NaN ratio, or a ratio of 0.
+    """
+    tiles = iter(out)
+    bob = (bob_gains if folded == "bob"
+           else _fold_gains(bob_gains, scenario.gamma_b0, next(tiles)))
+    eve = (eve_gains if folded == "eve"
+           else _fold_gains(eve_gains, scenario.gamma_e0, next(tiles)))
+    return np.divide(bob, eve, out=out[0])
+
+
 def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
                       out: np.ndarray, scratch: np.ndarray,
                       folded: str | None = None) -> np.ndarray:
     """Each realization's secrecy capacity at `scenario`'s SNRs, from the
     gains `_selected_gains` returns, the `folded` side already 1 + gamma0 g
-    (`snr_ratios`): log2 of the largest of 1 and the SNR ratios in a row of
+    (`_fold_gains`): log2 of the largest of 1 and the SNR ratios in a row of
     2-D gains (the one ratio of 1-D gains), written to and returned as `out`.
 
-    The gains are left as they are, for the next scenario: `snr_ratios`
+    The gains are left as they are, for the next scenario: `_snr_ratios`
     forms the ratios a tile of rows at a time out of place in the flat
     `scratch`, of at least `_scratch_size(M)` elements, and each row's
     largest is a running maximum over the tile's columns from 1 (an axis-1
@@ -198,7 +221,7 @@ def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
         rows = slice(start, start + step)
         part = bob[rows]
         tiles = scratch[:arrays * part.size].reshape(arrays, *part.shape)
-        ratios = snr_ratios(scenario, part, eve[rows], out=tuple(tiles), folded=folded)
+        ratios = _snr_ratios(scenario, part, eve[rows], out=tuple(tiles), folded=folded)
         ratios = ratios.reshape(len(ratios), -1)
         ratio = out[rows]
         np.maximum(ratios[:, 0], 1.0, out=ratio)
@@ -281,7 +304,7 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
             gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
             if folded:
                 side = gains[1] if folded == "eve" else gains[0]
-                fold_gains(side, gamma0, out=side)
+                _fold_gains(side, gamma0, out=side)
             moments[scheme] = []
             for scenario in scenarios:
                 _ratio_capacities(scenario, *gains, cs, scratch, folded)
@@ -395,19 +418,18 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
 def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
     """ASC by trapezoid quadrature in ln x of the product-form integral over
     the scheme's `link_laws`, with its right end guessed from the laws'
-    `link_scale`; otas raises UnsupportedSchemeError. The integral meets
+    scale; otas raises UnsupportedSchemeError. The integral meets
     an absolute tolerance of 1e-10 across the dB range, save its top: above
     a reference SNR of about 3,067 dB the tail does not vanish below the
     largest double, and ConvergenceError is raised."""
-    f_eve, sf_bob = link_laws(scheme, scenario)
+    f_eve, sf_bob, scale = link_laws(scheme, scenario)
 
     def integrand(x):
         y, sf = f_eve(x), sf_bob(x)  # F_E (1 - F_B) / (1 + x) in their arrays
         y *= sf
         return np.divide(y, np.add(x, 1.0, out=sf), out=y)
 
-    value = integrate_half_line(integrand,
-                                scale=link_scale(scheme, scenario)) / _LN2
+    value = integrate_half_line(integrand, scale=scale) / _LN2
     return AscEstimate(value=max(0.0, value), method=Method.QUAD)
 
 

@@ -3,9 +3,10 @@
 Four criteria are supported:
 
   otas    the largest SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E)
-          over the antennas (`snr_ratios`); needs both links' CSI and
-          maximizes the instantaneous secrecy capacity pointwise. Its one
-          kernel, `secrecy._ratio_capacities`, takes the row max and no index.
+          over the antennas; needs both links' CSI and maximizes the
+          instantaneous secrecy capacity pointwise. Its one kernel,
+          `secrecy._ratio_capacities`, forms the ratios and takes their row
+          max, with no index.
   btas    argmax of the legitimate gain (classical criterion).
   etas    argmin of the eavesdropper gain.
   random  uniform choice, the no-selection-gain baseline.
@@ -27,33 +28,6 @@ class TasScheme(str, Enum):
     BTAS = "btas"
     ETAS = "etas"
     RANDOM = "random"
-
-
-def fold_gains(gains: np.ndarray, gamma0: float, out: np.ndarray) -> np.ndarray:
-    """1 + gamma0 g, a link's SNR term of `snr_ratios`, written to and
-    returned as `out`, which may be `gains` itself."""
-    np.multiply(gains, gamma0, out=out)
-    out += 1.0
-    return out
-
-
-def snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray,
-               out: tuple[np.ndarray, ...], folded: str | None = None) -> np.ndarray:
-    """Per-antenna SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E), whose
-    log2 is the instantaneous secrecy capacity before its clamp at 0.
-
-    Computed without temporaries in `out=(bob_out, eve_out)`, arrays of the
-    gains' shape, and returned as `out[0]`; the gains are left untouched. A
-    side `folded`, "bob" or "eve", already holds 1 + gamma0 g (`fold_gains`)
-    and takes no `out` array. A gamma0 g that overflows a double gives an
-    inf or NaN ratio, or a ratio of 0.
-    """
-    tiles = iter(out)
-    bob = (bob_gains if folded == "bob"
-           else fold_gains(bob_gains, scenario.gamma_b0, next(tiles)))
-    eve = (eve_gains if folded == "eve"
-           else fold_gains(eve_gains, scenario.gamma_e0, next(tiles)))
-    return np.divide(bob, eve, out=out[0])
 
 
 def select_indices(scheme: TasScheme, scenario: Scenario,
@@ -115,24 +89,17 @@ def _cdf_min(x, beta, m):
 
 def link_laws(scheme: TasScheme, scenario: Scenario):
     """Vectorized (F_E, 1 - F_B) of the selected antenna's two SNRs, for the
-    schemes whose selection keeps the links independent (not otas)."""
+    schemes whose selection keeps the links independent (not otas), and
+    their scale: the larger of the means of the exponentials behind them,
+    the x around which the slower law rises or falls."""
     scheme = TasScheme(scheme)
     gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
     if scheme is TasScheme.BTAS:
-        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_max(x, gb, m))
+        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_max(x, gb, m)), max(ge, gb)
     if scheme is TasScheme.ETAS:
-        return (lambda x: _cdf_min(x, ge, m)), (lambda x: _sf_exp(x, gb))
+        return (lambda x: _cdf_min(x, ge, m)), (lambda x: _sf_exp(x, gb)), max(ge / m, gb)
     if scheme is TasScheme.RANDOM:
-        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_exp(x, gb))
+        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_exp(x, gb)), max(ge, gb)
     raise UnsupportedSchemeError(
         f"no product-form CDFs for scheme {scheme.value!r}: the selected "
         "antenna's SNRs are dependent")
-
-
-def link_scale(scheme: TasScheme, scenario: Scenario) -> float:
-    """The larger of the means of the exponentials behind `link_laws`'
-    (F_E, 1 - F_B): the x around which the slower law rises or falls."""
-    eve = scenario.gamma_e0
-    if TasScheme(scheme) is TasScheme.ETAS:
-        eve /= scenario.num_antennas
-    return max(eve, scenario.gamma_b0)

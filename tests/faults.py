@@ -20,11 +20,11 @@ def negate_btas_terms(monkeypatch):
 
 
 def drop_last_antenna(monkeypatch):
-    """Make `secrecy.snr_ratios` drop the last column of 2-D gain blocks, so
+    """Make `secrecy._snr_ratios` drop the last column of 2-D gain blocks, so
     the O-TAS running max never sees the last antenna, whether or not a
     side of the blocks is folded. The 1-D ratios of the gathered gains the
     other schemes select are left as they are."""
-    snr_ratios = secrecy.snr_ratios
+    snr_ratios = secrecy._snr_ratios
 
     def faulty_snr_ratios(scenario, bob, eve, out, folded=None):
         if bob.ndim == 2:
@@ -32,15 +32,15 @@ def drop_last_antenna(monkeypatch):
             out = tuple(o[:, :-1] for o in out)
         return snr_ratios(scenario, bob, eve, out, folded)
 
-    monkeypatch.setattr(secrecy, "snr_ratios", faulty_snr_ratios)
+    monkeypatch.setattr(secrecy, "_snr_ratios", faulty_snr_ratios)
 
 
 def scale_otas_ratios(monkeypatch, factor):
-    """Scale the ratios `secrecy.snr_ratios` returns for 2-D gain blocks,
+    """Scale the ratios `secrecy._snr_ratios` returns for 2-D gain blocks,
     the O-TAS path, by `factor`, whether or not a side of the blocks is
     folded. The 1-D ratios of the gathered gains the other schemes select
     are left as they are."""
-    snr_ratios = secrecy.snr_ratios
+    snr_ratios = secrecy._snr_ratios
 
     def scaled_snr_ratios(scenario, bob, eve, out, folded=None):
         ratios = snr_ratios(scenario, bob, eve, out, folded)
@@ -48,7 +48,7 @@ def scale_otas_ratios(monkeypatch, factor):
             ratios *= factor
         return ratios
 
-    monkeypatch.setattr(secrecy, "snr_ratios", scaled_snr_ratios)
+    monkeypatch.setattr(secrecy, "_snr_ratios", scaled_snr_ratios)
 
 
 def scale_bob_gains(monkeypatch, factor):

@@ -5,7 +5,8 @@ trapezoid-in-ln-x code paths: the exponential-integral oracle is SciPy's
 adaptive Gauss-Kronrod (QUADPACK) quadrature of the defining integral
 (after the exact shift t = x + s so the integrand stays well scaled at large
 x), and the ASC oracle integrates the product-form integrand the same way.
-The low-SNR crossover limit needs no E1 at all.
+The low-SNR crossover limit needs no E1 at all. The instantaneous secrecy
+capacity is the textbook numpy expression, gathered at an argmax.
 """
 
 import math
@@ -53,6 +54,18 @@ def low_snr_crossover_ratio(m: int) -> float:
         return harmonic - rho * (1.0 - laplace) - m / (m + rho)
 
     return brentq(gap, 1.0, 1e3, xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+
+
+def snr_ratios(scenario, bob, eve):
+    """Per-antenna SNR ratios (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E) as a new
+    array, with the float operations of the package's kernel."""
+    return (1.0 + scenario.gamma_b0 * bob) / (1.0 + scenario.gamma_e0 * eve)
+
+
+def secrecy_capacity(gamma_b, gamma_e):
+    """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio,
+    elementwise over arrays of instantaneous SNRs."""
+    return np.maximum(0.0, np.log2((1.0 + gamma_b) / (1.0 + gamma_e)))
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

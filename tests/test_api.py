@@ -16,7 +16,7 @@ PUBLIC_API = [
     "asc_etas_closed", "asc_quadrature", "db_to_linear",
     "delta_e", "draw_gain_blocks", "exp_scaled_e1", "find_crossover",
     "link_laws", "mc_asc", "mc_asc_curve", "run_sweep", "run_verification",
-    "secrecy_capacity", "select_indices",
+    "select_indices",
 ]
 
 
@@ -29,7 +29,7 @@ def test_all_is_pinned_and_resolves():
 def test_version_matches_pyproject():
     pyproject = (ROOT / "pyproject.toml").read_text()
     version = re.search(r'^version = "(.*)"$', pyproject, re.MULTILINE).group(1)
-    assert tasec.__version__ == version == "0.11.0"
+    assert tasec.__version__ == version == "0.12.0"
 
 
 def test_readme_library_example_runs(capsys):

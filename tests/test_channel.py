@@ -98,6 +98,27 @@ def test_rng_stream_validation():
         RngStream(2 ** 64)
     with pytest.raises(ValueError):
         RngStream(1, stream_id=-2)
+    # Each identifier is checked when the stream is built, not at its first
+    # draw, and none is converted: a bool, float or string is no index.
+    for bad in (True, np.True_, 1.0, 1.5, "2", -1, np.int64(-1)):
+        for name, build in (("seed", lambda: RngStream(bad)),
+                            ("stream_id", lambda: RngStream(1, bad)),
+                            ("branch index", lambda: RngStream(1).substream(0, bad))):
+            with pytest.raises(ValueError, match=name):
+                build()
+    for name, build in (("seed", lambda: RngStream(2 ** 64)),
+                        ("stream_id", lambda: RngStream(1, 2 ** 64))):
+        with pytest.raises(ValueError, match=f"{name} must be an unsigned 64-bit integer"):
+            build()
+    # numpy integers pass and are kept as ints, so the spawn key is the same
+    numpy_ints = RngStream(np.int64(5), np.uint32(3)).substream(np.int64(2), np.uint8(7))
+    python_ints = RngStream(5, 3).substream(2, 7)
+    assert repr(numpy_ints) == repr(python_ints) == "RngStream(seed=5, stream_id=3, branch=(2, 7))"
+    assert type(numpy_ints.seed) is type(numpy_ints.stream_id) is int
+    assert all(type(b) is int for b in numpy_ints._branch)
+    assert np.array_equal(numpy_ints.generator.standard_exponential(8),
+                          python_ints.generator.standard_exponential(8))
+    assert RngStream(np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
 
 
 def test_rng_reproducibility_bit_exact():
@@ -223,6 +244,12 @@ def test_draw_rejects_malformed_out(make_bob):
         draw_gain_blocks(scenario, RngStream(1), 5, out=(make_bob(shape), np.empty(shape)))
     with pytest.raises(ValueError, match="out eve block must be"):
         draw_gain_blocks(scenario, RngStream(1), 5, out=(np.empty(shape), make_bob(shape)))
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, 2.0, True, "3", None], ids=repr)
+def test_draw_rejects_a_count_that_is_no_positive_integer(count):
+    with pytest.raises(ValueError, match="count must be an integer >= 1"):
+        draw_gain_blocks(Scenario(1.0, 1.0, 3), RngStream(1), count)
 
 
 def test_draw_rejects_overlapping_out():

@@ -13,7 +13,7 @@ from tasec.errors import ConvergenceError
 from tasec.experiments import db_to_linear
 from tasec.quadrature import integrate_half_line
 from tasec.secrecy import Method, asc_btas_closed, asc_etas_closed, asc_quadrature
-from tasec.selection import TasScheme, link_scale
+from tasec.selection import TasScheme, link_laws
 from tasec.verification import QUAD_GRID_DB
 
 
@@ -249,7 +249,7 @@ def test_asc_quadrature_matches_the_out_of_place_integrand(scheme):
     for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, (1, 2, 8, 64)):
         scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
         reference = _exp_grid_integrate(_out_of_place_integrand(scheme, scenario),
-                                        scale=link_scale(scheme, scenario))
+                                        scale=link_laws(scheme, scenario)[2])
         assert asc_quadrature(scenario, scheme).value \
             == max(0.0, reference / math.log(2.0)), (gb_db, ge_db, m)
 

@@ -12,12 +12,13 @@ from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
 from tasec import secrecy
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
-                           _chunk_moments, asc, asc_btas_closed, asc_etas_closed,
-                           asc_quadrature, mc_asc, mc_asc_curve, secrecy_capacity)
-from tasec.selection import TasScheme, select_indices, snr_ratios
+                           _chunk_moments, _fold_gains, _ratio_capacities, _snr_ratios,
+                           asc, asc_btas_closed, asc_etas_closed, asc_quadrature, mc_asc,
+                           mc_asc_curve)
+from tasec.selection import TasScheme, select_indices
 
 from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains
-from oracles import asc_integral_oracle
+from oracles import asc_integral_oracle, secrecy_capacity, snr_ratios
 
 # Single-antenna ASC at unit SNRs, frozen by high-precision evaluation of
 # delta_e(1, 2)/ln 2 and cross-checked against the quadrature oracle below.
@@ -37,13 +38,39 @@ def scenario_db(gb_db, ge_db, m):
 # ----------------------------------------------------------------------------
 
 def test_secrecy_capacity_values():
-    assert secrecy_capacity(5.0, 5.0) == 0.0
-    assert secrecy_capacity(3.0, 1.0) == 1.0
-    assert secrecy_capacity(1.0, 3.0) == 0.0
-    assert secrecy_capacity(0.0, 0.0) == 0.0
-    values = secrecy_capacity(np.array([5.0, 3.0, 1.0, 0.0]),
-                              np.array([5.0, 1.0, 3.0, 0.0]))
-    assert values.tolist() == [0.0, 1.0, 0.0, 0.0]
+    # The one capacity formula on 1-D gains at unit SNRs, where the gains
+    # are the instantaneous SNRs: log2 of the ratio, clamped at 0
+    bob, eve = np.array([5.0, 3.0, 1.0, 0.0]), np.array([5.0, 1.0, 3.0, 0.0])
+    out = np.empty(4)
+    values = _ratio_capacities(Scenario(1.0, 1.0, 1), bob, eve, out,
+                               np.empty(secrecy._scratch_size(1)))
+    assert values is out and values.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert bob.tolist() == [5.0, 3.0, 1.0, 0.0] and eve.tolist() == [5.0, 1.0, 3.0, 0.0]
+
+
+def test_snr_ratios_in_place():
+    scenario = Scenario(2.0, 4.0, 2)
+    bob, eve = np.array([[1.0, 0.5]]), np.array([[0.25, 2.0]])
+    out = (np.empty((1, 2)), np.empty((1, 2)))
+    assert _snr_ratios(scenario, bob, eve, out=out) is out[0]
+    assert bob.tolist() == [[1.0, 0.5]] and eve.tolist() == [[0.25, 2.0]]
+    # (1 + 2 g_B) / (1 + 4 g_E)
+    assert out[0].tolist() == [[1.5, 2.0 / 9.0]]
+
+
+def test_snr_ratios_with_a_folded_side():
+    # a side that already holds 1 + gamma0 g is read as it is, and the ratio
+    # lands in the one array given, bit for bit as without the fold
+    scenario = Scenario(3.0, 7.0, 4)
+    bob, eve = draw_gain_blocks(scenario, RngStream(29, 0), 64)
+    unfolded = _snr_ratios(scenario, bob, eve, out=(np.empty_like(bob), np.empty_like(eve)))
+    for folded, gains in (("bob", (_fold_gains(bob, 3.0, np.empty_like(bob)), eve)),
+                          ("eve", (bob, _fold_gains(eve, 7.0, np.empty_like(eve))))):
+        kept = [g.copy() for g in gains]
+        out = np.empty_like(bob)
+        assert _snr_ratios(scenario, *gains, out=(out,), folded=folded) is out
+        assert out.tobytes() == unfolded.tobytes()
+        assert all(np.array_equal(g, k) for g, k in zip(gains, kept))
 
 
 def test_asc_estimate_invariants():
@@ -400,9 +427,7 @@ def argmax_moments(scenario, bob, eve):
     """Chunk moments the way O-TAS was first computed: select the index,
     gather both links there, and take the clamped log of their SNR ratio."""
     with np.errstate(all="ignore"):
-        idx = np.argmax(snr_ratios(scenario, bob, eve,
-                                   out=(np.empty_like(bob), np.empty_like(eve))),
-                        axis=1)
+        idx = np.argmax(snr_ratios(scenario, bob, eve), axis=1)
         rows = np.arange(bob.shape[0])
         cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
                               scenario.gamma_e0 * eve[rows, idx])

@@ -6,10 +6,10 @@ import pytest
 
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
-from tasec.secrecy import _capacities, secrecy_capacity
-from tasec.selection import TasScheme, fold_gains, link_laws, select_indices, snr_ratios
+from tasec.secrecy import _capacities
+from tasec.selection import TasScheme, link_laws, select_indices
 
-from oracles import ks_statistic
+from oracles import ks_statistic, secrecy_capacity
 
 KS_LIMIT = 0.0062
 
@@ -143,31 +143,6 @@ def test_select_indices_leaves_the_gains_untouched(scheme):
     assert np.array_equal(bob, bob_before) and np.array_equal(eve, eve_before)
 
 
-def test_snr_ratios_in_place():
-    scenario = Scenario(2.0, 4.0, 2)
-    bob, eve = np.array([[1.0, 0.5]]), np.array([[0.25, 2.0]])
-    out = (np.empty((1, 2)), np.empty((1, 2)))
-    assert snr_ratios(scenario, bob, eve, out=out) is out[0]
-    assert bob.tolist() == [[1.0, 0.5]] and eve.tolist() == [[0.25, 2.0]]
-    # (1 + 2 g_B) / (1 + 4 g_E)
-    assert out[0].tolist() == [[1.5, 2.0 / 9.0]]
-
-
-def test_snr_ratios_with_a_folded_side():
-    # a side that already holds 1 + gamma0 g is read as it is, and the ratio
-    # lands in the one array given, bit for bit as without the fold
-    scenario = Scenario(3.0, 7.0, 4)
-    bob, eve = draw_gain_blocks(scenario, RngStream(29, 0), 64)
-    unfolded = snr_ratios(scenario, bob, eve, out=(np.empty_like(bob), np.empty_like(eve)))
-    for folded, gains in (("bob", (fold_gains(bob, 3.0, np.empty_like(bob)), eve)),
-                          ("eve", (bob, fold_gains(eve, 7.0, np.empty_like(eve))))):
-        kept = [g.copy() for g in gains]
-        out = np.empty_like(bob)
-        assert snr_ratios(scenario, *gains, out=(out,), folded=folded) is out
-        assert out.tobytes() == unfolded.tobytes()
-        assert all(np.array_equal(g, k) for g, k in zip(gains, kept))
-
-
 def test_single_antenna_all_schemes_pick_zero():
     scenario = Scenario(2.0, 2.0, 1)
     rng = RngStream(17, 0)
@@ -184,7 +159,7 @@ def test_single_antenna_all_schemes_pick_zero():
 # ----------------------------------------------------------------------------
 
 def test_cdf_exponential_values():
-    f_eve, _ = link_laws(TasScheme.RANDOM, Scenario(1.0, 2.0, 1))
+    f_eve, _, _ = link_laws(TasScheme.RANDOM, Scenario(1.0, 2.0, 1))
     at_zero, at_mean, far = f_eve(np.array([0.0, 2.0, 1e6]))
     assert at_zero == 0.0 and far == 1.0
     assert at_mean == pytest.approx(EXP_CDF_AT_MEAN, rel=1e-14)
@@ -193,16 +168,16 @@ def test_cdf_exponential_values():
 def test_order_statistic_values():
     beta = 1.7
     x = np.linspace(0.0, 10.0, 41)
-    random_eve, random_bob = link_laws(TasScheme.RANDOM, Scenario(beta, beta, 1))
-    btas_eve, btas_bob = link_laws(TasScheme.BTAS, Scenario(beta, beta, 1))
-    etas_eve, etas_bob = link_laws(TasScheme.ETAS, Scenario(beta, beta, 1))
+    random_eve, random_bob, _ = link_laws(TasScheme.RANDOM, Scenario(beta, beta, 1))
+    btas_eve, btas_bob, _ = link_laws(TasScheme.BTAS, Scenario(beta, beta, 1))
+    etas_eve, etas_bob, _ = link_laws(TasScheme.ETAS, Scenario(beta, beta, 1))
     # a single antenna has nothing to select
     assert np.array_equal(btas_eve(x), random_eve(x))
     assert np.array_equal(etas_bob(x), random_bob(x))
     assert btas_bob(x) == pytest.approx(random_bob(x), rel=0.0, abs=1e-16)
     assert etas_eve(x) == pytest.approx(random_eve(x), rel=0.0, abs=1e-16)
-    _, btas2_bob = link_laws(TasScheme.BTAS, Scenario(beta, beta, 2))
-    etas2_eve, _ = link_laws(TasScheme.ETAS, Scenario(beta, beta, 2))
+    _, btas2_bob, _ = link_laws(TasScheme.BTAS, Scenario(beta, beta, 2))
+    etas2_eve, _, _ = link_laws(TasScheme.ETAS, Scenario(beta, beta, 2))
     assert 1.0 - btas2_bob(beta) == pytest.approx(MAX2_CDF_AT_MEAN, rel=1e-14)
     assert etas2_eve(beta) == pytest.approx(MIN2_CDF_AT_MEAN, rel=1e-14)
     assert btas2_bob(0.0) == 1.0
@@ -213,14 +188,14 @@ def test_min_order_equals_rescaled_exponential():
     for beta in (0.3, 1.0, 42.0):
         for m in (1, 2, 3, 8):
             x = np.linspace(0.01, 8 * beta, 50)
-            etas_eve, _ = link_laws(TasScheme.ETAS, Scenario(1.0, beta, m))
-            random_eve, _ = link_laws(TasScheme.RANDOM, Scenario(1.0, beta / m, 1))
+            etas_eve, _, _ = link_laws(TasScheme.ETAS, Scenario(1.0, beta, m))
+            random_eve, _, _ = link_laws(TasScheme.RANDOM, Scenario(1.0, beta / m, 1))
             assert etas_eve(x) == pytest.approx(random_eve(x), rel=0.0, abs=1e-15)
 
 
 def test_cdfs_monotone_with_unit_range():
     grid = np.linspace(0.0, 60.0, 2000)
-    laws = [link_laws(scheme, Scenario(2.0, 2.0, 4))
+    laws = [link_laws(scheme, Scenario(2.0, 2.0, 4))[:2]
             for scheme in (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM)]
     for f_eve, sf_bob in laws:
         for values in (f_eve(grid), 1.0 - sf_bob(grid)):
@@ -233,9 +208,9 @@ def test_stochastic_ordering():
     x = np.linspace(0.05, 12.0, 120)
     for m in (2, 4, 8):
         scenario = Scenario(beta, beta, m)
-        _, btas_bob = link_laws(TasScheme.BTAS, scenario)
-        random_eve, random_bob = link_laws(TasScheme.RANDOM, scenario)
-        etas_eve, _ = link_laws(TasScheme.ETAS, scenario)
+        _, btas_bob, _ = link_laws(TasScheme.BTAS, scenario)
+        random_eve, random_bob, _ = link_laws(TasScheme.RANDOM, scenario)
+        etas_eve, _, _ = link_laws(TasScheme.ETAS, scenario)
         # F_max <= F <= F_min, stated on the laws each scheme selects
         assert np.all(btas_bob(x) >= random_bob(x))
         assert np.all(random_eve(x) <= etas_eve(x))
@@ -268,7 +243,7 @@ def exp_cdf(x, beta):
 def test_link_laws_are_the_public_cdfs(scheme, scenario):
     gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
     x = law_grid(scenario)
-    f_eve, sf_bob = link_laws(scheme, scenario)
+    f_eve, sf_bob, _ = link_laws(scheme, scenario)
     if scheme is TasScheme.ETAS:
         eve_cdf = np.array([exp_cdf(v, ge / m) for v in x])
         bob_cdf = np.array([exp_cdf(v, gb) for v in x])
@@ -297,10 +272,24 @@ def test_link_laws_raise_no_warning_at_zero_and_subnormal_x(scenario):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scheme in (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM):
-            f_eve, sf_bob = link_laws(scheme, scenario)
+            f_eve, sf_bob, _ = link_laws(scheme, scenario)
             for x in (0.0, 5e-324, np.array([0.0, 5e-324])):
                 assert np.all(f_eve(x) >= 0.0) and np.all(sf_bob(x) <= 1.0)
             assert f_eve(0.0) == 0.0 and sf_bob(0.0) == 1.0
+
+
+@pytest.mark.parametrize("scenario,btas,etas", [
+    (Scenario(2.0, 12.0, 4), 12.0, 3.0),
+    (Scenario(2.0, 12.0, 8), 12.0, 2.0),
+    (Scenario(0.1, 1.0, 3), 1.0, 1.0 / 3.0),
+    (Scenario(5.0, 1.0, 1), 5.0, 5.0),
+], ids=repr)
+def test_link_laws_scale_is_the_larger_mean(scenario, btas, etas):
+    # The E-TAS eavesdropper's law is the minimum of M exponentials, of mean
+    # gamma_e0 / M; random and B-TAS keep gamma_e0
+    assert link_laws(TasScheme.BTAS, scenario)[2] == btas
+    assert link_laws(TasScheme.RANDOM, scenario)[2] == btas
+    assert link_laws(TasScheme.ETAS, scenario)[2] == etas
 
 
 def test_link_laws_reject_otas():
