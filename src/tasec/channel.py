@@ -84,7 +84,7 @@ class RngStream:
         self._generator = None
 
     @property
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> "np.random.Generator":
         if self._generator is None:
             key = np.random.SeedSequence(
                 entropy=self.seed, spawn_key=(self.stream_id, *self._branch))

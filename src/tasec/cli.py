@@ -127,8 +127,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     add_base(p_cross)
     add_gamma_b(p_cross)
     add_antennas(p_cross, repeatable=False)
-    p_cross.add_argument("--bracket-db", type=_finite_db, nargs=2,
-                         default=DEFAULT_BRACKET_DB, metavar=("LO", "HI"))
+    p_cross.add_argument("--bracket-db", type=_finite_db, nargs=2, metavar=("LO", "HI"),
+                         help="ratio bracket [dB] (default -30 30, widened downward)")
     p_cross.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run the self-check suite")
@@ -265,7 +265,7 @@ def _build(ns: argparse.Namespace) -> None:
         if ns.antennas[0] < 2:
             raise UsageError("crossover needs -M >= 2: with one antenna the "
                              "schemes coincide everywhere")
-        lo, hi = ns.bracket_db
+        lo, hi = ns.bracket_db or DEFAULT_BRACKET_DB
         if not lo < hi:
             raise UsageError(f"--bracket-db needs LO < HI, got {lo} {hi}")
 

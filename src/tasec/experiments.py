@@ -200,16 +200,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 
 
 def find_crossover(gamma_b0_db: float, antennas: int,
-                   bracket_db: tuple[float, float] = DEFAULT_BRACKET_DB) -> CrossoverResult:
+                   bracket_db: tuple[float, float] | None = None) -> CrossoverResult:
     """Find the eavesdropper/legitimate SNR ratio (dB) at which the two
     closed-form sub-optimal curves cross, by Illinois false position on
     g = ln(btas / etas), whose tolerance is relative at any SNR.
 
-    Requires a sign change of g over the bracket. M = 1 is rejected, as the
-    schemes then coincide everywhere, and so is a closed form that is 0.
+    Requires a sign change of g over the bracket. Where DEFAULT_BRACKET_DB,
+    used without `bracket_db`, has none, its width is added below it until g
+    changes sign or Scenario rejects gamma_e0: at a high gamma_b0 the root
+    sits near a fixed gamma_e0, below that bracket. M = 1 is rejected, as
+    the schemes then coincide everywhere, and so is a closed form that is 0.
     """
     antennas = require_int(antennas, "antennas", 2)
-    lo, hi = float(bracket_db[0]), float(bracket_db[1])
+    lo, hi = map(float, DEFAULT_BRACKET_DB if bracket_db is None else bracket_db)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid bracket {bracket_db!r}")
     gamma_b0 = db_to_linear(gamma_b0_db)
@@ -226,6 +229,11 @@ def find_crossover(gamma_b0_db: float, antennas: int,
 
     g_lo = gap(lo)
     g_hi = gap(hi)
+    while bracket_db is None and (g_lo > 0.0) == (g_hi > 0.0):
+        try:
+            lo, g_lo = 2.0 * lo - hi, gap(2.0 * lo - hi)
+        except ValueError:  # past the range of Scenario, or an ASC of 0
+            break
     for edge, g_edge in ((lo, g_lo), (hi, g_hi)):
         if g_edge == 0.0:
             return CrossoverResult(gamma_b0_db, antennas, edge, g_edge)

@@ -5,7 +5,8 @@ the real line, and every scale of f becomes a shift in t. The integrands of
 this package are analytic in a strip about the real t axis, where the plain
 trapezoid rule at a fixed step converges exponentially (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-2014): the step that resolves one scale resolves all of them.
+2014): the step that resolves one scale resolves all of them. The integrand
+runs inside the one np.errstate(all="ignore") each call enters.
 """
 
 import math
@@ -40,20 +41,20 @@ def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
     """Integrate f over [0, inf) to absolute tolerance, as the trapezoid sum
     T(h) = h sum_k g(k h) of g(t) = exp(t) f(exp(t)).
 
-    `f` must evaluate elementwise on a 1-D numpy array, and is called once
-    per grid, inside the one np.errstate(all="ignore") each call enters.
-    Its argument x may be a read-only view of the node table that
-    every call shares, so f must not write into x (numpy raises ValueError).
-    `scale` is the largest x around which f rises or falls, such as the
-    mean of its slowest exponential factor. The ends are first
-    guessed as x = abs_tol/4 and x = 2 ln(4/abs_tol) scale, the right one at
-    least two steps past the left. An end is kept only if |g| there
-    is at most abs_tol/4, which bounds the tail beyond it when |g| decays
-    from there at least like exp(-|t|): |f| <= 1 near 0 and f = O(1/x^2) at
+    `f` must evaluate elementwise on a 1-D numpy array x, once per grid. x may
+    be a read-only view of the node table every call shares, and f's result is
+    multiplied by x in place where it can be: f must not write into x nor
+    return a view of the table (numpy raises ValueError), and an array f
+    returns is overwritten. `scale` is the largest x around which f rises or
+    falls, such as the mean of its slowest exponential factor. The ends are
+    first guessed as x = abs_tol/4 and x = 2 ln(4/abs_tol) scale, the right
+    one at least two steps past the left. An end is kept only if |g| there is
+    at most abs_tol/4, which bounds the tail beyond it when |g| decays from
+    there at least like exp(-|t|): |f| <= 1 near 0 and f = O(1/x^2) at
     infinity. Otherwise that end moves out by half the span and the grid is
-    evaluated again. (A mass of f with |f| > 1 wholly below x = abs_tol/4
-    is not seen.) Then h is halved until |T(h) - T(2 h)| <= abs_tol/2;
-    T(2 h) sums every second node.
+    evaluated again. (A mass of f with |f| > 1 wholly below x = abs_tol/4 is
+    not seen.) Then h is halved until |T(h) - T(2 h)| <= abs_tol/2; T(2 h)
+    sums every second node.
 
     Raises ConvergenceError when halving would exceed _MAX_NODES nodes,
     when an end would leave the range of exp(t), or when f is not finite.
@@ -67,8 +68,14 @@ def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
     hi = max(hi, lo + 2.0 * _STEP)
 
     def trapezoid(x, h):
+        g = np.asarray(f(x), dtype=float)
+        try:
+            g *= x
+        except ValueError:  # a result of another shape, or read-only
+            if np.may_share_memory(g, _NODES):
+                raise  # x itself, or another view of the node table
+            g = x * g
         # A pole or an overflow inside f shows as an inf or NaN in the sum.
-        g = x * np.asarray(f(x), dtype=float)
         total = h * float(np.add.reduce(g))
         if not math.isfinite(total):
             raise ConvergenceError("quadrature: the integrand is not finite")
@@ -79,7 +86,7 @@ def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
         while True:
             k0, k1 = math.ceil(lo / h), math.floor(hi / h)
             g, total = trapezoid(_NODES[k0 + _K_MAX:k1 + _K_MAX + 1], h)
-            lo_open, hi_open = abs(g[0]) > share, abs(g[-1]) > share
+            lo_open, hi_open = abs(g.item(0)) > share, abs(g.item(-1)) > share
             if not (lo_open or hi_open):
                 break
             if (lo_open and lo <= -_T_LIMIT) or (hi_open and hi >= _T_LIMIT):

@@ -45,7 +45,7 @@ from .channel import RngStream, Scenario, draw_gain_blocks, require_int
 from .errors import UnsupportedSchemeError
 from .expint import delta_e
 from .quadrature import integrate_half_line
-from .selection import TasScheme, link_laws, select_indices
+from .selection import TasScheme, asc_integrand, select_indices
 
 _LN2 = math.log(2.0)
 
@@ -69,13 +69,16 @@ _TILE_ELEMENTS = 131_072
 BTAS_CLOSED_TOL = 1e-9
 
 
-# The largest M whose every C(M, k) fits a double: past it the B-TAS sum
-# cannot be bounded, and asc_btas_closed hands over to quadrature before the
-# O(M^2) big-integer work of forming every C(M, k). C(M, M // 2) is the
-# largest C(M, k), grows with M and is at most 2^M, so the search starts at
-# the largest M whose 2^M fits.
+# The largest M whose every C(M, k) fits a double, past which the B-TAS sum
+# is not formed. C(M, M // 2) is the largest C(M, k), grows with M and is at
+# most 2^M, so the search starts at the largest M whose 2^M fits.
 _BTAS_SUM_MAX_M = next(m for m in count(sys.float_info.max_exp - 1)
                        if math.comb(m + 1, (m + 1) // 2) > sys.float_info.max)
+
+
+def _bracket(a: float, b: float) -> float:
+    """ln(1 + 1/a) + ln(1 + 1/b), a bracket of S (see asc_btas_closed)."""
+    return math.log1p(1.0 / a) + math.log1p(1.0 / b)
 
 
 class Method(str, Enum):
@@ -416,19 +419,13 @@ def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,
 # ----------------------------------------------------------------------------
 
 def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
-    """ASC by trapezoid quadrature in ln x of the product-form integral over
-    the scheme's `link_laws`, with its right end guessed from the laws'
-    scale; otas raises UnsupportedSchemeError. The integral meets
-    an absolute tolerance of 1e-10 across the dB range, save its top: above
-    a reference SNR of about 3,067 dB the tail does not vanish below the
-    largest double, and ConvergenceError is raised."""
-    f_eve, sf_bob, scale = link_laws(scheme, scenario)
-
-    def integrand(x):
-        y, sf = f_eve(x), sf_bob(x)  # F_E (1 - F_B) / (1 + x) in their arrays
-        y *= sf
-        return np.divide(y, np.add(x, 1.0, out=sf), out=y)
-
+    """ASC by trapezoid quadrature in ln x of the scheme's `asc_integrand`,
+    with its right end guessed from the laws' scale; otas raises
+    UnsupportedSchemeError. The integral meets an absolute tolerance of
+    1e-10 across the dB range, save its top: above a reference SNR of about
+    3,067 dB the tail does not vanish below the largest double, and
+    ConvergenceError is raised."""
+    integrand, scale = asc_integrand(scheme, scenario)
     value = integrate_half_line(integrand, scale=scale) / _LN2
     return AscEstimate(value=max(0.0, value), method=Method.QUAD)
 
@@ -440,10 +437,9 @@ def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
 def asc_btas_closed(scenario: Scenario) -> AscEstimate:
     """ASC of legitimate-based selection by the alternating binomial sum over
     delta_e terms, or by asc_quadrature (method quad) where the sum's error
-    bound 8 eps S exceeds BTAS_CLOSED_TOL or S overflows (always past
-    M = 1,029, _BTAS_SUM_MAX_M). Quadrature raises
-    ConvergenceError only where its tail passes the largest double, above a
-    gamma_b0 of about 3,067 dB.
+    bound 8 eps S exceeds BTAS_CLOSED_TOL (always past M = 1,029,
+    _BTAS_SUM_MAX_M). Quadrature raises ConvergenceError only where its tail
+    passes the largest double, above a gamma_b0 of about 3,067 dB.
 
     S = sum_k C(M,k) (ln(1 + 1/a_k) + ln(1 + 1/b_k)) / ln 2 over the term
     arguments, and f(x) = exp(x) E1(x) < ln(1 + 1/x) (A&S 5.1.20). Each f is
@@ -452,25 +448,30 @@ def asc_btas_closed(scenario: Scenario) -> AscEstimate:
     rounded C(M,k) and their product add 1.5 eps of C(M,k) (f(a_k) + f(b_k)).
     fsum and the division by ln 2 add 1.5 eps of the result, which is at
     most S. That is 7.7 eps S in all. At (10, 10) dB the sum is kept up to
-    M = 18.
+    M = 18. The bracket L_k of C(M,k) in S falls with k, and the C(M,k) sum to
+    2^M - 1, so (2^M - 1) L_M <= S ln 2 <= (2^M - 1) L_1. S is summed only
+    where these bounds, widened by 1% for its rounding, straddle the limit
+    BTAS_CLOSED_TOL / (8 eps); there L_1 <= M L_M keeps it finite.
     """
     m = scenario.num_antennas
     if m > _BTAS_SUM_MAX_M:
         return asc_quadrature(scenario, TasScheme.BTAS)
     inv_gb = 1.0 / scenario.gamma_b0
     inv_ge = 1.0 / scenario.gamma_e0
-    args = [(math.comb(m, k), k * inv_gb, inv_ge + k * inv_gb)
-            for k in range(1, m + 1)]
-    try:
-        scale = math.fsum(binom * (math.log1p(1.0 / a) + math.log1p(1.0 / b))
-                          for binom, a, b in args) / _LN2
-    except OverflowError:  # C(M,k) or S beyond a double
-        scale = math.inf
-    if 8.0 * sys.float_info.epsilon * scale > BTAS_CLOSED_TOL:
+    # The L at which (2^M - 1) L / ln 2 meets the limit; ldexp, as 2^M overflows
+    cap = (math.ldexp(BTAS_CLOSED_TOL * _LN2 / (8.0 * sys.float_info.epsilon), -m)
+           / (1.0 - math.ldexp(1.0, -m)))
+    if _bracket(m * inv_gb, inv_ge + m * inv_gb) > 1.01 * cap:
         return asc_quadrature(scenario, TasScheme.BTAS)
+    if _bracket(inv_gb, inv_ge + inv_gb) >= 0.99 * cap:
+        scale = math.fsum(math.comb(m, k) * _bracket(k * inv_gb, inv_ge + k * inv_gb)
+                          for k in range(1, m + 1)) / _LN2
+        if 8.0 * sys.float_info.epsilon * scale > BTAS_CLOSED_TOL:
+            return asc_quadrature(scenario, TasScheme.BTAS)
     terms = []
-    for k, (binom, a, b) in enumerate(args, start=1):
-        terms.append((binom if k % 2 else -binom) * delta_e(a, b))
+    for k in range(1, m + 1):
+        binom, a = math.comb(m, k), k * inv_gb
+        terms.append((binom if k % 2 else -binom) * delta_e(a, inv_ge + a))
     # Clamp: for near-degenerate SNRs the sum of correctly-rounded terms can
     # land an ulp below zero.
     return AscEstimate(value=max(0.0, math.fsum(terms) / _LN2), method=Method.CLOSED)

@@ -13,9 +13,15 @@ Four criteria are supported:
 
 Ties break toward the lowest index; under continuous fading that is a
 probability-zero event that only matters for crafted inputs.
+
+The link-law kernels of F and 1 - F^M return -F and -(1 - F^M). `link_laws`
+negates them and enters np.errstate for the log1p(-1) of btas at x = 0; in
+`asc_integrand`, F_E (1 - F_B) / (1 + x), the negations cancel or move into
+the divisor, which is exact, and integrate_half_line owns the errstate.
 """
 
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -53,38 +59,53 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
 
 # ----------------------------------------------------------------------------
 # Gain CDFs: single link and the max/min order statistics of M i.i.d. links,
-# each stated once as a vectorized kernel that link_laws evaluates. Each
-# kernel's first step makes one array (`_own`), and the rest run in it;
-# x / -beta is -x / beta to the bit.
+# each stated once as a vectorized kernel of (beta[, m], x), x an array of at
+# least one dimension. A kernel's first step makes one array, and the rest
+# run in it; x / -beta is -x / beta to the bit.
 # ----------------------------------------------------------------------------
 
-def _own(y):
-    """A ufunc's result as an array: a numpy scalar becomes a 0-d array."""
-    return y if type(y) is np.ndarray else np.array(y)
+def _neg_cdf_exp(beta, x):
+    y = np.divide(x, -beta)
+    return np.expm1(y, out=y)
 
 
-def _cdf_exp(x, beta):
-    y = _own(np.divide(x, -beta))
-    return np.negative(np.expm1(y, out=y), out=y)
-
-
-def _sf_exp(x, beta):
-    y = _own(np.divide(x, -beta))
+def _sf_exp(beta, x):
+    y = np.divide(x, -beta)
     return np.exp(y, out=y)
 
 
-def _sf_max(x, beta, m):
-    # 1 - (1 - exp(-x/beta))^m without cancellation in the deep tail.
-    y = _own(np.divide(x, -beta))
-    with np.errstate(divide="ignore"):  # log1p(-1) at x = 0
-        np.log1p(np.negative(np.exp(y, out=y), out=y), out=y)
+def _neg_sf_max(beta, m, x):
+    # -(1 - (1 - exp(-x/beta))^m) without cancellation in the deep tail.
+    y = np.divide(x, -beta)
+    np.log1p(np.negative(np.exp(y, out=y), out=y), out=y)
     y *= m
-    return np.negative(np.expm1(y, out=y), out=y)
+    return np.expm1(y, out=y)
 
 
-def _cdf_min(x, beta, m):
-    y = _own(np.multiply(x, -(m / beta)))
-    return np.negative(np.expm1(y, out=y), out=y)
+def _neg_cdf_min(beta, m, x):
+    y = np.multiply(x, -(m / beta))
+    return np.expm1(y, out=y)
+
+
+def _kernels(scheme: TasScheme, scenario: Scenario):
+    """-F_E; 1 - F_B times its sign; that sign, -1 for btas; the scale."""
+    scheme = scheme if isinstance(scheme, TasScheme) else TasScheme(scheme)
+    gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
+    if scheme is TasScheme.BTAS:
+        return partial(_neg_cdf_exp, ge), partial(_neg_sf_max, gb, m), -1.0, max(ge, gb)
+    if scheme is TasScheme.ETAS:
+        return partial(_neg_cdf_min, ge, m), partial(_sf_exp, gb), 1.0, max(ge / m, gb)
+    if scheme is TasScheme.RANDOM:
+        return partial(_neg_cdf_exp, ge), partial(_sf_exp, gb), 1.0, max(ge, gb)
+    raise UnsupportedSchemeError(
+        f"no product-form CDFs for scheme {scheme.value!r}: the selected "
+        "antenna's SNRs are dependent")
+
+
+def _law(kernel, sign, x):
+    with np.errstate(divide="ignore"):  # log1p(-1) of btas at x = 0
+        y = kernel(np.atleast_1d(x))
+    return np.multiply(y, sign, out=y).reshape(np.shape(x))
 
 
 def link_laws(scheme: TasScheme, scenario: Scenario):
@@ -92,14 +113,20 @@ def link_laws(scheme: TasScheme, scenario: Scenario):
     schemes whose selection keeps the links independent (not otas), and
     their scale: the larger of the means of the exponentials behind them,
     the x around which the slower law rises or falls."""
-    scheme = TasScheme(scheme)
-    gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
-    if scheme is TasScheme.BTAS:
-        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_max(x, gb, m)), max(ge, gb)
-    if scheme is TasScheme.ETAS:
-        return (lambda x: _cdf_min(x, ge, m)), (lambda x: _sf_exp(x, gb)), max(ge / m, gb)
-    if scheme is TasScheme.RANDOM:
-        return (lambda x: _cdf_exp(x, ge)), (lambda x: _sf_exp(x, gb)), max(ge, gb)
-    raise UnsupportedSchemeError(
-        f"no product-form CDFs for scheme {scheme.value!r}: the selected "
-        "antenna's SNRs are dependent")
+    neg_f_eve, sf_bob, sign, scale = _kernels(scheme, scenario)
+    return partial(_law, neg_f_eve, -1.0), partial(_law, sf_bob, sign), scale
+
+
+def asc_integrand(scheme: TasScheme, scenario: Scenario):
+    """F_E(x) (1 - F_B(x)) / (1 + x) of `link_laws`, whose integral over
+    [0, inf) is the scheme's ASC times ln 2, and the laws' scale."""
+    neg_f_eve, sf_bob, sign, scale = _kernels(scheme, scenario)
+    # -F_E times -(1 - F_B) over 1 + x, or times 1 - F_B over -1 - x
+    shift, one = (np.add, 1.0) if sign < 0.0 else (np.subtract, -1.0)
+
+    def integrand(x):
+        y, sf = neg_f_eve(x), sf_bob(x)
+        y *= sf
+        return np.divide(y, shift(one, x, out=sf), out=y)
+
+    return integrand, scale

@@ -6,14 +6,20 @@ adaptive Gauss-Kronrod (QUADPACK) quadrature of the defining integral
 (after the exact shift t = x + s so the integrand stays well scaled at large
 x), and the ASC oracle integrates the product-form integrand the same way.
 The low-SNR crossover limit needs no E1 at all. The instantaneous secrecy
-capacity is the textbook numpy expression, gathered at an argmax.
+capacity is the textbook numpy expression, gathered at an argmax. The one
+exception is `btas_closed_sum_rule`, the package's former B-TAS hand-over
+rule kept verbatim as the reference of the rule that replaced it.
 """
 
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from tasec import secrecy
+from tasec.selection import TasScheme
 
 
 def scaled_e1_oracle(x: float) -> float:
@@ -76,3 +82,29 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     upper = np.arange(1, n + 1) / n - theory
     lower = theory - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
+
+
+def btas_closed_sum_rule(scenario):
+    """`secrecy.asc_btas_closed` as it was when it formed every C(M, k) and
+    summed S = sum_k C(M,k) (ln(1 + 1/a_k) + ln(1 + 1/b_k)) / ln 2 before
+    deciding its hand-over to quadrature: the O(M) reference of the O(1)
+    decision that replaced it."""
+    m = scenario.num_antennas
+    if m > secrecy._BTAS_SUM_MAX_M:
+        return secrecy.asc_quadrature(scenario, TasScheme.BTAS)
+    inv_gb = 1.0 / scenario.gamma_b0
+    inv_ge = 1.0 / scenario.gamma_e0
+    args = [(math.comb(m, k), k * inv_gb, inv_ge + k * inv_gb)
+            for k in range(1, m + 1)]
+    try:
+        scale = math.fsum(binom * (math.log1p(1.0 / a) + math.log1p(1.0 / b))
+                          for binom, a, b in args) / math.log(2.0)
+    except OverflowError:  # C(M,k) or S beyond a double
+        scale = math.inf
+    if 8.0 * sys.float_info.epsilon * scale > secrecy.BTAS_CLOSED_TOL:
+        return secrecy.asc_quadrature(scenario, TasScheme.BTAS)
+    terms = []
+    for k, (binom, a, b) in enumerate(args, start=1):
+        terms.append((binom if k % 2 else -binom) * secrecy.delta_e(a, b))
+    value = max(0.0, math.fsum(terms) / math.log(2.0))
+    return secrecy.AscEstimate(value=value, method=secrecy.Method.CLOSED)

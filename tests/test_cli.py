@@ -434,6 +434,21 @@ def test_crossover_empty_bracket_exit_code(capsys):
     assert "sign" in err or "crossover" in err
 
 
+@pytest.mark.parametrize("args", [["--gamma-b-db", "60", "-M", "4"],
+                                  ["--gamma-b-db", "60", "-M", "8"],
+                                  ["--gamma-b-db", "80", "-M", "2"]],
+                         ids=["60dB-M4", "60dB-M8", "80dB-M2"])
+def test_crossover_below_the_default_bracket(args, capsys):
+    # The default bracket's low end moves down to the root; the explicit
+    # bracket of the pinned crossover-60db-wide row finds it too
+    code, out, _ = run_cli(["crossover", *args], capsys)
+    assert code == 0
+    root = float(out.splitlines()[1].split(",")[2])
+    code, out, _ = run_cli(["crossover", *args, "--bracket-db", "-120", "30"], capsys)
+    assert code == 0
+    assert abs(root - float(out.splitlines()[1].split(",")[2])) <= 1e-9
+
+
 # ----------------------------------------------------------------------------
 # computation failures map to exit 1
 # ----------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from tasec import secrecy
 from tasec.channel import RngStream, Scenario
 from tasec.errors import DegenerateNormalizationError, NoCrossoverError
-from tasec.experiments import (SweepRow, SweepSpec, SweptParameter,
+from tasec.experiments import (DEFAULT_BRACKET_DB, SweepRow, SweepSpec, SweptParameter,
                                adaptive_scheme, db_to_linear, find_crossover,
                                run_sweep)
 from tasec.secrecy import MC_CHUNK_SIZE, asc_btas_closed, asc_etas_closed, mc_asc_curve
@@ -442,6 +442,38 @@ def test_crossover_invariant_under_bracket_halving():
     root = wide.crossover_ratio_db
     narrow = find_crossover(20.0, 8, (root - 15.0, root + 15.0))
     assert abs(wide.crossover_ratio_db - narrow.crossover_ratio_db) <= 1e-6
+
+
+@pytest.mark.parametrize("gamma_b0_db, antennas", [(60.0, 4), (60.0, 8), (80.0, 2)])
+def test_default_bracket_widens_down_to_the_root(gamma_b0_db, antennas):
+    # At a high gamma_b0 the root sits near a fixed gamma_e0, below the
+    # default bracket; an explicit bracket is never widened
+    with pytest.raises(NoCrossoverError):
+        find_crossover(gamma_b0_db, antennas, DEFAULT_BRACKET_DB)
+    wide = find_crossover(gamma_b0_db, antennas, (-120.0, 30.0))
+    result = find_crossover(gamma_b0_db, antennas)
+    assert result.crossover_ratio_db < DEFAULT_BRACKET_DB[0]
+    assert abs(result.crossover_ratio_db - wide.crossover_ratio_db) <= 1e-9
+    assert abs(result.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma_b0_db, antennas",
+                         [(gb, 8) for gb in sorted(CROSSOVER_GOLDEN_DB)]
+                         + sorted(CROSSOVER_DEEP_DB) + [(-90.0, 64), (10.0, 16)])
+def test_roots_in_the_default_bracket_are_unchanged(gamma_b0_db, antennas):
+    assert find_crossover(gamma_b0_db, antennas) \
+        == find_crossover(gamma_b0_db, antennas, DEFAULT_BRACKET_DB)
+
+
+def test_widening_stops_where_scenario_ends(monkeypatch):
+    # With E-TAS scaled down, B-TAS wins at every ratio: the low end moves
+    # down until gamma_e0 underflows, and no root is reported
+    etas = secrecy.asc_etas_closed
+    monkeypatch.setattr(secrecy, "asc_etas_closed",
+                        lambda scenario: secrecy.AscEstimate(
+                            0.5 * etas(scenario).value, secrecy.Method.CLOSED))
+    with pytest.raises(NoCrossoverError, match=r"sign on \[-1890.0, 30.0\] dB"):
+        find_crossover(60.0, 4)
 
 
 def test_single_antenna_has_no_isolated_crossing():

@@ -165,6 +165,59 @@ def test_node_table_is_read_only():
     assert integrate_half_line(decay) == before
 
 
+def test_the_result_of_f_is_overwritten_with_x_f():
+    # f's result is multiplied by x in place: the first grid's array holds
+    # x f(x) after the call, the doubles of x * f(x)
+    results = []
+
+    def f(x):
+        results.append((x, np.exp(-x)))
+        return results[-1][1]
+
+    integrate_half_line(f)
+    x, y = results[0]
+    assert np.array_equal(y, x * np.exp(-x))
+
+
+def read_only(y):
+    y.flags.writeable = False
+    return y
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x,
+    lambda x: x[::-1],
+    lambda x: quadrature._NODES[:x.size],
+    lambda x: quadrature._NODES[:1],
+], ids=["x", "reversed-x", "table-slice", "table-element"])
+def test_f_may_not_return_the_node_table(f):
+    nodes = quadrature._NODES.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_half_line(f)
+    assert np.array_equal(quadrature._NODES, nodes)
+    assert not quadrature._NODES.flags.writeable
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: list(np.exp(-x)),
+    lambda x: np.exp(-x).astype(np.float32),
+    lambda x: read_only(np.exp(-x)),
+], ids=["list", "float32", "read-only"])
+def test_any_array_like_result_is_accepted(f):
+    # A result that cannot take x in place is converted or multiplied out of
+    # place, as before: the doubles of a new array of the same values
+    expected = integrate_half_line(lambda x: np.array(f(x), dtype=float))
+    assert integrate_half_line(f) == expected
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 0.0, lambda x: np.float64(0.0), lambda x: np.zeros(()),
+    lambda x: np.broadcast_to(0.0, x.shape), lambda x: (x < 0.0).astype(int),
+], ids=["float", "numpy-scalar", "0-d", "broadcast", "int-array"])
+def test_scalar_and_other_dtype_results_are_accepted(f):
+    assert integrate_half_line(f) == 0.0
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-10, 1.0, 1e10, 1e300])
 def test_table_grid_matches_a_per_call_exp_grid(scale):
     def f(x):

@@ -7,6 +7,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
@@ -18,7 +20,8 @@ from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
 from tasec.selection import TasScheme, select_indices
 
 from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains
-from oracles import asc_integral_oracle, secrecy_capacity, snr_ratios
+from oracles import (asc_integral_oracle, btas_closed_sum_rule, secrecy_capacity,
+                     snr_ratios)
 
 # Single-antenna ASC at unit SNRs, frozen by high-precision evaluation of
 # delta_e(1, 2)/ln 2 and cross-checked against the quadrature oracle below.
@@ -166,6 +169,59 @@ def test_btas_large_antenna_counts():
     assert time.perf_counter() - start < 1.0
     assert est == asc_quadrature(huge, TasScheme.BTAS)
     assert est.method is Method.QUAD
+
+
+# dB values of both reference SNRs, from the bottom to the top of the range
+# the hand-over tests cover
+HAND_OVER_DB = (-300.0, -200.0, -100.0, -60.0, -30.0, -10.0, 0.0, 10.0, 30.0,
+                60.0, 100.0, 200.0, 300.0)
+
+
+def assert_sum_rule_decision(gb_db, ge_db, m):
+    """asc_btas_closed's O(1) hand-over picks the method and the value that
+    summing S picked, to the bit."""
+    scenario = scenario_db(gb_db, ge_db, m)
+    new, old = asc_btas_closed(scenario), btas_closed_sum_rule(scenario)
+    assert (new.method, repr(new.value)) == (old.method, repr(old.value)), (gb_db, ge_db, m)
+    return new.method
+
+
+@pytest.mark.parametrize("antennas", [range(1, 65), (100, 500)], ids=["1-64", "100-500"])
+def test_btas_hand_over_decides_as_the_sum_rule(antennas):
+    methods = {assert_sum_rule_decision(gb_db, ge_db, m)
+               for gb_db, ge_db, m in product(HAND_OVER_DB, HAND_OVER_DB, antennas)}
+    assert methods == {Method.CLOSED, Method.QUAD}
+
+
+def test_btas_hand_over_where_2_to_the_m_overflows():
+    # M = 1,024 to 1,029 (_BTAS_SUM_MAX_M): 2^M is past the largest double,
+    # yet every C(M, k) fits one, so the old rule formed them all
+    for gb_db, ge_db, m in product((-300.0, 0.0, 300.0), (-300.0, 0.0, 300.0),
+                                   range(1024, secrecy._BTAS_SUM_MAX_M + 1)):
+        assert assert_sum_rule_decision(gb_db, ge_db, m) is Method.QUAD
+
+
+@settings(max_examples=300, deadline=None)
+@given(gb_db=st.floats(-300.0, 300.0), ge_db=st.floats(-300.0, 300.0),
+       m=st.integers(1, 64))
+def test_btas_hand_over_decides_as_the_sum_rule_at_random(gb_db, ge_db, m):
+    assert_sum_rule_decision(gb_db, ge_db, m)
+
+
+def test_btas_hand_over_scan_across_the_limit(monkeypatch):
+    # gamma_e0 = 10 dB and gamma_b0 in 0.25 dB steps: each M crosses from
+    # the sum to quadrature, and near the limit S itself is summed
+    brackets = []
+    bracket = secrecy._bracket
+    monkeypatch.setattr(secrecy, "_bracket",
+                        lambda a, b: brackets.append(a) or bracket(a, b))
+    for m in range(15, 26):
+        methods, summed = set(), 0
+        for quarter_db in range(-160, 241):
+            brackets.clear()
+            methods.add(assert_sum_rule_decision(quarter_db / 4.0, 10.0, m))
+            summed += len(brackets) > 2
+        assert methods == {Method.CLOSED, Method.QUAD} and summed > 0, m
 
 
 def test_closed_forms_match_independent_oracle():
