@@ -112,11 +112,8 @@ def draw_gain_blocks(scenario: Scenario, rng: RngStream, count: int,
     (count, M), it fills them with the same values and returns them; any
     other `out` raises ValueError."""
     count = require_int(count, "count", 1)
-    gen = rng.generator
     shape = (count, scenario.num_antennas)
-    if out is None:
-        return gen.standard_exponential(shape), gen.standard_exponential(shape)
-    bob, eve = out
+    bob, eve = (np.empty(shape), np.empty(shape)) if out is None else out
     for name, block in (("bob", bob), ("eve", eve)):
         if not (isinstance(block, np.ndarray) and block.dtype == np.float64
                 and block.shape == shape and block.flags.c_contiguous
@@ -125,6 +122,7 @@ def draw_gain_blocks(scenario: Scenario, rng: RngStream, count: int,
                              f"float64 array of shape {shape}")
     if np.may_share_memory(bob, eve):
         raise ValueError("out bob and eve blocks must not overlap")
+    gen = rng.generator
     gen.standard_exponential(out=bob)
     gen.standard_exponential(out=eve)
     return bob, eve

@@ -18,9 +18,8 @@ import math
 import sys
 from pathlib import Path
 
-from .channel import RngStream, Scenario
-from .errors import (ConvergenceError, DegenerateNormalizationError,
-                     NoCrossoverError, UnsupportedSchemeError)
+from .channel import RngStream, Scenario, require_int
+from .errors import ConvergenceError, DegenerateNormalizationError, NoCrossoverError
 from .experiments import (DEFAULT_BRACKET_DB, SweepSpec, SweptParameter,
                           db_to_linear, find_crossover, run_sweep)
 from .secrecy import ROUTES, Method, asc
@@ -172,11 +171,12 @@ def _config_value(action: argparse.Action, text: str):
 
 
 def _read_config_file(path: str, keys: dict[str, argparse.Action]) -> dict:
-    """Flat `key = value` lines; '#' starts a comment. Returns values by dest."""
+    """Flat `key = value` lines of UTF-8 text, which may start with a byte-order
+    mark; '#' starts a comment. Returns values by dest."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -201,8 +201,8 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     """Flags beat the `--config` file, which beats the parser's defaults.
 
     The namespace also carries the library objects the run needs (`scenario`
-    for asc, `spec` for sweep), built here so that their errors are usage
-    errors.
+    for asc, `spec` for sweep), built here so that they fail before any work:
+    UsageError for the CLI's own rules, ValueError for the library's.
     """
     parser, commands = _build_parser()
     name = parser.parse_args(argv).subcommand
@@ -218,18 +218,16 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     for action in keys.values():
         if getattr(ns, action.dest) is None:
             setattr(ns, action.dest, config.get(action.dest, action.default))
-    try:
-        _build(ns)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _build(ns)
     return ns
 
 
 def _build(ns: argparse.Namespace) -> None:
-    """Build the library objects of the run, and check what they do not."""
+    """Build the library objects of the run, and check what they do not: the
+    rules of the flags, and the Monte Carlo counts by `require_int`, as
+    `mc_asc_curve` checks them."""
     if "seed" in ns:  # the Monte Carlo flags
-        if ns.threads < 1:
-            raise UsageError(f"threads must be >= 1, got {ns.threads}")
+        require_int(ns.threads, "threads", 1)
         RngStream(ns.seed)  # rejects seeds outside the unsigned 64-bit range
 
     if ns.subcommand == "asc":
@@ -241,8 +239,8 @@ def _build(ns: argparse.Namespace) -> None:
         ns.schemes = [scheme]
         if Method(ns.method) not in ROUTES[scheme]:
             raise UsageError(f"{_METHOD_NAMES[ns.method]} unavailable for {scheme.value}")
-        if ns.method == "mc" and ns.trials < 2:
-            raise UsageError(f"--trials must be >= 2 for mc, got {ns.trials}")
+        if ns.method == "mc":
+            require_int(ns.trials, "trials", 2)
         ns.scenario = Scenario(db_to_linear(ns.gamma_b_db),
                                db_to_linear(ns.gamma_e_db), ns.antennas[0])
 
@@ -270,8 +268,7 @@ def _build(ns: argparse.Namespace) -> None:
             raise UsageError(f"--bracket-db needs LO < HI, got {lo} {hi}")
 
     elif ns.subcommand == "verify":
-        if ns.trials < 2:
-            raise UsageError(f"--trials must be >= 2, got {ns.trials}")
+        require_int(ns.trials, "trials", 2)
 
 
 # ----------------------------------------------------------------------------
@@ -343,7 +340,7 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     commands = {"asc": cmd_asc, "sweep": cmd_sweep,
@@ -353,8 +350,8 @@ def main(argv=None) -> int:
     except NoCrossoverError as exc:
         print(f"no crossover: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ConvergenceError, UnsupportedSchemeError,
-            DegenerateNormalizationError, OSError) as exc:
+    except (ValueError, ConvergenceError, DegenerateNormalizationError,
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

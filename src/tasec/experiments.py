@@ -38,15 +38,19 @@ DEFAULT_BRACKET_DB = (-30.0, 30.0)
 
 
 def db_to_linear(x_db: float) -> float:
-    """Power ratio of a dB value: 10^(x/10)."""
+    """Power ratio of a dB value: 10^(x/10). A value that is not finite, or
+    whose ratio overflows a float or underflows to 0, is out of range."""
     if not math.isfinite(x_db):
         raise ValueError(f"dB value must be finite, got {x_db!r}")
     try:
-        return 10.0 ** (x_db / 10.0)
+        linear = 10.0 ** (x_db / 10.0)
     except OverflowError:
-        raise ValueError(
-            f"dB value {x_db!r} is out of range: 10^({x_db!r}/10) overflows a float"
-        ) from None
+        fault = "overflows a float"
+    else:
+        if linear > 0.0:
+            return linear
+        fault = "underflows to 0"
+    raise ValueError(f"dB value {x_db!r} is out of range: 10^({x_db!r}/10) {fault}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,9 @@ class SweepSpec:
     O-TAS row's is the O-TAS estimate's relative standard error q, and
     hypot(std_error, asc * q) overstates a Monte Carlo row's full error, as
     its realizations are the O-TAS row's (README, "CSV output").
+
+    ValueError rejects a grid without start_db < stop_db, or one that reaches
+    a dB value outside `db_to_linear`'s range or a point `Scenario` rejects.
     """
 
     swept: SweptParameter
@@ -85,12 +92,9 @@ class SweepSpec:
         object.__setattr__(self, "points", require_int(self.points, "points", 2))
         object.__setattr__(self, "schemes",
                            tuple(TasScheme(s) for s in self.schemes))
-        if not (math.isfinite(self.start_db) and math.isfinite(self.stop_db)
-                and self.start_db < self.stop_db):
+        if not self.start_db < self.stop_db:  # NaN fails too
             raise ValueError(
                 f"need start_db < stop_db, got [{self.start_db!r}, {self.stop_db!r}]")
-        if not math.isfinite(self.fixed_gamma_db):
-            raise ValueError(f"fixed_gamma_db must be finite, got {self.fixed_gamma_db!r}")
         if not self.antennas:
             raise ValueError("at least one antenna count is required")
         if not self.schemes:
@@ -100,15 +104,11 @@ class SweepSpec:
                 "mc_trials >= 2 required: this sweep requests a Monte Carlo "
                 "path (otas/random scheme, overlay, or normalization)")
         # The grid is linear in dB, so its two ends bound every SNR it reaches,
-        # and Scenario's rule holds at every point if it holds there at max M.
+        # and db_to_linear's range and Scenario's rule hold at every point if
+        # they hold there at max M. An infinite end or fixed value fails here.
         for value_db in (self.start_db, self.stop_db):
-            dbs = _grid_point_dbs(self, value_db)
-            for x_db in dbs:
-                if db_to_linear(x_db) == 0.0:
-                    raise ValueError(
-                        f"dB value {x_db!r} is out of range: "
-                        f"10^({x_db!r}/10) underflows to 0")
-            Scenario(*map(db_to_linear, dbs), max(self.antennas))
+            Scenario(*map(db_to_linear, _grid_point_dbs(self, value_db)),
+                     max(self.antennas))
 
     @property
     def mc_schemes(self) -> tuple[TasScheme, ...]:

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from tasec import cli, secrecy
+from tasec import cli, secrecy, verification
 from tasec.channel import RngStream, Scenario
 from tasec.cli import (ASC_CSV_HEADER, SWEEP_CSV_HEADER, UsageError, main,
                        parse_config)
 from tasec.errors import ConvergenceError, UnsupportedSchemeError
 from tasec.experiments import db_to_linear
-from tasec.secrecy import ROUTES, Method, asc, asc_etas_closed, asc_quadrature
+from tasec.secrecy import (ROUTES, AscEstimate, Method, asc, asc_etas_closed,
+                           asc_quadrature)
 from tasec.selection import TasScheme
 from tasec.verification import run_verification
 
@@ -164,6 +165,64 @@ def test_config_malformed_number(tmp_path, capsys):
     code, _, err = run_cli(["asc", "--scheme", "btas", "--config", str(config)], capsys)
     assert code == 2
     assert "lots" in err
+
+
+def test_config_file_is_utf8_and_may_start_with_a_byte_order_mark(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes("\ufeffgamma_b_db = 25  # γ̄B0 in dB\n".encode("utf-8"))
+    cfg = parse_config(["asc", "--scheme", "btas", "--config", str(config)])
+    assert cfg.gamma_b_db == 25.0
+
+
+# Inputs that parsing rejects: the arguments, the bytes of a config file the
+# run reads (None for none) and a part of the one error line.
+SWEEP_ARGS = ["sweep", "--swept", "ratio", "--from-db", "-6", "--to-db", "6",
+              "--points", "2", "--scheme", "btas"]
+USAGE_ERRORS = {
+    "nan-db": (["asc", "--scheme", "btas", "--gamma-b-db", "nan"], None,
+               "not a finite dB value: 'nan'"),
+    "underflowing-db": (["asc", "--scheme", "btas", "--gamma-b-db", "-4000"], None,
+                        "dB value -4000.0 is out of range: 10^(-4000.0/10) underflows to 0"),
+    "zero-threads": (["asc", "--scheme", "btas", "--threads", "0"], None,
+                     "threads must be an integer >= 1, got 0"),
+    "asc-two-schemes": (["asc", "--scheme", "btas", "--scheme", "etas"], None,
+                        "asc needs exactly one --scheme"),
+    "asc-two-antenna-counts": (["asc", "--scheme", "btas", "-M", "2", "-M", "4"], None,
+                               "asc takes a single -M"),
+    "mc-one-trial": (["asc", "--scheme", "otas", "--method", "mc", "--trials", "1"], None,
+                     "trials must be an integer >= 2, got 1"),
+    "crossover-two-antenna-counts": (["crossover", "-M", "2", "-M", "4"], None,
+                                     "crossover takes a single -M"),
+    "reversed-bracket": (["crossover", "-M", "4", "--bracket-db", "30", "-30"], None,
+                         "--bracket-db needs LO < HI, got 30.0 -30.0"),
+    "verify-one-trial": (["verify", "--trials", "1"], None,
+                         "trials must be an integer >= 2, got 1"),
+    "config-line-without-equals": (["asc", "--scheme", "btas"], b"gamma_b_db 3\n",
+                                   ":1: expected 'key = value', got 'gamma_b_db 3'"),
+    "config-not-a-boolean": (SWEEP_ARGS, b"mc_overlay = maybe\n",
+                             ":1: bad value for 'mc_overlay': 'maybe' "
+                             "(not a boolean: 'maybe')"),
+    "config-unknown-scheme": (["asc"], b"scheme = foo\n", "invalid choice 'foo'"),
+    "config-one-bracket-end": (["crossover", "-M", "4"], b"bracket_db = 1\n",
+                               "needs exactly 2 values, got 1"),
+    "config-not-utf8": (["asc", "--scheme", "btas"], b"gamma_b_db = 1\xff\n",
+                        "'utf-8' codec can't decode byte 0xff"),
+    "config-missing": (["asc", "--scheme", "btas", "--config", "no-such-dir/run.cfg"],
+                       None, "cannot read config file 'no-such-dir/run.cfg'"),
+}
+
+
+@pytest.mark.parametrize("args, config, expected", list(USAGE_ERRORS.values()),
+                         ids=list(USAGE_ERRORS))
+def test_bad_input_is_one_usage_error_line(tmp_path, args, config, expected, capsys):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_bytes(config)
+        args = [*args, "--config", str(path)]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert expected in err
 
 
 def test_unknown_flag(capsys):
@@ -468,11 +527,28 @@ def test_computation_error_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    # A Monte Carlo buffer the machine cannot hold, as -M 100000 asks for;
+    # the test itself allocates nothing of that size.
+    def fail(n):
+        raise MemoryError("Unable to allocate 24.4 GiB for an array with shape "
+                          "(3276800000,) and data type float64")
+
+    monkeypatch.setattr(secrecy, "_take_buffer", fail)
+    code, out, err = run_cli(["asc", "--scheme", "otas", "--method", "mc",
+                              "--trials", "1000"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: Unable to allocate 24.4 GiB for an array with shape "
+                   "(3276800000,) and data type float64\n")
+
+
 @pytest.mark.parametrize("args", [
     ["asc", "--scheme", "etas", "--gamma-b-db", "4000"],
     ["crossover", "--gamma-b-db", "4000", "-M", "8"],
     ["sweep", "--swept", "gamma-b", "--from-db", "0", "--to-db", "4000",
      "--points", "2", "--scheme", "btas"],
+    ["asc", "--scheme", "btas", "--gamma-b-db", "-4000"],
+    ["crossover", "--gamma-b-db", "-4000", "-M", "4"],
 ])
 def test_out_of_range_db_is_an_error(args, capsys):
     code, _, err = run_cli(args, capsys)
@@ -615,6 +691,37 @@ def test_verify_zero_standard_error_counts_as_zero_sigma_on_equal_values():
     assert _sigmas(exact, 1e-3) == float("inf")
     spread = AscEstimate(value=1.0, method=Method.MC, trials=100, std_error=0.5)
     assert _sigmas(spread, 2.0) == 2.0
+
+
+def test_verify_names_each_zero_standard_error_off_the_reference(monkeypatch):
+    # Every Monte Carlo estimate is exact and 0, so no point meets its
+    # positive closed form: each is infinitely many sigma off, and named
+    def exact_zeros(scenarios, schemes, trials, rng, threads):
+        return {scheme: [AscEstimate(value=0.0, method=Method.MC, trials=trials,
+                                     std_error=0.0) for _ in scenarios]
+                for scheme in schemes}
+
+    monkeypatch.setattr(verification, "mc_asc_curve", exact_zeros)
+    result = verification.check_mc_vs_closed(1_000_000, 42)
+    assert not result.passed
+    assert result.detail.startswith(
+        "45 points x 1000000 trials, worst deviation = inf sigma (limit 4); "
+        "std_error 0 off the reference at otas (0, 0) dB M=1, otas (0, 10) dB M=1, ")
+    assert result.detail.endswith(", etas (20, 20) dB M=8")
+    assert result.detail.count(" dB M=") == 45
+
+
+def test_verify_reports_a_check_that_raises_as_failed(monkeypatch):
+    def broken():
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(verification, "check_factor_m_identity", broken)
+    results = run_verification(trials=100)
+    assert [r.name for r in results] == [
+        "closed-vs-quadrature", "mc-vs-closed", "otas-dominance",
+        "factor-m-identity", "single-antenna-degeneracy"]
+    assert results[3] == verification.CheckResult(
+        "factor-m-identity", False, "raised ZeroDivisionError: float division by zero")
 
 
 def test_verify_respects_configured_trials(capsys):

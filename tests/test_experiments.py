@@ -41,8 +41,12 @@ def test_db_to_linear():
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
     with pytest.raises(ValueError):
         db_to_linear(float("inf"))
-    with pytest.raises(ValueError, match="4000"):
+    with pytest.raises(ValueError, match=r"4000.0/10\) overflows a float"):
         db_to_linear(4000.0)
+    with pytest.raises(ValueError, match=r"^dB value -4000.0 is out of range: "
+                                         r"10\^\(-4000.0/10\) underflows to 0$"):
+        db_to_linear(-4000.0)
+    assert db_to_linear(-3230.0) == 1e-323  # a subnormal ratio is still > 0
 
 
 # ----------------------------------------------------------------------------
@@ -66,6 +70,12 @@ def test_spec_validation():
         closed_spec(antennas=(0,))
     with pytest.raises(ValueError):
         closed_spec(schemes=())
+    with pytest.raises(ValueError, match="at least one antenna count"):
+        closed_spec(antennas=())
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("start_db", "stop_db", "fixed_gamma_db"):
+            with pytest.raises(ValueError):
+                closed_spec(**{field: bad})
     with pytest.raises(ValueError):
         closed_spec(schemes=(TasScheme.OTAS,), mc_trials=0)
     with pytest.raises(ValueError):
@@ -493,6 +503,8 @@ def test_crossover_argument_errors():
     assert find_crossover(10.0, np.int64(8)) == find_crossover(10.0, 8)
     with pytest.raises(NoCrossoverError):
         find_crossover(10.0, 8, (25.0, 30.0))
+    with pytest.raises(ValueError, match=r"invalid bracket \(5.0, 5.0\)"):
+        find_crossover(10.0, 4, (5.0, 5.0))
 
 
 def test_single_crossing_on_dense_ratio_grid():

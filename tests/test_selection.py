@@ -134,6 +134,12 @@ def test_select_indices_rejects_otas():
             select_indices(scheme, Scenario(1.0, 1.0, 2), bob, bob)
 
 
+def test_random_selection_needs_a_stream():
+    bob = np.ones((1, 2))
+    with pytest.raises(ValueError, match="random selection needs an RngStream"):
+        select_indices(TasScheme.RANDOM, Scenario(1.0, 1.0, 2), bob, bob, rng=None)
+
+
 @pytest.mark.parametrize("scheme", SELECTORS)
 def test_select_indices_leaves_the_gains_untouched(scheme):
     scenario = Scenario(10.0, 3.0, 8)
