@@ -67,13 +67,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     def add_base(p):
         p.add_argument("--config", help="flat key = value config file")
 
-    def add_gamma_b(p):
-        p.add_argument("--gamma-b-db", type=_finite_db, default=10.0,
-                       help="legitimate reference SNR [dB]")
-
-    def add_gamma_e(p):
-        p.add_argument("--gamma-e-db", type=_finite_db, default=10.0,
-                       help="eavesdropper reference SNR [dB]")
+    def add_gamma(p, link, name):
+        p.add_argument(f"--gamma-{link}-db", type=_finite_db, default=10.0,
+                       help=f"{name} reference SNR [dB]")
 
     def add_antennas(p, repeatable):
         p.add_argument("-M", "--antennas", type=int, action="append", default=[2],
@@ -89,27 +85,22 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="most worker threads for Monte Carlo chunks, capped at "
                             "the chunk count and the usable CPUs (output-invariant)")
 
-    def add_schemes(p):
+    def add_point(p, repeatable):  # an operating point, its schemes and MC budget
+        add_base(p)
+        add_gamma(p, "b", "legitimate")
+        add_gamma(p, "e", "eavesdropper")
+        add_antennas(p, repeatable)
+        add_mc(p)
         p.add_argument("--scheme", dest="schemes", choices=[s.value for s in TasScheme],
                        action="append", default=[])
 
     p_asc = sub.add_parser("asc", help="single-point average secrecy capacity")
-    add_base(p_asc)
-    add_gamma_b(p_asc)
-    add_gamma_e(p_asc)
-    add_antennas(p_asc, repeatable=False)
-    add_mc(p_asc)
-    add_schemes(p_asc)
+    add_point(p_asc, repeatable=False)
     p_asc.add_argument("--method", choices=list(_METHOD_NAMES), default="closed")
     p_asc.add_argument("--out", help="output path (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over one dB axis")
-    add_base(p_sweep)
-    add_gamma_b(p_sweep)
-    add_gamma_e(p_sweep)
-    add_antennas(p_sweep, repeatable=True)
-    add_mc(p_sweep)
-    add_schemes(p_sweep)
+    add_point(p_sweep, repeatable=True)
     p_sweep.add_argument("--swept", choices=[s.value for s in SweptParameter],
                          help="which axis the grid walks")
     p_sweep.add_argument("--from-db", type=_finite_db, dest="from_db")
@@ -124,7 +115,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_cross = sub.add_parser("crossover",
                              help="B-TAS/E-TAS crossover ratio for one operating point")
     add_base(p_cross)
-    add_gamma_b(p_cross)
+    add_gamma(p_cross, "b", "legitimate")
     add_antennas(p_cross, repeatable=False)
     p_cross.add_argument("--bracket-db", type=_finite_db, nargs=2, metavar=("LO", "HI"),
                          help="ratio bracket [dB] (default -30 30, widened downward)")

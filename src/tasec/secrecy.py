@@ -9,24 +9,18 @@ in closed form through the scaled exponential-integral difference
 
 and, independently, through numerical quadrature of
 
-    asc = (1/ln 2) int_0^inf F_E(x) [1 - F_B(x)] / (1 + x) dx
+    asc = (1/ln 2) int_0^inf F_E(x) [1 - F_B(x)] dx/(1 + x)
 
 with the link CDFs of `selection.link_laws`. The optimal scheme couples the
 two links; this package has no closed form or product-form quadrature for it
 and evaluates it by Monte Carlo (ROUTES; `asc` runs a scheme's routes). MC
 runs are chunked onto derived substreams so the estimate is a pure function
-of (scenario, scheme, trials, seed, stream) no matter how many workers execute
-the chunks; each chunk draws into an idle flat buffer that an earlier chunk
-left (`_take_buffer`). A chunk is drawn once and serves every scheme and every
-scenario of one antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme,
-one-scenario case).
-One kernel, `_ratio_capacities`, is the one secrecy-capacity formula: it
-gives each realization's capacity to MC and, through `_capacities`, to the
-self-checks. O-TAS needs no selected index: its capacity is
-log2 max(1, max_i R_i) over the per-antenna SNR ratios R_i (`_snr_ratios`).
-A link whose reference SNR every scenario shares (`_shared_side`) is folded
-to 1 + gamma0 g in the gains once per chunk (`_fold_gains`), not once per
-scenario.
+of (scenario, scheme, trials, seed, stream) for any worker count. A chunk is
+drawn once, into a pooled buffer, for every scheme and every scenario of one
+antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme, one-scenario
+case). One kernel, `_ratio_capacities`, is the one secrecy-capacity formula,
+for MC and, through `_capacities`, the self-checks; O-TAS takes
+log2 max(1, max_i R_i) over the per-antenna SNR ratios R_i, with no index.
 """
 
 import math
@@ -53,6 +47,7 @@ _LN2 = math.log(2.0)
 # chunks are scheduled across workers. A (chunk, M) float64 gain block stays
 # in cache, and short runs still split into several chunks for the workers.
 MC_CHUNK_SIZE = 16_384
+MC_CHUNK_GAINS = 1 << 20  # gains per link past which a chunk has fewer rows
 
 # A tile of `_ratio_capacities` is sized by rows (`_tile_rows`): its
 # running maximum makes one numpy call per antenna and tile, and each call
@@ -142,13 +137,11 @@ def asc(scenario: Scenario, scheme: TasScheme, method: Method | None = None, *,
 # Monte Carlo
 # ----------------------------------------------------------------------------
 
-def _chunk_layout(trials: int) -> list[tuple[int, int]]:
-    """(chunk_index, chunk_size) pairs; full chunks plus a final partial one."""
-    full, rest = divmod(trials, MC_CHUNK_SIZE)
-    layout = [(i, MC_CHUNK_SIZE) for i in range(full)]
-    if rest:
-        layout.append((full, rest))
-    return layout
+def _chunk_layout(trials: int, m: int) -> list[tuple[int, int]]:
+    """(chunk_index, chunk_size) pairs at M = m; full chunks, then a partial one."""
+    rows = min(MC_CHUNK_SIZE, max(1, MC_CHUNK_GAINS // m))
+    return [(i, min(rows, trials - start))
+            for i, start in enumerate(range(0, trials, rows))]
 
 
 def _selected_gains(scheme: TasScheme, scenario: Scenario, bob: np.ndarray,
@@ -259,7 +252,7 @@ def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
 
 # Flat buffers that no chunk is using. They outlive the chunks and the Monte
 # Carlo calls, and so the worker threads, which live for one call. There are
-# as many as chunks that ever ran at once, each 8 * (2 * MC_CHUNK_SIZE * M +
+# as many as chunks that ever ran at once, each 8 * (2 * rows * M +
 # _scratch_size(M)) bytes at most: a chunk's two gain blocks, then the tile
 # scratch of `_ratio_capacities`. list.pop and list.append are atomic,
 # so no two chunks use the same buffer.
@@ -349,14 +342,14 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
     mc_asc's on the same stream and has its own std_error; the estimates of
     one call are correlated, positively wherever measured.
 
-    Chunks of MC_CHUNK_SIZE trials run on substreams derived from the chunk
-    index, and each estimate's moments merge in chunk order, so the
-    estimates do not depend on `threads`. At most `threads` workers run,
-    and never more than there are chunks or CPUs this process may use.
-    Their gain buffers stay pooled for the life of the process: one per
-    chunk that ever ran at once, each at most 16 * MC_CHUNK_SIZE * (M + 8)
-    bytes for the largest M it served (M <= 131,072), 18 MiB at M = 64.
-    One 2-worker call at M = 64 leaves 36 MiB held. A link whose reference
+    Chunks of MC_CHUNK_SIZE rows, or MC_CHUNK_GAINS // M past M = 64, run
+    on substreams derived from the chunk index, and each estimate's moments
+    merge in chunk order, so the estimates do not depend on `threads`. At
+    most `threads` workers run, and never more than there are chunks or CPUs
+    this process may use. Their gain buffers stay pooled for the life of the
+    process: one per chunk that ever ran at once, each at most 18 MiB for
+    the largest M it served (M <= 131,072), 16 MiB of it gains. One 2-worker
+    call at M = 64 leaves 36 MiB held. A link whose reference
     SNR every scenario shares is folded into the gains once per chunk, not
     once per scenario.
     ValueError is raised at the top of the dB range, where a drawn gamma0*g
@@ -379,7 +372,7 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
     if not isinstance(rng, RngStream):
         raise ValueError(f"Monte Carlo needs an RngStream as rng, got {rng!r}")
 
-    layout = _chunk_layout(trials)
+    layout = _chunk_layout(trials, scenarios[0].num_antennas)
 
     def job(entry):
         index, size = entry
@@ -425,8 +418,8 @@ def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
     1e-10 across the dB range, save its top: above a reference SNR of about
     3,067 dB the tail does not vanish below the largest double, and
     ConvergenceError is raised."""
-    integrand, scale = asc_integrand(scheme, scenario)
-    value = integrate_half_line(integrand, scale=scale) / _LN2
+    integrand, sign, scale = asc_integrand(scheme, scenario)
+    value = sign * integrate_half_line(integrand, scale=scale) / _LN2
     return AscEstimate(value=max(0.0, value), method=Method.QUAD)
 
 

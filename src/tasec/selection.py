@@ -2,11 +2,9 @@
 
 Four criteria are supported:
 
-  otas    the largest SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E)
-          over the antennas; needs both links' CSI and maximizes the
-          instantaneous secrecy capacity pointwise. Its one kernel,
-          `secrecy._ratio_capacities`, forms the ratios and takes their row
-          max, with no index.
+  otas    the largest SNR ratio (1 + gamma_b0 g_B) / (1 + gamma_e0 g_E),
+          from both links' CSI: the largest secrecy capacity, the row max
+          of `secrecy._ratio_capacities`, with no index.
   btas    argmax of the legitimate gain (classical criterion).
   etas    argmin of the eavesdropper gain.
   random  uniform choice, the no-selection-gain baseline.
@@ -16,8 +14,9 @@ probability-zero event that only matters for crafted inputs.
 
 The link-law kernels of F and 1 - F^M return -F and -(1 - F^M). `link_laws`
 negates them and enters np.errstate for the log1p(-1) of btas at x = 0; in
-`asc_integrand`, F_E (1 - F_B) / (1 + x), the negations cancel or move into
-the divisor, which is exact, and integrate_half_line owns the errstate.
+`asc_integrand`, F_E (1 - F_B) against dx/(1 + x), they cancel for btas and
+move onto the integral for the others, which is exact, and
+integrate_half_line owns the errstate.
 """
 
 from enum import Enum
@@ -59,22 +58,22 @@ def select_indices(scheme: TasScheme, scenario: Scenario,
 
 # ----------------------------------------------------------------------------
 # Gain CDFs: single link and the max/min order statistics of M i.i.d. links,
-# each stated once as a vectorized kernel of (beta[, m], x), x an array of at
+# each stated once as a vectorized kernel of (x, beta[, m]), x an array of at
 # least one dimension. A kernel's first step makes one array, and the rest
 # run in it; x / -beta is -x / beta to the bit.
 # ----------------------------------------------------------------------------
 
-def _neg_cdf_exp(beta, x):
+def _neg_cdf_exp(x, beta):
     y = np.divide(x, -beta)
     return np.expm1(y, out=y)
 
 
-def _sf_exp(beta, x):
+def _sf_exp(x, beta):
     y = np.divide(x, -beta)
     return np.exp(y, out=y)
 
 
-def _neg_sf_max(beta, m, x):
+def _neg_sf_max(x, beta, m):
     # -(1 - (1 - exp(-x/beta))^m) without cancellation in the deep tail.
     y = np.divide(x, -beta)
     np.log1p(np.negative(np.exp(y, out=y), out=y), out=y)
@@ -82,29 +81,29 @@ def _neg_sf_max(beta, m, x):
     return np.expm1(y, out=y)
 
 
-def _neg_cdf_min(beta, m, x):
+def _neg_cdf_min(x, beta, m):
     y = np.multiply(x, -(m / beta))
     return np.expm1(y, out=y)
 
 
 def _kernels(scheme: TasScheme, scenario: Scenario):
-    """-F_E; 1 - F_B times its sign; that sign, -1 for btas; the scale."""
+    """(kernel, its scalars) of -F_E and of 1 - F_B times a sign; that sign; the scale."""
     scheme = scheme if isinstance(scheme, TasScheme) else TasScheme(scheme)
     gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
     if scheme is TasScheme.BTAS:
-        return partial(_neg_cdf_exp, ge), partial(_neg_sf_max, gb, m), -1.0, max(ge, gb)
+        return (_neg_cdf_exp, (ge,)), (_neg_sf_max, (gb, m)), -1.0, max(ge, gb)
     if scheme is TasScheme.ETAS:
-        return partial(_neg_cdf_min, ge, m), partial(_sf_exp, gb), 1.0, max(ge / m, gb)
+        return (_neg_cdf_min, (ge, m)), (_sf_exp, (gb,)), 1.0, max(ge / m, gb)
     if scheme is TasScheme.RANDOM:
-        return partial(_neg_cdf_exp, ge), partial(_sf_exp, gb), 1.0, max(ge, gb)
+        return (_neg_cdf_exp, (ge,)), (_sf_exp, (gb,)), 1.0, max(ge, gb)
     raise UnsupportedSchemeError(
         f"no product-form CDFs for scheme {scheme.value!r}: the selected "
         "antenna's SNRs are dependent")
 
 
-def _law(kernel, sign, x):
+def _law(kernel, args, sign, x):
     with np.errstate(divide="ignore"):  # log1p(-1) of btas at x = 0
-        y = kernel(np.atleast_1d(x))
+        y = kernel(np.atleast_1d(x), *args)
     return np.multiply(y, sign, out=y).reshape(np.shape(x))
 
 
@@ -114,19 +113,18 @@ def link_laws(scheme: TasScheme, scenario: Scenario):
     their scale: the larger of the means of the exponentials behind them,
     the x around which the slower law rises or falls."""
     neg_f_eve, sf_bob, sign, scale = _kernels(scheme, scenario)
-    return partial(_law, neg_f_eve, -1.0), partial(_law, sf_bob, sign), scale
+    return partial(_law, *neg_f_eve, -1.0), partial(_law, *sf_bob, sign), scale
 
 
 def asc_integrand(scheme: TasScheme, scenario: Scenario):
-    """F_E(x) (1 - F_B(x)) / (1 + x) of `link_laws`, whose integral over
-    [0, inf) is the scheme's ASC times ln 2, and the laws' scale."""
-    neg_f_eve, sf_bob, sign, scale = _kernels(scheme, scenario)
-    # -F_E times -(1 - F_B) over 1 + x, or times 1 - F_B over -1 - x
-    shift, one = (np.add, 1.0) if sign < 0.0 else (np.subtract, -1.0)
+    """F_E(x) (1 - F_B(x)) of `link_laws` times a sign, that sign and the
+    laws' scale: the sign times the integral of the first against dx/(1 + x)
+    over [0, inf) (`integrate_half_line`) is the scheme's ASC times ln 2."""
+    (eve, eve_args), (bob, bob_args), sign, scale = _kernels(scheme, scenario)
 
     def integrand(x):
-        y, sf = neg_f_eve(x), sf_bob(x)
-        y *= sf
-        return np.divide(y, shift(one, x, out=sf), out=y)
+        y = eve(x, *eve_args)
+        y *= bob(x, *bob_args)
+        return y
 
-    return integrand, scale
+    return integrand, -sign, scale

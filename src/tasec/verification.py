@@ -138,7 +138,7 @@ def check_otas_dominance(realizations: int, seed: int) -> CheckResult:
     base = RngStream(seed)
     violations = 0
     others = (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM)
-    for chunk, size in _chunk_layout(realizations):
+    for chunk, size in _chunk_layout(realizations, scenario.num_antennas):
         stream = base.substream(_BRANCH_DOMINANCE, chunk)
         bob, eve = draw_gain_blocks(scenario, stream, size)
         rivals = np.array([_capacities(scenario, s, bob, eve, stream) for s in others])

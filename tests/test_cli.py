@@ -829,16 +829,16 @@ PINNED_STDOUT = {
                        "--gamma-b-db", "3000", "--gamma-e-db", "0", "-M", "64"],
                       _ASC_HEADER, "btas,quad,3000,0,64,997.9161121057773,,"),
     "etas-quad": (["asc", "--scheme", "etas", "--method", "quad", *_ASC_POINT],
-                  _ASC_HEADER, "etas,quad,10,10,8,1.9832632327215602,,"),
+                  _ASC_HEADER, "etas,quad,10,10,8,1.9832632327215598,,"),
     "btas-quad": (["asc", "--scheme", "btas", "--method", "quad", *_ASC_POINT],
                   _ASC_HEADER, "btas,quad,10,10,8,1.8448141502077824,,"),
     "random-quad": (["asc", "--scheme", "random", "--method", "quad", *_ASC_POINT],
                     _ASC_HEADER, "random,quad,10,10,8,0.75206797689791505,,"),
     "btas-closed-hand-over": (["asc", "--scheme", "btas", "--method", "closed", "-M", "64",
                                "--gamma-b-db", "-30", "--gamma-e-db", "10"],
-                              _ASC_HEADER, "btas,quad,-30,10,64,1.7342417988177538e-06,,"),
+                              _ASC_HEADER, "btas,quad,-30,10,64,1.7342417988177543e-06,,"),
     "crossover-low": (["crossover", "--gamma-b-db", "-90", "-M", "64"], _CROSSOVER_HEADER,
-                      "-90,64,10.989372123333622,-2.386979502944115e-14"),
+                      "-90,64,10.989372123333624,-2.386979502944115e-14"),
     "crossover-10db": (["crossover", "--gamma-b-db", "10", "-M", "8"], _CROSSOVER_HEADER,
                        "10,8,-1.2306619993820851,1.1102230246251559e-15"),
     "crossover-10db-m16": (["crossover", "--gamma-b-db", "10", "-M", "16"], _CROSSOVER_HEADER,

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from itertools import product
 
@@ -11,27 +12,32 @@ from tasec import quadrature, secrecy
 from tasec.channel import Scenario
 from tasec.errors import ConvergenceError
 from tasec.experiments import db_to_linear
+from tasec.expint import exp_scaled_e1
 from tasec.quadrature import integrate_half_line
 from tasec.secrecy import Method, asc_btas_closed, asc_etas_closed, asc_quadrature
 from tasec.selection import TasScheme, link_laws
 from tasec.verification import QUAD_GRID_DB
 
 
+# integrate_half_line integrates f against dx/(1 + x). The value tests take
+# int_0^inf exp(-x/beta)/(1 + x) dx = exp(1/beta) E1(1/beta) from the series
+# and continued fraction of `expint`, a route with no quadrature in it.
+
 def test_half_line_exponential():
     value = integrate_half_line(lambda x: np.exp(-x), abs_tol=1e-12)
-    assert value == pytest.approx(1.0, abs=1e-11)
+    assert value == pytest.approx(exp_scaled_e1(1.0), abs=1e-11)
 
 
 def test_half_line_rational():
-    value = integrate_half_line(lambda x: 1.0 / (1.0 + x) ** 2, abs_tol=1e-12)
+    value = integrate_half_line(lambda x: 1.0 / (1.0 + x), abs_tol=1e-12)
     assert value == pytest.approx(1.0, abs=1e-11)
 
 
 def test_half_line_scaled_tail():
     # integrand stretched over three decades, like the wide-SNR sweeps
     beta = 1000.0
-    value = integrate_half_line(lambda x: np.exp(-x / beta) / beta, abs_tol=1e-12)
-    assert value == pytest.approx(1.0, abs=1e-10)
+    value = integrate_half_line(lambda x: np.exp(-x / beta), abs_tol=1e-12)
+    assert value == pytest.approx(exp_scaled_e1(1.0 / beta), abs=1e-10)
 
 
 def test_one_integrand_call_per_round():
@@ -41,7 +47,7 @@ def test_one_integrand_call_per_round():
 
     def f(x):
         shapes.append(x.shape)
-        return x * np.exp(-x / 10.0) / 100.0
+        return x * (1.0 + x) * np.exp(-x / 10.0) / 100.0
 
     value = integrate_half_line(f, abs_tol=1e-12, scale=10.0)
     assert value == pytest.approx(1.0, abs=1e-12)
@@ -54,7 +60,7 @@ def test_left_end_is_checked_not_assumed():
     rate = 1e4
     value = integrate_half_line(lambda x: rate * np.exp(-rate * x),
                                 abs_tol=1e-12, scale=1.0 / rate)
-    assert value == pytest.approx(1.0, abs=1e-12)
+    assert value == pytest.approx(rate * exp_scaled_e1(rate), abs=1e-12)
 
 
 @pytest.mark.parametrize("f, exact", [
@@ -64,9 +70,11 @@ def test_left_end_is_checked_not_assumed():
 ], ids=["peak", "sqrt", "oscillating"])
 def test_accepted_panels_share_the_tolerance(f, exact):
     # both cut tails and the last step's estimate share abs_tol; a narrow
-    # peak and a fast oscillation need several halvings of the step
+    # peak and a fast oscillation need several halvings of the step. The
+    # factor 1 + x cancels the measure, so each exact value is of f alone.
     abs_tol = 1e-12
-    assert abs(integrate_half_line(f, abs_tol=abs_tol) - exact) <= abs_tol
+    value = integrate_half_line(lambda x: (1.0 + x) * f(x), abs_tol=abs_tol)
+    assert abs(value - exact) <= abs_tol
 
 
 def test_subdivision_cap():
@@ -91,7 +99,7 @@ def test_non_finite_integrand(f):
 def test_tail_past_the_largest_double():
     # a tail that has not decayed at x = 1.8e308 cannot be cut anywhere
     with pytest.raises(ConvergenceError, match="range of a double"):
-        integrate_half_line(lambda x: np.exp(-x / 1e308) / (1.0 + x), scale=1e308)
+        integrate_half_line(lambda x: np.exp(-x / 1e308), scale=1e308)
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,9 +118,21 @@ def test_quadrature_matches_closed_forms_over_the_range(gb_db, ge_db, m):
         assert btas == pytest.approx(closed.value, abs=1e-10)
 
 
-def _exp_grid_integrate(f, abs_tol=1e-10, scale=1.0):
-    """integrate_half_line as it was before the node table: every grid,
-    the first one too, is np.exp of its own k * h."""
+def _asc_weights(x, h):
+    """h x/(1 + x), the weights of the measure dx/(1 + x) in t = ln x."""
+    return x / (1.0 + x) * h
+
+
+def _plain_weights(x, h):
+    """h x, the weights of the plain measure dx in t = ln x."""
+    return x * h
+
+
+def _exp_grid_integrate(f, abs_tol=1e-10, scale=1.0, weights=_asc_weights):
+    """integrate_half_line without its tables: every grid, the first one
+    too, is np.exp of its own k * h, and its weights are formed per call.
+    With `_plain_weights` it integrates f against dx, as integrate_half_line
+    did before it took the measure dx/(1 + x)."""
     share = 0.25 * abs_tol
     lo = math.log(share)
     hi = min(math.log(2.0 * math.log(1.0 / share)) + math.log(scale), quadrature._T_LIMIT)
@@ -121,20 +141,20 @@ def _exp_grid_integrate(f, abs_tol=1e-10, scale=1.0):
     def trapezoid(t, h):
         with np.errstate(all="ignore"):
             x = np.exp(t)
-            g = x * np.asarray(f(x), dtype=float)
-        return g, h * float(g.sum())
+            g = np.asarray(f(x), dtype=float) * weights(x, h)
+        return g, float(g.sum())
 
     h = quadrature._STEP
     while True:
         k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
         g, total = trapezoid(k * h, h)
-        lo_open, hi_open = abs(g[0]) > share, abs(g[-1]) > share
+        lo_open, hi_open = abs(g[0]) / h > share, abs(g[-1]) / h > share
         if not (lo_open or hi_open):
             break
         widen = 0.5 * (hi - lo)
         lo = max(lo - widen, -quadrature._T_LIMIT) if lo_open else lo
         hi = min(hi + widen, quadrature._T_LIMIT) if hi_open else hi
-    coarse = 2.0 * h * float(g[k[0] % 2::2].sum())
+    coarse = 2.0 * float(g[k[0] % 2::2].sum())
     t0, n = k[0] * h, k.size - 1
     while abs(total - coarse) > 0.5 * abs_tol:
         _, mid = trapezoid(t0 + (np.arange(n) + 0.5) * h, 0.5 * h)
@@ -166,8 +186,9 @@ def test_node_table_is_read_only():
 
 
 def test_the_result_of_f_is_overwritten_with_x_f():
-    # f's result is multiplied by x in place: the first grid's array holds
-    # x f(x) after the call, the doubles of x * f(x)
+    # f's result is multiplied by the weights w = h x/(1 + x) in place: the
+    # first grid's array holds f(x) w after the call, the doubles of
+    # f(x) * (x / (1 + x) * h)
     results = []
 
     def f(x):
@@ -176,7 +197,8 @@ def test_the_result_of_f_is_overwritten_with_x_f():
 
     integrate_half_line(f)
     x, y = results[0]
-    assert np.array_equal(y, x * np.exp(-x))
+    assert np.array_equal(y, np.exp(-x) * (x / (1.0 + x) * quadrature._STEP))
+    assert not quadrature._WEIGHTS.flags.writeable
 
 
 def read_only(y):
@@ -221,7 +243,7 @@ def test_scalar_and_other_dtype_results_are_accepted(f):
 @pytest.mark.parametrize("scale", [1e-300, 1e-10, 1.0, 1e10, 1e300])
 def test_table_grid_matches_a_per_call_exp_grid(scale):
     def f(x):
-        return np.exp(-x / scale) / scale / (1.0 + x)
+        return np.exp(-x / scale) / scale
 
     grids = []
     value = integrate_half_line(_recording(f, grids), scale=scale)
@@ -271,7 +293,8 @@ def test_tolerance_below_the_smallest_node():
 
 def _out_of_place_integrand(scheme, scenario):
     """asc_quadrature's integrand as it was before the in-place link-law
-    kernels: each law's expression verbatim, then F_E (1 - F_B) / (1 + x)."""
+    kernels and the measure dx/(1 + x): each law's expression verbatim, then
+    F_E (1 - F_B) / (1 + x), to integrate against dx."""
     gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
 
     def cdf_exp(x, beta):
@@ -295,16 +318,24 @@ def _out_of_place_integrand(scheme, scenario):
     return lambda x: f_eve(x) * sf_bob(x) / (1.0 + x)
 
 
+# The measure dx/(1 + x) rounds each term as f (x/(1 + x)) h, where the old
+# integrand rounded it as (f/(1 + x)) x h: a few ulp of each positive term,
+# and of their sum.
+OUT_OF_PLACE_REL_TOL = 16 * sys.float_info.epsilon
+
+
 @pytest.mark.parametrize("scheme", [TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM])
 def test_asc_quadrature_matches_the_out_of_place_integrand(scheme):
-    # The whole route, to the bit, against the old integrand on the old
-    # integrator, over -30..40 dB and M up to 64
+    # The whole route against the old integrand on the old integrator, over
+    # -30..40 dB and M up to 64, within OUT_OF_PLACE_REL_TOL
     for gb_db, ge_db, m in product(QUAD_GRID_DB, QUAD_GRID_DB, (1, 2, 8, 64)):
         scenario = Scenario(db_to_linear(gb_db), db_to_linear(ge_db), m)
         reference = _exp_grid_integrate(_out_of_place_integrand(scheme, scenario),
-                                        scale=link_laws(scheme, scenario)[2])
-        assert asc_quadrature(scenario, scheme).value \
-            == max(0.0, reference / math.log(2.0)), (gb_db, ge_db, m)
+                                        scale=link_laws(scheme, scenario)[2],
+                                        weights=_plain_weights)
+        assert math.isclose(asc_quadrature(scenario, scheme).value,
+                            max(0.0, reference / math.log(2.0)),
+                            rel_tol=OUT_OF_PLACE_REL_TOL, abs_tol=0.0), (gb_db, ge_db, m)
 
 
 @pytest.mark.parametrize("state", [{}, {"all": "raise"}, {"over": "warn", "under": "raise"}])
@@ -312,6 +343,9 @@ def test_asc_quadrature_leaves_the_floating_point_state(state):
     with np.errstate(**state):
         before = np.geterr()
         asc_quadrature(Scenario(10.0, 10.0, 8), TasScheme.BTAS)
+        assert np.geterr() == before
+        # a quadrature inside the integrand of another restores the state too
+        integrate_half_line(lambda x: np.exp(-x) * integrate_half_line(lambda y: np.exp(-y)))
         assert np.geterr() == before
         # the tail has not vanished at the largest double
         with pytest.raises(ConvergenceError):

@@ -370,11 +370,33 @@ def test_mc_thread_count_does_not_change_result():
 @pytest.mark.parametrize("trials", [2, MC_CHUNK_SIZE, MC_CHUNK_SIZE + 1,
                                     3 * MC_CHUNK_SIZE + 17])
 def test_chunk_layout_only_last_chunk_partial(trials):
-    layout = _chunk_layout(trials)
-    assert sum(size for _, size in layout) == trials
-    assert [index for index, _ in layout] == list(range(len(layout)))
-    assert all(size == MC_CHUNK_SIZE for _, size in layout[:-1])
-    assert 1 <= layout[-1][1] <= MC_CHUNK_SIZE
+    for m in (1, 64):  # up to M = 64 a chunk has MC_CHUNK_SIZE rows
+        layout = _chunk_layout(trials, m)
+        assert sum(size for _, size in layout) == trials
+        assert [index for index, _ in layout] == list(range(len(layout)))
+        assert all(size == MC_CHUNK_SIZE for _, size in layout[:-1])
+        assert 1 <= layout[-1][1] <= MC_CHUNK_SIZE
+
+
+@pytest.mark.parametrize("m, rows", [(64, MC_CHUNK_SIZE), (65, 16_131), (5_000, 209),
+                                     (100_000, 10), (2 ** 20, 1), (2 ** 21, 1)])
+def test_chunk_rows_cap_the_gains_per_link(m, rows):
+    # past M = 64 a chunk has 2^20 // M rows, at least one
+    assert _chunk_layout(2 * rows + 1, m) == [(0, rows), (1, rows), (2, 1)]
+
+
+def test_btas_at_a_large_antenna_count_streams_in_small_buffers(monkeypatch):
+    # M = 100,000 has chunks of 10 rows: 25 trials run over three chunks,
+    # none of whose buffers asks for more than 18 MiB
+    monkeypatch.setattr(secrecy, "_idle_buffers", [])
+    asked = []
+    take = secrecy._take_buffer
+    monkeypatch.setattr(secrecy, "_take_buffer", lambda n: asked.append(n) or take(n))
+    scenario = Scenario(10.0, 10.0, 100_000)
+    est = mc_asc(scenario, TasScheme.BTAS, 25, RngStream(5))
+    assert len(asked) == 3 and 8 * max(asked) <= 18 * 2 ** 20
+    assert (repr(est.value), repr(est.std_error)) == selected_estimates(
+        (TasScheme.BTAS,), (scenario,), 25, RngStream(5))[TasScheme.BTAS][0]
 
 
 @pytest.mark.parametrize("scheme", [TasScheme.OTAS, TasScheme.RANDOM])
@@ -534,7 +556,7 @@ def argmax_estimate(scenario, trials, rng):
     """O-TAS (value, std_error) from `argmax_moments` on each chunk's draw into
     new arrays, merged in chunk order by Chan's update."""
     moments = [argmax_moments(scenario, *draw_gain_blocks(scenario, rng.substream(i), size))
-               for i, size in _chunk_layout(trials)]
+               for i, size in _chunk_layout(trials, scenario.num_antennas)]
     n, mean, m2 = reduce(secrecy._merge_moments, moments)
     return repr(mean), repr(math.sqrt(m2 / (n - 1)) / math.sqrt(n))
 
@@ -645,26 +667,37 @@ def test_curve_matches_separate_calls_on_the_same_stream(scheme, m, monkeypatch)
             assert curve_reprs(curve[scheme]) == curve_reprs(separate)
 
 
-def selected_estimate(scheme, scenario, trials, rng):
-    """(value, std_error) as repr: `argmax_estimate` for O-TAS, else the
-    plain `secrecy_capacity` at the antenna `select_indices` picks, on each
-    chunk's draw into new arrays (random consumes the chunk's substream
-    after the draw), merged in chunk order by Chan's update."""
-    if scheme is TasScheme.OTAS:
-        return argmax_estimate(scenario, trials, rng)
-    moments = []
-    for i, size in _chunk_layout(trials):
+def selected_estimates(schemes, scenarios, trials, rng):
+    """{scheme: [(value, std_error) as repr, one per scenario]}, the scenarios
+    of one antenna count: `argmax_moments` for O-TAS, else the plain
+    `secrecy_capacity` at the antenna `select_indices` picks, merged in chunk
+    order by Chan's update. Each chunk is drawn once into new arrays and
+    serves every scheme and scenario; random consumes the chunk's substream
+    once, after the draw, as mc_asc_curve does."""
+    moments = {scheme: [[] for _ in scenarios] for scheme in schemes}
+    for i, size in _chunk_layout(trials, scenarios[0].num_antennas):
         stream = rng.substream(i)
-        bob, eve = draw_gain_blocks(scenario, stream, size)
-        idx = select_indices(scheme, scenario, bob, eve, rng=stream)
+        bob, eve = draw_gain_blocks(scenarios[0], stream, size)
         rows = np.arange(size)
-        with np.errstate(all="ignore"):
-            cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
-                                  scenario.gamma_e0 * eve[rows, idx])
-        mean = float(cs.mean())
-        moments.append((size, mean, float(np.sum((cs - mean) ** 2))))
-    n, mean, m2 = reduce(secrecy._merge_moments, moments)
-    return repr(mean), repr(math.sqrt(m2 / (n - 1)) / math.sqrt(n))
+        for scheme in schemes:
+            if scheme is not TasScheme.OTAS:
+                idx = select_indices(scheme, scenarios[0], bob, eve, rng=stream)
+            for scenario, chunks in zip(scenarios, moments[scheme]):
+                if scheme is TasScheme.OTAS:
+                    chunks.append(argmax_moments(scenario, bob, eve))
+                    continue
+                with np.errstate(all="ignore"):
+                    cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
+                                          scenario.gamma_e0 * eve[rows, idx])
+                mean = float(cs.mean())
+                chunks.append((size, mean, float(np.sum((cs - mean) ** 2))))
+
+    def estimate(chunks):
+        n, mean, m2 = reduce(secrecy._merge_moments, chunks)
+        return repr(mean), repr(math.sqrt(m2 / (n - 1)) / math.sqrt(n))
+
+    return {scheme: list(map(estimate, per_scenario))
+            for scheme, per_scenario in moments.items()}
 
 
 # Curves whose points share gamma_e0, gamma_b0, both (one point repeated)
@@ -690,8 +723,7 @@ def test_folded_curves_match_unfolded_references(shared, m, monkeypatch):
     monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
     scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in SHARED_CURVES_DB[shared]]
     for trials in (1_696, 2 * MC_CHUNK_SIZE + 17):
-        expected = {scheme: [selected_estimate(scheme, scenario, trials, RngStream(19, m))
-                             for scenario in scenarios] for scheme in TasScheme}
+        expected = selected_estimates(list(TasScheme), scenarios, trials, RngStream(19, m))
         for tile_rows in (thousand_gain_tiles, secrecy._tile_rows):
             monkeypatch.setattr(secrecy, "_tile_rows", tile_rows)
             for threads in (1, 2, 3):
@@ -719,8 +751,8 @@ def test_antenna_count_past_a_tile(scheme):
     for points in (((10.0, 5.0),), ((10.0, 5.0), (20.0, 0.0))):
         scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in points]
         curve = mc_asc_curve(scenarios, (scheme,), 3, RngStream(23))
-        assert curve_reprs(curve[scheme]) == [
-            selected_estimate(scheme, scenario, 3, RngStream(23)) for scenario in scenarios]
+        assert curve_reprs(curve[scheme]) == selected_estimates(
+            (scheme,), scenarios, 3, RngStream(23))[scheme]
 
 
 @pytest.mark.parametrize("m", [1, 2, 16])
@@ -740,6 +772,16 @@ def test_all_schemes_in_one_call_match_one_scheme_calls(m, monkeypatch):
                                   threads=threads)
             assert list(curves) == order
             assert {s: curve_reprs(c) for s, c in curves.items()} == alone
+
+
+def test_short_chunks_past_64_antennas_do_not_depend_on_threads(monkeypatch):
+    # M = 5,000 has chunks of 209 rows, and 435 trials end on a 17-row chunk
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 2)
+    scenarios = [scenario_db(gb_db, ge_db, 5_000) for gb_db, ge_db in CURVE_POINTS_DB]
+    one, two = ({s: curve_reprs(c) for s, c in mc_asc_curve(
+        scenarios, list(TasScheme), 2 * 209 + 17, RngStream(29), threads=threads).items()}
+        for threads in (1, 2))
+    assert one == two
 
 
 def test_curve_draws_each_chunk_once(monkeypatch):
