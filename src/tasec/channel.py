@@ -49,13 +49,15 @@ class Scenario:
     num_antennas: int
 
     def __post_init__(self):
-        require_positive(self.gamma_b0, "gamma_b0")
-        require_positive(self.gamma_e0, "gamma_e0")
-        m = require_int(self.num_antennas, "num_antennas", 1)
-        object.__setattr__(self, "num_antennas", m)
+        gb, ge, m = self.gamma_b0, self.gamma_e0, self.num_antennas
+        if not (type(gb) is float and type(ge) is float and type(m) is int
+                and 0.0 < gb < math.inf and 0.0 < ge < math.inf and m >= 1):
+            require_positive(gb, "gamma_b0")
+            require_positive(ge, "gamma_e0")
+            m = require_int(m, "num_antennas", 1)
+            object.__setattr__(self, "num_antennas", m)
         # The closed forms take E1 at k/gamma_b0 + 1/gamma_e0 (k <= M) and at
         # M/gamma_e0 + 1/gamma_b0; a point where those overflow is rejected.
-        gb, ge = self.gamma_b0, self.gamma_e0
         if not (math.isfinite(m / gb + 1 / ge) and math.isfinite(m / ge + 1 / gb)):
             raise ValueError(
                 f"gamma_b0={gb!r}, gamma_e0={ge!r} are too small at M={m}: "

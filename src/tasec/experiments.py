@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import secrecy
 from .channel import RngStream, Scenario, require_int
 from .errors import DegenerateNormalizationError, NoCrossoverError
 # mc_asc is not called here, but stays a name of this module: the benchmark
@@ -219,8 +220,8 @@ def find_crossover(gamma_b0_db: float, antennas: int,
 
     def gap(ratio_db: float) -> float:
         scenario = Scenario(gamma_b0, db_to_linear(gamma_b0_db + ratio_db), antennas)
-        btas = asc(scenario, TasScheme.BTAS, Method.CLOSED).value
-        etas = asc(scenario, TasScheme.ETAS, Method.CLOSED).value
+        btas = secrecy.asc_btas_closed(scenario).value
+        etas = secrecy.asc_etas_closed(scenario).value
         if btas == 0.0 or etas == 0.0:
             raise ValueError(
                 f"closed-form ASC is 0 at gamma_b0={gamma_b0_db} dB, ratio={ratio_db} "

@@ -7,8 +7,8 @@ package are analytic in a strip about the real t axis, where the plain
 trapezoid rule at a fixed step converges exponentially (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
 2014): the step that resolves one scale resolves all of them. Each call runs
-in np.errstate(all="ignore"), entered by the decorator, which numpy 2 makes
-per call: thread-safe, re-entrant, and cheaper than a with statement.
+in its caller's floating-point state, and f owns it: the ASC integrand leaves
+only underflow, which numpy ignores by default and under="raise" raises.
 """
 
 import math
@@ -70,7 +70,6 @@ def _trapezoid(f, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     return g, total
 
 
-@np.errstate(all="ignore")
 def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
     """Integrate f(x) dx/(1 + x) over [0, inf) to absolute tolerance, as the
     trapezoid sum T(h) = sum_k f(x_k) w_k, x_k = exp(k h), w_k = h x_k/(1 + x_k).
@@ -79,7 +78,8 @@ def integrate_half_line(f, abs_tol: float = 1e-10, scale: float = 1.0) -> float:
     be a read-only view of the node table every call shares, and f's result is
     multiplied by w in place where it can be: f must not write into x nor
     return a view of a table (numpy raises ValueError), and an array f
-    returns is overwritten. `scale` is the largest x around which f rises or
+    returns is overwritten. An f that can divide by zero or overflow enters
+    np.errstate itself. `scale` is the largest x around which f rises or
     falls, such as the mean of its slowest exponential factor. The ends are
     first guessed as x = abs_tol/4 and x = 2 ln(4/abs_tol) scale, the right
     one at least two steps past the left. An end is kept only if |f w|/h there

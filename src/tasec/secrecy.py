@@ -103,6 +103,9 @@ class AscEstimate:
     std_error: float | None = None
 
     def __post_init__(self):
+        if type(self.value) is float and 0.0 <= self.value < math.inf and self.trials is None \
+                and self.std_error is None and self.method is not Method.MC:
+            return  # a closed or quad value, which the checks below pass
         if not (math.isfinite(self.value) and self.value >= 0.0):
             raise ValueError(f"ASC must be finite and >= 0, got {self.value!r}")
         if self.method is Method.MC:
@@ -120,8 +123,9 @@ def asc(scenario: Scenario, scheme: TasScheme, method: Method | None = None, *,
     """ASC of `scheme` by `method`, or by the scheme's first route in ROUTES;
     a pair that ROUTES lacks raises UnsupportedSchemeError. Monte Carlo takes
     `trials`, `rng` and `threads` as mc_asc does."""
-    scheme = TasScheme(scheme)
-    method = ROUTES[scheme][0] if method is None else Method(method)
+    scheme = scheme if isinstance(scheme, TasScheme) else TasScheme(scheme)
+    if not isinstance(method, Method):
+        method = ROUTES[scheme][0] if method is None else Method(method)
     if method not in ROUTES[scheme]:
         raise UnsupportedSchemeError(f"no {method.value} route for {scheme.value}")
     if method is Method.MC:

@@ -15,10 +15,11 @@ probability-zero event that only matters for crafted inputs.
 The link-law kernels of F and 1 - F^M return -F and -(1 - F^M). `link_laws`
 negates them and enters np.errstate for the log1p(-1) of btas at x = 0; in
 `asc_integrand`, F_E (1 - F_B) against dx/(1 + x), they cancel for btas and
-move onto the integral for the others, which is exact, and
-integrate_half_line owns the errstate.
+move onto the integral for the others, which is exact, and the integrand
+enters np.errstate only on a grid that reaches past its quiet range.
 """
 
+import math
 from enum import Enum
 from functools import partial
 
@@ -87,15 +88,15 @@ def _neg_cdf_min(x, beta, m):
 
 
 def _kernels(scheme: TasScheme, scenario: Scenario):
-    """(kernel, its scalars) of -F_E and of 1 - F_B times a sign; that sign; the scale."""
+    """(kernel, its scalars) of -F_E and of 1 - F_B times a sign; that sign; the two means."""
     scheme = scheme if isinstance(scheme, TasScheme) else TasScheme(scheme)
     gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
     if scheme is TasScheme.BTAS:
-        return (_neg_cdf_exp, (ge,)), (_neg_sf_max, (gb, m)), -1.0, max(ge, gb)
+        return (_neg_cdf_exp, (ge,)), (_neg_sf_max, (gb, m)), -1.0, (ge, gb)
     if scheme is TasScheme.ETAS:
-        return (_neg_cdf_min, (ge, m)), (_sf_exp, (gb,)), 1.0, max(ge / m, gb)
+        return (_neg_cdf_min, (ge, m)), (_sf_exp, (gb,)), 1.0, (ge / m, gb)
     if scheme is TasScheme.RANDOM:
-        return (_neg_cdf_exp, (ge,)), (_sf_exp, (gb,)), 1.0, max(ge, gb)
+        return (_neg_cdf_exp, (ge,)), (_sf_exp, (gb,)), 1.0, (ge, gb)
     raise UnsupportedSchemeError(
         f"no product-form CDFs for scheme {scheme.value!r}: the selected "
         "antenna's SNRs are dependent")
@@ -112,19 +113,31 @@ def link_laws(scheme: TasScheme, scenario: Scenario):
     schemes whose selection keeps the links independent (not otas), and
     their scale: the larger of the means of the exponentials behind them,
     the x around which the slower law rises or falls."""
-    neg_f_eve, sf_bob, sign, scale = _kernels(scheme, scenario)
-    return partial(_law, *neg_f_eve, -1.0), partial(_law, *sf_bob, sign), scale
+    neg_f_eve, sf_bob, sign, means = _kernels(scheme, scenario)
+    return partial(_law, *neg_f_eve, -1.0), partial(_law, *sf_bob, sign), max(means)
 
 
 def asc_integrand(scheme: TasScheme, scenario: Scenario):
     """F_E(x) (1 - F_B(x)) of `link_laws` times a sign, that sign and the
     laws' scale: the sign times the integral of the first against dx/(1 + x)
-    over [0, inf) (`integrate_half_line`) is the scheme's ASC times ln 2."""
-    (eve, eve_args), (bob, bob_args), sign, scale = _kernels(scheme, scenario)
+    over [0, inf) (`integrate_half_line`) is the scheme's ASC times ln 2.
+    On an ascending grid x > 0 within [low, high] the integrand raises no
+    floating-point error but underflow; one past either end runs in
+    np.errstate(all="ignore"). Below low = gamma_b0 2^-52 btas takes log1p(-1)
+    (past M = 2^1000, M log1p(...) can overflow at any x); above high, 2^1000
+    times the smaller mean, x over that mean overflows."""
+    (eve, eve_args), (bob, bob_args), sign, means = _kernels(scheme, scenario)
+    low = 0.0
+    if bob is _neg_sf_max:
+        low = bob_args[0] * 2.0 ** -52 if bob_args[1] < 2.0 ** 1000 else math.inf
+    high = min(means) * 2.0 ** 1000
 
-    def integrand(x):
+    def integrand(x, quiet=False):  # quiet: called again inside np.errstate
+        if not (quiet or low <= x[0] and x[-1] <= high):
+            with np.errstate(all="ignore"):
+                return integrand(x, quiet=True)
         y = eve(x, *eve_args)
         y *= bob(x, *bob_args)
         return y
 
-    return integrand, -sign, scale
+    return integrand, -sign, max(means)

@@ -1,9 +1,10 @@
 import math
+import operator
+from dataclasses import astuple
+from itertools import product
 
 import numpy as np
 import pytest
-
-import operator
 
 from tasec import secrecy
 from tasec.channel import (RngStream, Scenario, draw_gain_blocks, require_int,
@@ -89,6 +90,43 @@ def test_fast_paths_accept_and_reject_as_before(value):
     assert _outcome(require_positive, value, "v") == _outcome(positive, value, "v")
     for low in (0, 1, 2):
         assert _outcome(require_int, value, "v", low) == _outcome(integer, value, "v", low)
+
+
+def _scenario_before_its_fast_path(gamma_b0, gamma_e0, m):
+    """Scenario's checks as they were before its fast path."""
+    require_positive(gamma_b0, "gamma_b0")
+    require_positive(gamma_e0, "gamma_e0")
+    m = require_int(m, "num_antennas", 1)
+    if not (math.isfinite(m / gamma_b0 + 1 / gamma_e0)
+            and math.isfinite(m / gamma_e0 + 1 / gamma_b0)):
+        raise ValueError(
+            f"gamma_b0={gamma_b0!r}, gamma_e0={gamma_e0!r} are too small at M={m}: "
+            "M/gamma_b0 + 1/gamma_e0 or M/gamma_e0 + 1/gamma_b0 overflows a float")
+    return gamma_b0, gamma_e0, m
+
+
+def _fields(check, *args):
+    """The error check(*args) raises, or the type and repr of each value it keeps."""
+    try:
+        values = check(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(type(v), repr(v)) for v in values]
+
+
+SCENARIO_SNRS = [1.0, 2.5, 1e-300, 1e-307, 1e300, 5e-324, -5e-324, 0.0, -0.0, -1.0, 0,
+                 3, 10**30, 10**400, True, False, np.float64(2.5), np.int64(3),
+                 float("nan"), float("inf"), -float("inf")]
+SCENARIO_ANTENNAS = [1, 2, 64, 10**307, 10**400, True, 2.0, 0, np.int64(3)]
+
+
+@pytest.mark.parametrize("m", SCENARIO_ANTENNAS, ids=repr)
+def test_scenario_fast_path_accepts_and_rejects_as_before(m):
+    # Every pair of reference SNRs, the M/gamma_b0 + 1/gamma_e0 overflow rule
+    # among them (1e-307 and 5e-324 at M = 64)
+    for gamma_b0, gamma_e0 in product(SCENARIO_SNRS, repeat=2):
+        kept = _fields(lambda *a: astuple(Scenario(*a)), gamma_b0, gamma_e0, m)
+        assert kept == _fields(_scenario_before_its_fast_path, gamma_b0, gamma_e0, m)
 
 
 def test_rng_stream_validation():

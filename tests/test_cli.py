@@ -285,6 +285,13 @@ def test_route_table_matches_library(scheme, method, capsys):
     default = asc(scenario, scheme, trials=20, rng=rng)
     assert default == asc(scenario, scheme, ROUTES[scheme][0], trials=20, rng=rng)
     assert default.method is ROUTES[scheme][0]
+    # A value that names no member fails as the enum's conversion does
+    for args, message in ((("bogus", method), "'bogus' is not a valid TasScheme"),
+                          ((None, method), "None is not a valid TasScheme"),
+                          ((scheme.value, "bogus"), "'bogus' is not a valid Method"),
+                          ((scheme, 3), "3 is not a valid Method")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            asc(scenario, *args, trials=20, rng=rng)
 
 
 # ----------------------------------------------------------------------------

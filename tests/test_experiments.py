@@ -435,10 +435,10 @@ def test_crossover_gap_evaluations(monkeypatch):
     assert 0 < calls["etas"] <= 36
 
 
-def test_closed_forms_are_reached_through_asc(monkeypatch):
-    # The crossover and the adaptive switch reach the closed forms by
-    # secrecy.asc, the one dispatcher, so a change of route there is seen
-    # by them too.
+def test_closed_forms_are_reached_as_attributes_of_secrecy(monkeypatch):
+    # The crossover calls secrecy's closed forms directly and the adaptive
+    # switch through secrecy.asc; both look them up on secrecy at call
+    # time, so a closed form replaced there is seen by them too.
     calls = count_closed_forms(monkeypatch)
     find_crossover(10.0, 8)
     assert calls["btas"] == calls["etas"] > 0

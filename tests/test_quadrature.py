@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasec import quadrature, secrecy
+from tasec import quadrature, secrecy, selection
 from tasec.channel import Scenario
 from tasec.errors import ConvergenceError
 from tasec.experiments import db_to_linear
 from tasec.expint import exp_scaled_e1
 from tasec.quadrature import integrate_half_line
 from tasec.secrecy import Method, asc_btas_closed, asc_etas_closed, asc_quadrature
-from tasec.selection import TasScheme, link_laws
+from tasec.selection import TasScheme, asc_integrand, link_laws
 from tasec.verification import QUAD_GRID_DB
 
 
@@ -84,16 +84,34 @@ def test_subdivision_cap():
         integrate_half_line(lambda x: (x < 1.0).astype(float))
 
 
+def _pole(x):
+    return 1.0 / (x - 1.0)  # a pole on the node x = exp(0)
+
+
+# The integrand owns its floating-point state, so one that divides by zero or
+# overflows enters np.errstate itself, as the ASC integrand does.
 @pytest.mark.parametrize("f", [
-    lambda x: 1.0 / (x - 1.0),  # a pole on the node x = exp(0)
+    np.errstate(all="ignore")(_pole),
     lambda x: np.full_like(x, np.nan),
-    np.exp,  # the right end moves out until exp(x) overflows
+    np.errstate(all="ignore")(np.exp),  # the right end moves out until exp(x) overflows
 ], ids=["pole", "nan", "overflow"])
 def test_non_finite_integrand(f):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="not finite"):
             integrate_half_line(f)
+
+
+@pytest.mark.parametrize("f, message", [(_pole, "divide by zero"), (np.exp, "overflow")],
+                         ids=["pole", "overflow"])
+def test_the_integrand_is_not_silenced(f, message):
+    # integrate_half_line enters no np.errstate: f runs in the caller's state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match=message):
+            integrate_half_line(f)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match=message):
+        integrate_half_line(f)
 
 
 def test_tail_past_the_largest_double():
@@ -351,3 +369,71 @@ def test_asc_quadrature_leaves_the_floating_point_state(state):
         with pytest.raises(ConvergenceError):
             asc_quadrature(Scenario(db_to_linear(3080.0), 1.0, 32), TasScheme.BTAS)
         assert np.geterr() == before
+
+
+# numpy's default floating-point state: underflow is ignored, and the rest warn
+DEFAULT_STATE = {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
+QUIET_GAMMAS = (1e-300, 1e-30, 1.0, 1e30, 1e300)
+QUIET_ANTENNAS = (1, 2, 64, 1029)
+
+
+def _asc_grids(scale):
+    """The first grid integrate_half_line forms at `scale`, the whole node
+    table, and that first grid halved as integrate_half_line halves it."""
+    grids = []
+    integrate_half_line(lambda x: grids.append(x) or np.zeros(x.size), scale=scale)
+    first, h = grids[0], quadrature._STEP
+    t0 = round(math.log(first[0]) / h) * h
+    return first, quadrature._NODES, np.exp(t0 + (np.arange(first.size - 1) + 0.5) * h)
+
+
+def _unguarded(scheme, scenario):
+    """asc_integrand's product of link-law kernels, without its np.errstate."""
+    (eve, eve_args), (bob, bob_args), _, _ = selection._kernels(scheme, scenario)
+    return lambda x: eve(x, *eve_args) * bob(x, *bob_args)
+
+
+@pytest.mark.parametrize("scheme", [TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM])
+def test_asc_integrand_is_quiet_on_every_grid(scheme):
+    # In numpy's default state, with every warning an error, the integrand
+    # raises nothing on the quadrature's grids, and its values are the
+    # kernels' own, evaluated with every floating-point error ignored
+    for gb, ge, m in product(QUIET_GAMMAS, QUIET_GAMMAS, QUIET_ANTENNAS):
+        scenario = Scenario(gb, ge, m)
+        integrand, _, scale = asc_integrand(scheme, scenario)
+        for x in _asc_grids(scale):
+            with warnings.catch_warnings(), np.errstate(**DEFAULT_STATE):
+                warnings.simplefilter("error")
+                y = integrand(x)
+            with np.errstate(all="ignore"):
+                expected = _unguarded(scheme, scenario)(x)
+            assert y.tobytes() == expected.tobytes(), (gb, ge, m)
+
+
+# A grid past each end of the integrand's quiet range, by that end's margin:
+# below gamma_b0 2^-52 by 2^4 for btas, where exp(-x/gamma_b0) rounds to 1;
+# past M = 2^1000 by 2^19 at x = gamma_b0 2^-52, where M log1p(-exp(-x/gamma_b0))
+# overflows; and above the smaller mean times 2^1000 by 2^25, where x over it
+# overflows. The integrand runs each in np.errstate, and raises nothing.
+@pytest.mark.parametrize("scheme, scenario, x, message", [
+    (TasScheme.BTAS, Scenario(1.0, 1.0, 2), 2.0 ** -56, "divide by zero"),
+    (TasScheme.BTAS, Scenario(1e30, 1.0, 64), math.ldexp(1e30, -56), "divide by zero"),
+    (TasScheme.BTAS, Scenario(1.0, 1.0, 2 ** 1019), 2.0 ** -52, "overflow"),
+    (TasScheme.BTAS, Scenario(1.0, 1e-30, 64), math.ldexp(1e-30, 1025), "overflow"),
+    (TasScheme.BTAS, Scenario(1e-30, 1.0, 64), math.ldexp(1e-30, 1025), "overflow"),
+    (TasScheme.ETAS, Scenario(1.0, 1e-30, 64), math.ldexp(1e-30 / 64, 1025), "overflow"),
+    (TasScheme.ETAS, Scenario(1e-30, 1.0, 64), math.ldexp(1e-30, 1025), "overflow"),
+    (TasScheme.RANDOM, Scenario(1.0, 1e-30, 64), math.ldexp(1e-30, 1025), "overflow"),
+    (TasScheme.RANDOM, Scenario(1e-30, 1.0, 64), math.ldexp(1e-30, 1025), "overflow"),
+], ids=["btas-low", "btas-low-1e30", "btas-huge-m", "btas-high-eve", "btas-high-bob",
+        "etas-high-eve", "etas-high-bob", "random-high-eve", "random-high-bob"])
+def test_each_end_of_the_quiet_range_is_needed(scheme, scenario, x, message):
+    x = np.array([x, x])
+    unguarded = _unguarded(scheme, scenario)
+    with warnings.catch_warnings(), np.errstate(**DEFAULT_STATE):
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match=message):
+            unguarded(x)
+        y = asc_integrand(scheme, scenario)[0](x)
+    with np.errstate(all="ignore"):
+        assert y.tobytes() == unguarded(x).tobytes()

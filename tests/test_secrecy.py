@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import time
@@ -87,6 +88,35 @@ def test_asc_estimate_invariants():
         AscEstimate(1.0, Method.CLOSED, trials=10)
     est = AscEstimate(1.0, Method.MC, trials=10, std_error=0.1)
     assert est.method is Method.MC
+
+
+def _estimate_before_its_fast_path(value, method, trials, std_error):
+    """AscEstimate's checks as they were before its fast path."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"ASC must be finite and >= 0, got {value!r}")
+    if method is Method.MC:
+        if trials is None or trials < 1:
+            raise ValueError("MC estimates need trials >= 1")
+        if std_error is None or not (std_error >= 0.0):
+            raise ValueError("MC estimates need std_error >= 0")
+    elif trials is not None or std_error is not None:
+        raise ValueError(f"{method.value} estimates carry no trials/std_error")
+
+
+@pytest.mark.parametrize("method", [Method.CLOSED, Method.QUAD, Method.MC], ids=repr)
+def test_asc_estimate_fast_path_accepts_and_rejects_as_before(method):
+    values = [0.0, -0.0, 1.5, 5e-324, -5e-324, -0.1, float("nan"), float("inf"),
+              -float("inf"), 3, 10**400, True, np.float64(1.5), np.float64("nan"), None]
+    for value, trials, std_error in product(values, (None, 0, 10),
+                                            (None, -1.0, 0.0, 0.1, float("nan"))):
+        args = value, method, trials, std_error
+        try:
+            _estimate_before_its_fast_path(*args)
+        except (ValueError, OverflowError, TypeError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                AscEstimate(*args)
+        else:
+            assert AscEstimate(*args).value is value
 
 
 # ----------------------------------------------------------------------------
