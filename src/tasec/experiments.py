@@ -4,12 +4,12 @@ A sweep walks one dB-valued axis (legitimate SNR, eavesdropper SNR, or their
 ratio) over a linear-in-dB grid and emits one row per grid point, antenna
 count, scheme and method. A scheme uses its closed form where
 `secrecy.ROUTES` has one; the others (otas, random) are estimated by Monte
-Carlo. All Monte Carlo rows of one antenna count come from one
-`mc_asc_curve` call on the substream of the antenna index: common random
-numbers, each chunk drawn once for every scheme and grid point. A row thus
-does not depend on the rest of the grid, the other schemes or the worker
-count, and repeated runs of a spec are byte-identical. Rows of one antenna
-count are correlated, positively wherever measured.
+Carlo. One `secrecy._mc_asc_curves` call queues the chunks of every antenna
+count; the rows of one count come from its curve, on the substream of its
+index: common random numbers, each chunk drawn once for every scheme and
+grid point. A row does not depend on the rest of the grid, the other schemes
+or the worker count, and repeated runs of a spec are byte-identical. Rows
+of one antenna count are correlated, positively wherever measured.
 """
 
 import math
@@ -23,7 +23,7 @@ from .channel import RngStream, Scenario, require_int
 from .errors import DegenerateNormalizationError, NoCrossoverError
 # mc_asc is not called here, but stays a name of this module: the benchmark
 # (bench/worker.py, bench/spans.py) wraps experiments.mc_asc.
-from .secrecy import ROUTES, AscEstimate, Method, asc, mc_asc, mc_asc_curve
+from .secrecy import ROUTES, AscEstimate, Method, _mc_asc_curves, asc, mc_asc
 from .selection import TasScheme
 
 
@@ -162,7 +162,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     (swept value, antennas, scheme, method). A scheme's closed form where
     one exists, else Monte Carlo; normalized `std_error` as in SweepSpec.
     The Monte Carlo rows of one antenna count, of every scheme and grid
-    point, share their fading realizations (mc_asc_curve)."""
+    point, share their fading realizations (secrecy._mc_asc_curves)."""
     antennas = tuple(sorted(set(spec.antennas)))
     schemes = tuple(sorted(set(spec.schemes), key=lambda s: s.value))
     values = [float(v) for v in np.linspace(spec.start_db, spec.stop_db, spec.points)]
@@ -173,9 +173,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
                      for gb_db, ge_db in grid] for m in antennas}
 
     mc_schemes = spec.mc_schemes
-    curves = {m: mc_asc_curve(scenarios[m], mc_schemes, spec.mc_trials,
-                              base.substream(mi, 0), threads=threads)
-              for mi, m in enumerate(antennas) if mc_schemes}
+    curves = dict(zip(antennas, _mc_asc_curves(
+        [(scenarios[m], mc_schemes, base.substream(mi, 0)) for mi, m in enumerate(antennas)],
+        spec.mc_trials, threads) if mc_schemes else ()))
 
     rows: list[SweepRow] = []
     for pi, (value_db, (gb_db, ge_db)) in enumerate(zip(values, grid)):

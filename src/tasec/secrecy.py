@@ -31,7 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import count, product
+from itertools import count, product, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,13 +50,11 @@ _LN2 = math.log(2.0)
 MC_CHUNK_SIZE = 16_384
 MC_CHUNK_GAINS = 1 << 20  # gains per link past which a chunk has fewer rows
 
-# A tile of `_ratio_capacities` is sized by rows (`_tile_rows`): its
-# running maximum makes one numpy call per antenna and tile, and each call
-# releases and retakes the GIL, so longer calls let a second worker overlap
-# more. _TILE_ROWS caps the rows of a tile of 2-D gains, and _TILE_ELEMENTS
-# the gains of each of its scratch arrays (1 MiB, which bounds the scratch a
-# pooled buffer holds), so past M = 16 a tile has _TILE_ELEMENTS // M rows.
-# 1-D gains take a whole chunk to a tile.
+# `_ratio_capacities` takes 2-D gains a tile of rows (`_tile_rows`) at a
+# time, one numpy call per antenna and tile, each a GIL hand-off at two
+# threads. _TILE_ROWS caps a tile's rows, _TILE_ELEMENTS each scratch array's
+# gains (1 MiB). A group of points takes one (points, rows) array of 1-D
+# gains per unfolded side, within the gains of two such arrays.
 _TILE_ROWS = 8_192
 _TILE_ELEMENTS = 131_072
 
@@ -185,10 +184,11 @@ def _snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray
     log2 is the instantaneous secrecy capacity before its clamp at 0.
 
     Computed without temporaries in `out=(bob_out, eve_out)`, arrays of the
-    gains' shape, and returned as `out[0]`; the gains are left untouched. A
-    side `folded`, "bob" or "eve", already holds 1 + gamma0 g (`_fold_gains`)
-    and takes no `out` array. A gamma0 g that overflows a double gives an
-    inf or NaN ratio, or a ratio of 0.
+    gains' shape (or (S, count) for 1-D gains and (S, 1) gamma0 columns),
+    and returned as `out[0]`; the gains are left untouched. A side `folded`,
+    "bob" or "eve", already holds 1 + gamma0 g (`_fold_gains`) and takes no
+    `out` array. A gamma0 g that overflows a double gives an inf or NaN
+    ratio, or a ratio of 0.
     """
     tiles = iter(out)
     bob = (bob_gains if folded == "bob"
@@ -198,68 +198,82 @@ def _snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray
     return np.divide(bob, eve, out=out[0])
 
 
-def _ratio_capacities(scenario: Scenario, bob: np.ndarray, eve: np.ndarray,
+def _ratio_capacities(scenarios: Sequence[Scenario], bob: np.ndarray, eve: np.ndarray,
                       out: np.ndarray, scratch: np.ndarray,
                       folded: str | None = None) -> np.ndarray:
-    """Each realization's secrecy capacity at `scenario`'s SNRs, from the
-    gains `_selected_gains` returns, the `folded` side already 1 + gamma0 g
-    (`_fold_gains`): log2 of the largest of 1 and the SNR ratios in a row of
-    2-D gains (the one ratio of 1-D gains), written to and returned as `out`.
-
-    The gains are left as they are, for the next scenario: `_snr_ratios`
-    forms the ratios a tile of rows at a time out of place in the flat
-    `scratch`, of at least `_scratch_size(M)` elements, and each row's
+    """Each realization's secrecy capacity at each of `scenarios`, a row of
+    `out` (S, count) each, from the gains `_selected_gains` returns, the
+    `folded` side already 1 + gamma0 g: log2 of the largest of 1 and the SNR
+    ratios in a row of 2-D gains (the one ratio of 1-D gains). The gains are
+    left as they are. 1-D gains take every scenario at once, each unfolded
+    side folded with a column of the S gamma0s into `out`, then the flat
+    `scratch`. 2-D gains go a scenario and a tile of rows at a time, the
+    ratios out of place in `scratch` (`_scratch_size(M)`), and a row's
     largest is a running maximum over the tile's columns from 1 (an axis-1
-    reduce is slow on rows this short). That is the ratio at the argmax,
-    with the same float operations, or 1 where log2 would clamp at 0; a NaN
-    wins it. Tiles only split the rows, so no value depends on their size.
+    reduce is slow on rows this short): the ratio at the argmax, with the
+    same float operations, or 1 where log2 would clamp at 0; a NaN wins it.
+    Tiles and groups only split the work, so no value depends on their size.
     """
-    count = len(bob)
+    if bob.ndim == 1:
+        gammas = np.array([(s.gamma_b0, s.gamma_e0) for s in scenarios])
+        columns = SimpleNamespace(gamma_b0=gammas[:, :1], gamma_e0=gammas[:, 1:])
+        tiles = (out,) if folded else (out, scratch[:out.size].reshape(out.shape))
+        np.maximum(_snr_ratios(columns, bob, eve, tiles, folded), 1.0, out=out)
+        return np.log2(out, out=out)
+    count, width = bob.shape
     arrays = 1 if folded else 2  # scratch arrays per tile
-    step = _tile_rows(bob.size // count)
-    for start in range(0, count, step):
-        rows = slice(start, start + step)
-        part = bob[rows]
-        tiles = scratch[:arrays * part.size].reshape(arrays, *part.shape)
-        ratios = _snr_ratios(scenario, part, eve[rows], out=tuple(tiles), folded=folded)
-        ratios = ratios.reshape(len(ratios), -1)
-        ratio = out[rows]
-        np.maximum(ratios[:, 0], 1.0, out=ratio)
-        for column in ratios.T[1:]:
-            np.maximum(ratio, column, out=ratio)
+    step = _tile_rows(width)
+    for scenario, capacities in zip(scenarios, out):
+        for start in range(0, count, step):
+            rows = slice(start, start + step)
+            part = bob[rows]
+            tiles = scratch[:arrays * part.size].reshape(arrays, *part.shape)
+            ratios = _snr_ratios(scenario, part, eve[rows], out=tuple(tiles), folded=folded)
+            ratio = capacities[rows]
+            np.maximum(ratios[:, 0], 1.0, out=ratio)
+            for column in ratios.T[1:]:
+                np.maximum(ratio, column, out=ratio)
     return np.log2(out, out=out)
 
 
 def _tile_rows(width: int) -> int:
-    """Rows per tile of `_ratio_capacities` for gains `width` to a row."""
-    if width == 1:
-        return MC_CHUNK_SIZE
+    """Rows per tile of `_ratio_capacities` for 2-D gains `width` to a row."""
     return max(1, min(_TILE_ROWS, _TILE_ELEMENTS // width))
 
 
 def _scratch_size(m: int) -> int:
-    """Scratch elements `_ratio_capacities` takes for (count, M) gains and
-    their 1-D selections: two arrays of the larger tile."""
-    return 2 * max(_tile_rows(1), m * _tile_rows(m))
+    """Scratch elements `_ratio_capacities` takes for (count, M) gains."""
+    return 2 * m * _tile_rows(m)
 
 
 def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
                 eve: np.ndarray, stream: RngStream) -> np.ndarray:
     """Each realization's secrecy capacity at the antenna `scheme` selects,
-    from (count, M) gain blocks, which are left untouched, as a new array:
-    the selection and capacity kernels of a Monte Carlo chunk at one
-    scenario (random consumes `stream`)."""
+    from (count, M) gain blocks, left untouched, as a new array: a Monte
+    Carlo chunk's kernels at one scenario (random consumes `stream`)."""
     gains = _selected_gains(scheme, scenario, bob, eve, stream)
-    scratch = np.empty(_scratch_size(bob.shape[1]))
-    return _ratio_capacities(scenario, *gains, np.empty(len(bob)), scratch)
+    scratch = np.empty(max(len(bob), _scratch_size(bob.shape[1])))  # a 1-D side, or tiles
+    return _ratio_capacities((scenario,), *gains, np.empty((1, len(bob))), scratch)[0]
 
 
-# Flat buffers that no chunk is using. They outlive the chunks and the Monte
-# Carlo calls, and so the worker threads, which live for one call. There are
-# as many as chunks that ever ran at once, each 8 * (2 * rows * M +
-# _scratch_size(M)) bytes at most: a chunk's two gain blocks, then the tile
-# scratch of `_ratio_capacities`. list.pop and list.append are atomic,
-# so no two chunks use the same buffer.
+def _chunk_buffer(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ...],
+                  size: int) -> tuple[int, int]:
+    """(elements, points): the buffer a chunk of `size` rows takes, two gain
+    blocks and the scratch, and the points a selecting scheme's capacities
+    are formed for at once, within 2 * _TILE_ELEMENTS."""
+    m = scenarios[0].num_antennas
+    scratch, points = _scratch_size(m), len(scenarios)
+    if set(schemes) - {TasScheme.OTAS}:
+        arrays = 1 if _shared_side(scenarios)[0] else 2
+        points = min(points, max(1, 2 * _TILE_ELEMENTS // (arrays * size)))
+        scratch = max(scratch, arrays * size * points)
+    return 2 * size * m + scratch, points
+
+
+# Flat buffers that no chunk is using, as many as chunks that ever ran at
+# once, each of the largest `_chunk_buffer` it served. They outlive the
+# chunks, the calls and so the worker threads. list.pop and list.append are
+# atomic, so no two chunks use the same buffer.
 _idle_buffers: list[np.ndarray] = []
 
 
@@ -284,34 +298,39 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
     blocks used are the ones the draw returns), then selected once per
     scheme; only random consumes the substream, after the draw. The link
     `_shared_side` names is folded to 1 + gamma0 g in place, once a scheme:
-    in its 1-D copies, or in the drawn blocks for O-TAS, which runs last,
-    when every other scheme has selected on them. Capacities are reduced
-    in place in one array, with the same float operations as np.mean(cs)
-    and np.sum((cs - mean) ** 2). A gamma0 g that overflows a double gives an
-    inf or NaN mean, which mc_asc_curve reports; no floating-point warning
-    is raised."""
+    in its 1-D copies, or in the drawn blocks for O-TAS, which runs last.
+    Capacities, of a group of points (`_chunk_buffer`) or O-TAS's of one,
+    are reduced in place as np.mean(cs) and np.sum((cs - mean) ** 2) would
+    per point: an axis-1 reduce sums a row pairwise, as a 1-D one does. An
+    overflowing gamma0 g gives an inf or NaN mean, and no warning."""
     stream = rng.substream(index)
     m = scenarios[0].num_antennas
     block = size * m
-    buffer = _take_buffer(2 * block + _scratch_size(m))
+    elements, group = _chunk_buffer(scenarios, schemes, size)
+    buffer = _take_buffer(elements)
     bob, eve = draw_gain_blocks(scenarios[0], stream, size,
                                 out=tuple(buffer[:2 * block].reshape(2, size, m)))
     scratch = buffer[2 * block:]
     folded, gamma0 = _shared_side(scenarios)
-    moments, cs = {}, np.empty(size)
+    moments, row = {}, np.empty((1, size))
     with np.errstate(all="ignore"):
         for scheme in sorted(schemes, key=lambda s: s is TasScheme.OTAS):
             gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
             if folded:
                 side = gains[1] if folded == "eve" else gains[0]
                 _fold_gains(side, gamma0, out=side)
+            otas = scheme is TasScheme.OTAS
+            step = 1 if otas else group
             moments[scheme] = []
-            for scenario in scenarios:
-                _ratio_capacities(scenario, *gains, cs, scratch, folded)
-                mean = float(np.add.reduce(cs)) / size
-                cs -= mean
+            for start in range(0, len(scenarios), step):
+                part = scenarios[start:start + step]
+                cs = row if otas else scratch[:len(part) * size].reshape(len(part), size)
+                _ratio_capacities(part, *gains, cs, scratch[0 if otas else cs.size:], folded)
+                means = np.add.reduce(cs, axis=1) / size
+                cs -= means[:, None]
                 cs *= cs
-                moments[scheme].append((size, mean, float(np.add.reduce(cs))))
+                moments[scheme] += zip(repeat(size), means.tolist(),
+                                       np.add.reduce(cs, axis=1).tolist())
             del gains  # freed before the next scheme selects
     _idle_buffers.append(buffer)
     return [moment for scheme in schemes for moment in moments[scheme]]
@@ -336,6 +355,61 @@ def _merge_moments(a: tuple[int, float, float],
     return n, mean, m2
 
 
+def _mc_asc_curves(curves: Sequence[tuple[Sequence[Scenario], Sequence[TasScheme], RngStream]],
+                   trials: int, threads: int = 1) -> list[dict[TasScheme, list[AscEstimate]]]:
+    """mc_asc_curve of each (scenarios, schemes, rng) curve, all checked
+    before any draw, on one queue; an overflow names the first such curve."""
+    checked = []
+    for scenarios, schemes, rng in curves:
+        scenarios = tuple(scenarios)
+        if not scenarios:
+            raise ValueError("Monte Carlo needs at least one scenario")
+        if len({s.num_antennas for s in scenarios}) > 1:
+            raise ValueError("the scenarios of one Monte Carlo curve must share "
+                             "one antenna count")
+        named = () if isinstance(schemes, str) else tuple(map(TasScheme, schemes))
+        if not named or len(set(named)) < len(named):
+            raise ValueError("Monte Carlo needs a non-empty sequence of distinct "
+                             f"schemes, got {schemes!r}")
+        if not isinstance(rng, RngStream):
+            raise ValueError(f"Monte Carlo needs an RngStream as rng, got {rng!r}")
+        checked.append((scenarios, named, rng))
+    trials = require_int(trials, "trials", 2)
+    threads = require_int(threads, "threads", 1)
+
+    jobs = [(curve, index, size) for curve, (scenarios, _, _) in enumerate(checked)
+            for index, size in _chunk_layout(trials, scenarios[0].num_antennas)]
+    queue = sorted(jobs, key=lambda job: _chunk_buffer(*checked[job[0]][:2], job[2])[0],
+                   reverse=True)
+
+    def job(entry):
+        curve, index, size = entry
+        return _chunk_moments(*checked[curve], index, size)
+
+    workers = min(threads, len(queue), _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = dict(zip(queue, pool.map(job, queue)))
+    else:
+        done = {entry: job(entry) for entry in queue}
+
+    estimates = []
+    for curve, (scenarios, schemes, _) in enumerate(checked):
+        results = [done[entry] for entry in jobs if entry[0] == curve]  # in chunk order
+        estimates.append({scheme: [] for scheme in schemes})
+        for (scheme, scenario), moments in zip(product(schemes, scenarios), zip(*results)):
+            n, mean, m2 = reduce(_merge_moments, moments)
+            if not math.isfinite(mean):
+                raise ValueError(
+                    f"Monte Carlo: gamma0*g overflows a double at gamma_b0="
+                    f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; for "
+                    f"{scheme.value}, use method closed or quad where the scheme has them")
+            std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+            estimates[-1][scheme].append(AscEstimate(value=mean, method=Method.MC,
+                                                     trials=trials, std_error=std_error))
+    return estimates
+
+
 def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
                  trials: int, rng: RngStream, threads: int = 1
                  ) -> dict[TasScheme, list[AscEstimate]]:
@@ -348,59 +422,19 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
 
     Chunks of MC_CHUNK_SIZE rows, or MC_CHUNK_GAINS // M past M = 64, run
     on substreams derived from the chunk index, and each estimate's moments
-    merge in chunk order, so the estimates do not depend on `threads`. At
-    most `threads` workers run, and never more than there are chunks or CPUs
-    this process may use. Their gain buffers stay pooled for the life of the
-    process: one per chunk that ever ran at once, each at most 18 MiB for
-    the largest M it served (M <= 131,072), 16 MiB of it gains. One 2-worker
-    call at M = 64 leaves 36 MiB held. A link whose reference
-    SNR every scenario shares is folded into the gains once per chunk, not
-    once per scenario.
+    merge in chunk order, so no estimate depends on `threads` or on the
+    order the chunks run in: this is the one-curve case of _mc_asc_curves,
+    whose one queue for several curves (a sweep's antenna counts) runs the
+    largest buffer first, rows x M leading it, so no worker drops a pooled
+    buffer mid-call. At most `threads` workers run, never more than there
+    are chunks in all or CPUs this process may use; their buffers stay
+    pooled for the life of the process, each at most 18 MiB (M <= 131,072).
+    A link whose reference SNR every scenario shares is folded once a chunk.
     ValueError is raised at the top of the dB range, where a drawn gamma0*g
     overflows a double and a mean is not finite; it names the first such
     scheme, in the order given, and its first such scenario.
     """
-    scenarios = tuple(scenarios)
-    if not scenarios:
-        raise ValueError("Monte Carlo needs at least one scenario")
-    if len({s.num_antennas for s in scenarios}) > 1:
-        raise ValueError("the scenarios of one Monte Carlo curve must share "
-                         "one antenna count")
-    named = () if isinstance(schemes, str) else tuple(map(TasScheme, schemes))
-    if not named or len(set(named)) < len(named):
-        raise ValueError("Monte Carlo needs a non-empty sequence of distinct "
-                         f"schemes, got {schemes!r}")
-    schemes = named
-    trials = require_int(trials, "trials", 2)
-    threads = require_int(threads, "threads", 1)
-    if not isinstance(rng, RngStream):
-        raise ValueError(f"Monte Carlo needs an RngStream as rng, got {rng!r}")
-
-    layout = _chunk_layout(trials, scenarios[0].num_antennas)
-
-    def job(entry):
-        index, size = entry
-        return _chunk_moments(scenarios, schemes, rng, index, size)
-
-    workers = min(threads, len(layout), _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, layout))
-    else:
-        results = [job(entry) for entry in layout]
-
-    curves = {scheme: [] for scheme in schemes}
-    for (scheme, scenario), moments in zip(product(schemes, scenarios), zip(*results)):
-        n, mean, m2 = reduce(_merge_moments, moments)  # in chunk order
-        if not math.isfinite(mean):
-            raise ValueError(
-                f"Monte Carlo: gamma0*g overflows a double at gamma_b0="
-                f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; for "
-                f"{scheme.value}, use method closed or quad where the scheme has them")
-        std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-        curves[scheme].append(AscEstimate(value=mean, method=Method.MC, trials=trials,
-                                          std_error=std_error))
-    return curves
+    return _mc_asc_curves([(scenarios, schemes, rng)], trials, threads)[0]
 
 
 def mc_asc(scenario: Scenario, scheme: TasScheme, trials: int,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import RngStream, Scenario, draw_gain_blocks
 from .experiments import db_to_linear
-from .secrecy import AscEstimate, Method, _capacities, _chunk_layout, asc, mc_asc_curve
+from .secrecy import AscEstimate, Method, _capacities, _chunk_layout, _mc_asc_curves, asc
 from .selection import TasScheme
 
 MC_GRID_DB = (0.0, 10.0, 20.0)
@@ -97,23 +97,24 @@ def check_mc_vs_closed(trials: int, seed: int, threads: int = 1) -> CheckResult:
     """Monte Carlo against the closed forms at 4 sigma on the reduced grid:
     B-TAS and E-TAS against their own closed forms at M > 1, and O-TAS
     against the B-TAS closed form at M = 1, where every criterion selects
-    the one antenna. One mc_asc_curve call per antenna count draws each
-    chunk once for all of that count's schemes and grid points. A point
-    with fewer than MC_MIN_POSITIVE expected positive capacities is
-    not compared, and is counted as under-sampled."""
+    the one antenna. One _mc_asc_curves call, a curve per antenna count on
+    one chunk queue, draws each chunk once for all of that count's schemes
+    and grid points. A point with fewer than MC_MIN_POSITIVE expected
+    positive capacities is not compared, and is counted as under-sampled."""
     base = RngStream(seed)
     grid = list(product(MC_GRID_DB, MC_GRID_DB))
     worst_sigma = 0.0
     count = under_sampled = 0
     zero_errors = []  # points whose std_error is 0 and misses the closed form
-    for mi, m in enumerate(MC_ANTENNAS):
-        scenarios = [_scenario(gb_db, ge_db, m) for gb_db, ge_db in grid]
-        pairs = ({TasScheme.OTAS: TasScheme.BTAS} if m == 1
-                 else {s: s for s in (TasScheme.BTAS, TasScheme.ETAS)})
-        curves = mc_asc_curve(scenarios, list(pairs), trials,
-                              base.substream(_BRANCH_MC_VS_CLOSED, mi), threads)
-        for scheme, closed_scheme in pairs.items():
-            for (gb_db, ge_db), scenario, est in zip(grid, scenarios, curves[scheme]):
+    scenarios = [[_scenario(gb_db, ge_db, m) for gb_db, ge_db in grid] for m in MC_ANTENNAS]
+    pairs = [{TasScheme.OTAS: TasScheme.BTAS} if m == 1
+             else {s: s for s in (TasScheme.BTAS, TasScheme.ETAS)} for m in MC_ANTENNAS]
+    curves = _mc_asc_curves([(points, list(schemes), base.substream(_BRANCH_MC_VS_CLOSED, mi))
+                             for mi, (points, schemes) in enumerate(zip(scenarios, pairs))],
+                            trials, threads)
+    for m, points, schemes, curve in zip(MC_ANTENNAS, scenarios, pairs, curves):
+        for scheme, closed_scheme in schemes.items():
+            for (gb_db, ge_db), scenario, est in zip(grid, points, curve[scheme]):
                 count += 1
                 if trials * _positive_share(closed_scheme, scenario) < MC_MIN_POSITIVE:
                     under_sampled += 1

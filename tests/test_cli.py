@@ -702,14 +702,19 @@ def test_verify_zero_standard_error_counts_as_zero_sigma_on_equal_values():
 
 def test_verify_names_each_zero_standard_error_off_the_reference(monkeypatch):
     # Every Monte Carlo estimate is exact and 0, so no point meets its
-    # positive closed form: each is infinitely many sigma off, and named
-    def exact_zeros(scenarios, schemes, trials, rng, threads):
-        return {scheme: [AscEstimate(value=0.0, method=Method.MC, trials=trials,
-                                     std_error=0.0) for _ in scenarios]
-                for scheme in schemes}
+    # positive closed form: each is infinitely many sigma off, and named.
+    # One call runs the curves of M = 1, 2 and 8 on one queue.
+    calls = []
 
-    monkeypatch.setattr(verification, "mc_asc_curve", exact_zeros)
+    def exact_zeros(curves, trials, threads):
+        calls.append([scenarios[0].num_antennas for scenarios, _, _ in curves])
+        return [{scheme: [AscEstimate(value=0.0, method=Method.MC, trials=trials,
+                                      std_error=0.0) for _ in scenarios]
+                 for scheme in schemes} for scenarios, schemes, rng in curves]
+
+    monkeypatch.setattr(verification, "_mc_asc_curves", exact_zeros)
     result = verification.check_mc_vs_closed(1_000_000, 42)
+    assert calls == [[1, 2, 8]]
     assert not result.passed
     assert result.detail.startswith(
         "45 points x 1000000 trials, worst deviation = inf sigma (limit 4); "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tasec import secrecy
+from tasec import experiments, secrecy
 from tasec.channel import RngStream, Scenario
 from tasec.errors import DegenerateNormalizationError, NoCrossoverError
 from tasec.experiments import (DEFAULT_BRACKET_DB, SweepRow, SweepSpec, SweptParameter,
@@ -305,11 +305,20 @@ def test_sweep_draws_each_chunk_once_per_antenna_count(monkeypatch):
         return draw(scenario, rng, count, out=out)
 
     monkeypatch.setattr(secrecy, "draw_gain_blocks", counted)
+    calls = []
+    curves = experiments._mc_asc_curves
+    monkeypatch.setattr(experiments, "_mc_asc_curves",
+                        lambda *args: calls.append(len(args[0])) or curves(*args))
     spec = closed_spec(start_db=0.0, stop_db=30.0, points=4, antennas=(16, 2),
                        schemes=tuple(TasScheme), mc_trials=MC_CHUNK_SIZE + 5,
                        mc_overlay=True, normalize_to_otas=True)
     run_sweep(spec, threads=2)
     assert sorted(draws) == [(2, 5), (2, MC_CHUNK_SIZE), (16, 5), (16, MC_CHUNK_SIZE)]
+    # one queue for both antenna counts, the widest chunks first
+    draws.clear()
+    run_sweep(spec, threads=1)
+    assert draws == [(16, MC_CHUNK_SIZE), (16, 5), (2, MC_CHUNK_SIZE), (2, 5)]
+    assert calls == [2, 2]
 
 
 @pytest.mark.parametrize("swept, fixed_db", [("gamma-b", 10.0), ("ratio", 5.0)])

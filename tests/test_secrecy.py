@@ -20,7 +20,7 @@ from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            mc_asc_curve)
 from tasec.selection import TasScheme, select_indices
 
-from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains
+from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains, scale_otas_ratios
 from oracles import (asc_integral_oracle, btas_closed_sum_rule, secrecy_capacity,
                      snr_ratios)
 
@@ -43,12 +43,13 @@ def scenario_db(gb_db, ge_db, m):
 
 def test_secrecy_capacity_values():
     # The one capacity formula on 1-D gains at unit SNRs, where the gains
-    # are the instantaneous SNRs: log2 of the ratio, clamped at 0
+    # are the instantaneous SNRs: log2 of the ratio, clamped at 0, a row
+    # per scenario
     bob, eve = np.array([5.0, 3.0, 1.0, 0.0]), np.array([5.0, 1.0, 3.0, 0.0])
-    out = np.empty(4)
-    values = _ratio_capacities(Scenario(1.0, 1.0, 1), bob, eve, out,
+    out = np.empty((1, 4))
+    values = _ratio_capacities((Scenario(1.0, 1.0, 1),), bob, eve, out,
                                np.empty(secrecy._scratch_size(1)))
-    assert values is out and values.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert values is out and values.tolist() == [[0.0, 1.0, 0.0, 0.0]]
     assert bob.tolist() == [5.0, 3.0, 1.0, 0.0] and eve.tolist() == [5.0, 1.0, 3.0, 0.0]
 
 
@@ -443,9 +444,10 @@ def test_mc_thread_count_does_not_change_uneven_layout(scheme, monkeypatch):
         assert all(r.std_error == runs[0].std_error for r in runs)
 
 
-def record_pool_sizes(monkeypatch):
+def record_pool_sizes(monkeypatch, reverse=False):
     """Replace mc_asc's ThreadPoolExecutor by a serial stand-in that starts
-    no thread; returns the list of `max_workers` it was asked for."""
+    no thread, and with `reverse` runs the queue from its end; returns the
+    list of `max_workers` it was asked for."""
     workers = []
 
     class SerialPool:
@@ -459,6 +461,8 @@ def record_pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, items):
+            if reverse:
+                return reversed([fn(item) for item in reversed(list(items))])
             return map(fn, items)
 
     monkeypatch.setattr(secrecy, "ThreadPoolExecutor", SerialPool)
@@ -480,6 +484,26 @@ def test_mc_worker_count_is_bounded(threads, chunks, cpus, workers, monkeypatch)
     est = mc_asc(scenario, TasScheme.OTAS, trials, RngStream(8), threads=threads)
     assert pools == workers
     assert est == mc_asc(scenario, TasScheme.OTAS, trials, RngStream(8))
+
+
+@pytest.mark.parametrize("threads, curves, chunks, cpus, workers", [
+    (5000, 1, 10, 3, [3]),
+    (5000, 2, 1, 64, [2]),  # the bound is the chunk count across curves
+    (5000, 3, 4, 64, [12]),
+    (2, 3, 1, 64, [2]),
+    (5000, 3, 4, 1, []),
+])
+def test_mc_worker_count_is_bounded_across_curves(threads, curves, chunks, cpus, workers,
+                                                  monkeypatch):
+    pools = record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(secrecy.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    scenario, trials = Scenario(10.0, 3.0, 2), (chunks - 1) * MC_CHUNK_SIZE + 5
+    ests = secrecy._mc_asc_curves([((scenario,), (TasScheme.OTAS,), RngStream(8, i))
+                                   for i in range(curves)], trials, threads)
+    assert pools == workers
+    assert ests == [mc_asc_curve((scenario,), (TasScheme.OTAS,), trials, RngStream(8, i))
+                    for i in range(curves)]
 
 
 @pytest.mark.parametrize("cpu_count, workers", [(4, [4]), (None, [])])
@@ -849,6 +873,174 @@ def test_curve_overflow_names_the_failing_scenario():
     with pytest.raises(ValueError, match=r"overflows a double at gamma_b0=1e\+308, "
                                          r"gamma_e0=1; for etas, use"):
         mc_asc_curve(scenarios, (TasScheme.ETAS, TasScheme.OTAS), 1000, RngStream(42))
+
+
+# ----------------------------------------------------------------------------
+# One queue for the curves of several antenna counts
+# ----------------------------------------------------------------------------
+
+# Curves of four antenna counts, each with its own schemes and stream; one
+# shares gamma_e0 and is folded. 16,401 trials end every curve on a partial
+# chunk; M = 100 has chunks of 10,485 rows, so the queue runs the wide chunks
+# first, out of the order given.
+QUEUE_CURVES = [(1, CURVE_POINTS_DB, (TasScheme.OTAS, TasScheme.BTAS)),
+                (2, SHARED_CURVES_DB["eve"][:2], tuple(TasScheme)),
+                (17, CURVE_POINTS_DB, (TasScheme.RANDOM, TasScheme.OTAS)),
+                (100, CURVE_POINTS_DB[:2], (TasScheme.ETAS, TasScheme.OTAS))]
+
+
+def queue_curves():
+    return [([scenario_db(gb_db, ge_db, m) for gb_db, ge_db in points], schemes,
+             RngStream(37, m)) for m, points, schemes in QUEUE_CURVES]
+
+
+def all_curve_reprs(curves):
+    return [{s: curve_reprs(c) for s, c in curve.items()} for curve in curves]
+
+
+def test_curve_queue_matches_separate_curve_calls(monkeypatch):
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
+    trials = MC_CHUNK_SIZE + 17
+    separate = all_curve_reprs(mc_asc_curve(points, schemes, trials, rng)
+                               for points, schemes, rng in queue_curves())
+    for threads in (1, 2, 3):
+        got = secrecy._mc_asc_curves(queue_curves(), trials, threads)
+        assert all_curve_reprs(got) == separate
+    # a stand-in pool that runs the queue from its smallest chunk to its largest
+    pools = record_pool_sizes(monkeypatch, reverse=True)
+    assert all_curve_reprs(secrecy._mc_asc_curves(queue_curves(), trials, 3)) == separate
+    assert pools == [3]
+
+
+def test_curve_queue_runs_the_largest_chunks_first(monkeypatch):
+    # at one thread the wider antenna count, given last, draws first, and its
+    # buffer serves every later chunk: none is dropped
+    monkeypatch.setattr(secrecy, "_idle_buffers", [])
+    asked = []
+    take = secrecy._take_buffer
+    monkeypatch.setattr(secrecy, "_take_buffer", lambda n: asked.append(n) or take(n))
+    curves = [([scenario_db(10.0, 0.0, m)], list(TasScheme), RngStream(2, m)) for m in (2, 16)]
+    secrecy._mc_asc_curves(curves, MC_CHUNK_SIZE + 5, 1)
+    assert asked == sorted(asked, reverse=True)
+    assert [b.size for b in secrecy._idle_buffers] == [asked[0]]
+
+
+@pytest.mark.parametrize("bad", ["mixed M", "empty", "no stream", "repeated schemes"])
+def test_a_malformed_later_curve_fails_before_any_draw(bad, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew gains before every curve was checked")
+    monkeypatch.setattr(secrecy, "draw_gain_blocks", no_draws)
+    # the first curve's chunks are the widest, so the queue would run them first
+    good = ([Scenario(1.0, 1.0, 8)], (TasScheme.OTAS,), RngStream(1))
+    later = {"mixed M": ([Scenario(1.0, 1.0, 2), Scenario(1.0, 1.0, 4)],
+                         (TasScheme.OTAS,), RngStream(2)),
+             "empty": ([], (TasScheme.OTAS,), RngStream(2)),
+             "no stream": ([Scenario(1.0, 1.0, 2)], (TasScheme.OTAS,), None),
+             "repeated schemes": ([Scenario(1.0, 1.0, 2)], ("btas", TasScheme.BTAS),
+                                  RngStream(2))}[bad]
+    with pytest.raises(ValueError, match="Monte Carlo|antenna count"):
+        secrecy._mc_asc_curves([good, later], 100_000, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_curve_queue_overflow_names_the_first_curve_given():
+    # both curves overflow; the one given first is named, whichever draws first
+    curves = [([Scenario(1e308, 1.0, 8)], (TasScheme.RANDOM,), RngStream(42, 1)),
+              ([Scenario(1e308, 1e308, 2)], (TasScheme.ETAS,), RngStream(42, 2))]
+    for order, named in ((curves, "gamma_e0=1; for random"),
+                         (curves[::-1], "gamma_e0=1e\\+308; for etas")):
+        with pytest.raises(ValueError, match=r"overflows a double at gamma_b0=1e\+308, "
+                                             + named + ", use"):
+            secrecy._mc_asc_curves(order, 1000, 1)
+
+
+# ----------------------------------------------------------------------------
+# The capacities of a selected antenna, for a group of points in one pass
+# ----------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [17, 1_696, MC_CHUNK_SIZE])
+@pytest.mark.parametrize("points", [1, 4, 13])
+@pytest.mark.parametrize("folded", ["bob", "eve", None])
+def test_grouped_capacities_match_per_point_values(folded, points, rows):
+    # each row of the (points, rows) capacities is bit for bit the value of
+    # that point alone; the points reach 3,065 dB, where gamma0 g overflows,
+    # and the gains are left as they are
+    scenarios = [scenario_db(3065.0 if folded == "bob" else db,
+                             5.0 if folded == "eve" else 3035.0 - db, 4)
+                 for db in np.linspace(-30.0, 3065.0, points).tolist()]
+    bob, eve = (g[:, 0].copy() for g in draw_gain_blocks(scenarios[0], RngStream(41, rows),
+                                                          rows))
+    with np.errstate(all="ignore"):
+        expected = [secrecy_capacity(s.gamma_b0 * bob, s.gamma_e0 * eve) for s in scenarios]
+        gains = [bob, eve]
+        if folded:
+            side = 0 if folded == "bob" else 1
+            gamma0 = getattr(scenarios[0], "gamma_b0" if folded == "bob" else "gamma_e0")
+            gains[side] = _fold_gains(gains[side], gamma0, np.empty(rows))
+        kept = [g.copy() for g in gains]
+        out = np.empty((points, rows))
+        got = _ratio_capacities(scenarios, *gains, out, np.empty(out.size), folded)
+        assert got is out
+        assert [row.tobytes() for row in got] == [c.tobytes() for c in expected]
+        assert all(np.array_equal(g, k, equal_nan=True) for g, k in zip(gains, kept))
+
+
+@pytest.mark.parametrize("scheme", list(TasScheme))
+def test_capacities_of_more_rows_than_a_chunk(scheme):
+    # the self-checks' kernel takes blocks of any length, though 1-D gains
+    # are no longer tiled: 20,000 rows at M = 1, past a 16,384-gain scratch
+    scenario = Scenario(3.0, 0.5, 1)
+    bob, eve = draw_gain_blocks(scenario, RngStream(53), 20_000)
+    got = secrecy._capacities(scenario, scheme, bob, eve, RngStream(54))
+    assert got.tobytes() == secrecy_capacity(3.0 * bob[:, 0], 0.5 * eve[:, 0]).tobytes()
+
+
+def test_points_past_a_group_match_per_point_references(monkeypatch):
+    # 20 points that share neither SNR: a full chunk forms its selected
+    # capacities in groups of 8, 8 and 4, in 2 MiB of scratch at most, and
+    # its 17-row partial chunk all 20 at once
+    asked = []
+    take = secrecy._take_buffer
+    monkeypatch.setattr(secrecy, "_take_buffer", lambda n: asked.append(n) or take(n))
+    scenarios = [scenario_db(db, 25.0 - db, 2) for db in np.linspace(-10.0, 30.0, 20).tolist()]
+    trials = MC_CHUNK_SIZE + 17
+    curves = mc_asc_curve(scenarios, list(TasScheme), trials, RngStream(47))
+    assert {s: curve_reprs(c) for s, c in curves.items()} == selected_estimates(
+        list(TasScheme), scenarios, trials, RngStream(47))
+    assert asked[0] == 2 * 2 * MC_CHUNK_SIZE + 2 * secrecy._TILE_ELEMENTS
+
+
+@pytest.mark.parametrize("m, scratch", [(2, 32_768), (8, 131_072)])
+def test_otas_alone_takes_only_the_tile_scratch(m, scratch, monkeypatch):
+    # O-TAS alone, as the figure sweep runs it, asks for the two gain blocks
+    # and two tile arrays, however many points it serves
+    asked = []
+    take = secrecy._take_buffer
+    monkeypatch.setattr(secrecy, "_take_buffer", lambda n: asked.append(n) or take(n))
+    mc_asc_curve([scenario_db(db, 10.0, m) for db in range(12)], (TasScheme.OTAS,),
+                 MC_CHUNK_SIZE, RngStream(3))
+    assert asked == [2 * m * MC_CHUNK_SIZE + scratch]
+
+
+def test_fault_seams_reach_otas_and_leave_selected_antennas_alone(monkeypatch):
+    # the faults patch `_snr_ratios` on 2-D gains: O-TAS moves on curves that
+    # fold gamma_e0, gamma_b0 or neither, and no selected antenna's row does
+    curves = [([scenario_db(db, 5.0, 4) for db in (0.0, 10.0)], list(TasScheme),
+               RngStream(43, 1)),
+              ([scenario_db(10.0, db, 4) for db in (0.0, 10.0)], list(TasScheme),
+               RngStream(43, 2)),
+              ([scenario_db(*point, 4) for point in CURVE_POINTS_DB], list(TasScheme),
+               RngStream(43, 3))]
+    healthy = all_curve_reprs(secrecy._mc_asc_curves(curves, 4000))
+    for fault in (drop_last_antenna, lambda patch: scale_otas_ratios(patch, 1.05)):
+        with monkeypatch.context() as patch:
+            fault(patch)
+            faulty = all_curve_reprs(secrecy._mc_asc_curves(curves, 4000))
+        for before, after in zip(healthy, faulty):
+            assert all(a != b for a, b in zip(before[TasScheme.OTAS], after[TasScheme.OTAS]))
+            assert ({s: c for s, c in after.items() if s is not TasScheme.OTAS}
+                    == {s: c for s, c in before.items() if s is not TasScheme.OTAS})
 
 
 # O-TAS estimates frozen as repr: (gb_db, ge_db, M, trials, stream id) ->
