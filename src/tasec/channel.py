@@ -8,7 +8,7 @@ law is the same. Phases are never materialized; nothing downstream needs them.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,29 +39,43 @@ def require_int(value, name: str, low: int) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Scenario:
     """One operating point: linear reference SNRs of both links plus the
-    transmit antenna count."""
+    transmit antenna count.
+
+    A frozen, slotted dataclass whose `__init__` checks its arguments and
+    stores them through the slots' own setters."""
 
     gamma_b0: float
     gamma_e0: float
     num_antennas: int
 
-    def __post_init__(self):
-        gb, ge, m = self.gamma_b0, self.gamma_e0, self.num_antennas
+    def __init__(self, gamma_b0: float, gamma_e0: float, num_antennas: int):
+        gb, ge, m = gamma_b0, gamma_e0, num_antennas
         if not (type(gb) is float and type(ge) is float and type(m) is int
                 and 0.0 < gb < math.inf and 0.0 < ge < math.inf and m >= 1):
             require_positive(gb, "gamma_b0")
             require_positive(ge, "gamma_e0")
             m = require_int(m, "num_antennas", 1)
-            object.__setattr__(self, "num_antennas", m)
         # The closed forms take E1 at k/gamma_b0 + 1/gamma_e0 (k <= M) and at
         # M/gamma_e0 + 1/gamma_b0; a point where those overflow is rejected.
         if not (math.isfinite(m / gb + 1 / ge) and math.isfinite(m / ge + 1 / gb)):
             raise ValueError(
                 f"gamma_b0={gb!r}, gamma_e0={ge!r} are too small at M={m}: "
                 "M/gamma_b0 + 1/gamma_e0 or M/gamma_e0 + 1/gamma_b0 overflows a float")
+        _set_gamma_b0(self, gb)
+        _set_gamma_e0(self, ge)
+        _set_num_antennas(self, m)
+
+
+def slot_setters(cls) -> tuple:
+    """The `__set__` of each field slot of a frozen dataclass `cls`, in field
+    order: they store a field without the frozen `__setattr__`."""
+    return tuple(getattr(cls, field.name).__set__ for field in fields(cls))
+
+
+_set_gamma_b0, _set_gamma_e0, _set_num_antennas = slot_setters(Scenario)
 
 
 class RngStream:

@@ -19,7 +19,8 @@ values. Against 40-digit mpmath their relative error stays below 7e-16
 just below 1, where E1 is a small difference of its series terms.
 
 Both public functions check their arguments, then read exp(x) E1(x) from
-a memo of the last 256 distinct arguments. The closed forms of one figure
+a memo of the last 256 distinct arguments; `delta_e_unchecked`, the closed
+forms' seam, reads the memo without the checks. The closed forms of one figure
 or one crossover search share most of their arguments, k/gamma_b0 and
 1/gamma_e0 + k/gamma_b0, so about two calls in three are served from it.
 The memo is keyed on the exact argument and its type (an int, a float and
@@ -115,4 +116,11 @@ def delta_e(a: float, b: float) -> float:
     """exp(a) E1(a) - exp(b) E1(b); positive iff b > a, zero iff a == b."""
     require_positive(a, "a")
     require_positive(b, "b")
+    return _exp_scaled_e1(a) - _exp_scaled_e1(b)
+
+
+def delta_e_unchecked(a: float, b: float) -> float:
+    """delta_e of arguments already known to be finite reals > 0, as the
+    closed forms' are by Scenario's rules: the memo's difference, without
+    the checks."""
     return _exp_scaled_e1(a) - _exp_scaled_e1(b)

@@ -28,6 +28,7 @@ import os
 import sys
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -36,9 +37,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import RngStream, Scenario, draw_gain_blocks, require_int
+from .channel import RngStream, Scenario, draw_gain_blocks, require_int, slot_setters
 from .errors import UnsupportedSchemeError
-from .expint import delta_e
+# Every closed-form term goes through this module's name `delta_e`, which
+# tracing and fault injection wrap. Its arguments are positive and finite by
+# Scenario's rules, so it is the E1-memo difference without the checks of
+# the public tasec.delta_e.
+from .expint import delta_e_unchecked as delta_e
 from .quadrature import integrate_half_line
 from .selection import TasScheme, asc_integrand, select_indices
 
@@ -91,29 +96,39 @@ ROUTES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class AscEstimate:
     """An ASC value in bits/s/Hz; MC estimates also carry their trial count
-    and standard error."""
+    and standard error.
+
+    A frozen, slotted dataclass whose `__init__` checks its arguments; a
+    closed or quad float value takes one range test."""
 
     value: float
     method: Method
     trials: int | None = None
     std_error: float | None = None
 
-    def __post_init__(self):
-        if type(self.value) is float and 0.0 <= self.value < math.inf and self.trials is None \
-                and self.std_error is None and self.method is not Method.MC:
-            return  # a closed or quad value, which the checks below pass
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"ASC must be finite and >= 0, got {self.value!r}")
-        if self.method is Method.MC:
-            if self.trials is None or self.trials < 1:
-                raise ValueError("MC estimates need trials >= 1")
-            if self.std_error is None or not (self.std_error >= 0.0):
-                raise ValueError("MC estimates need std_error >= 0")
-        elif self.trials is not None or self.std_error is not None:
-            raise ValueError(f"{self.method.value} estimates carry no trials/std_error")
+    def __init__(self, value: float, method: Method, trials: int | None = None,
+                 std_error: float | None = None):
+        if not (type(value) is float and 0.0 <= value < math.inf and trials is None
+                and std_error is None and method is not Method.MC):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"ASC must be finite and >= 0, got {value!r}")
+            if method is Method.MC:
+                if trials is None or trials < 1:
+                    raise ValueError("MC estimates need trials >= 1")
+                if std_error is None or not (std_error >= 0.0):
+                    raise ValueError("MC estimates need std_error >= 0")
+            elif trials is not None or std_error is not None:
+                raise ValueError(f"{method.value} estimates carry no trials/std_error")
+        _set_value(self, value)
+        _set_method(self, method)
+        _set_trials(self, trials)
+        _set_std_error(self, std_error)
+
+
+_set_value, _set_method, _set_trials, _set_std_error = slot_setters(AscEstimate)
 
 
 def asc(scenario: Scenario, scheme: TasScheme, method: Method | None = None, *,
@@ -246,13 +261,22 @@ def _scratch_size(m: int) -> int:
     return 2 * m * _tile_rows(m)
 
 
+def _capacities_scratch(count: int, m: int) -> int:
+    """Scratch elements `_capacities` takes for (count, M) gains: a 1-D side,
+    or tiles."""
+    return max(count, _scratch_size(m))
+
+
 def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
-                eve: np.ndarray, stream: RngStream) -> np.ndarray:
+                eve: np.ndarray, stream: RngStream, scratch: np.ndarray | None = None
+                ) -> np.ndarray:
     """Each realization's secrecy capacity at the antenna `scheme` selects,
     from (count, M) gain blocks, left untouched, as a new array: a Monte
-    Carlo chunk's kernels at one scenario (random consumes `stream`)."""
+    Carlo chunk's kernels at one scenario (random consumes `stream`). A flat
+    `scratch` of `_capacities_scratch` elements is used in place of a new one."""
     gains = _selected_gains(scheme, scenario, bob, eve, stream)
-    scratch = np.empty(max(len(bob), _scratch_size(bob.shape[1])))  # a 1-D side, or tiles
+    if scratch is None:
+        scratch = np.empty(_capacities_scratch(*bob.shape))
     return _ratio_capacities((scenario,), *gains, np.empty((1, len(bob))), scratch)[0]
 
 
@@ -271,7 +295,7 @@ def _chunk_buffer(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ...
 
 
 # Flat buffers that no chunk is using, as many as chunks that ever ran at
-# once, each of the largest `_chunk_buffer` it served. They outlive the
+# once, each of the largest buffer a chunk took from it. They outlive the
 # chunks, the calls and so the worker threads. list.pop and list.append are
 # atomic, so no two chunks use the same buffer.
 _idle_buffers: list[np.ndarray] = []
@@ -286,6 +310,15 @@ def _take_buffer(n: int) -> np.ndarray:
     if buffer is None or buffer.size < n:
         buffer = np.empty(n)
     return buffer
+
+
+@contextmanager
+def _pooled_buffer(n: int):
+    """`_take_buffer(n)` for the block, made idle again when it ends without
+    an error."""
+    buffer = _take_buffer(n)
+    yield buffer
+    _idle_buffers.append(buffer)
 
 
 def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ...],
@@ -307,13 +340,12 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
     m = scenarios[0].num_antennas
     block = size * m
     elements, group = _chunk_buffer(scenarios, schemes, size)
-    buffer = _take_buffer(elements)
-    bob, eve = draw_gain_blocks(scenarios[0], stream, size,
-                                out=tuple(buffer[:2 * block].reshape(2, size, m)))
-    scratch = buffer[2 * block:]
     folded, gamma0 = _shared_side(scenarios)
     moments, row = {}, np.empty((1, size))
-    with np.errstate(all="ignore"):
+    with _pooled_buffer(elements) as buffer, np.errstate(all="ignore"):
+        bob, eve = draw_gain_blocks(scenarios[0], stream, size,
+                                    out=tuple(buffer[:2 * block].reshape(2, size, m)))
+        scratch = buffer[2 * block:]
         for scheme in sorted(schemes, key=lambda s: s is TasScheme.OTAS):
             gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
             if folded:
@@ -332,7 +364,6 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
                 moments[scheme] += zip(repeat(size), means.tolist(),
                                        np.add.reduce(cs, axis=1).tolist())
             del gains  # freed before the next scheme selects
-    _idle_buffers.append(buffer)
     return [moment for scheme in schemes for moment in moments[scheme]]
 
 
@@ -341,6 +372,17 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+def _run_queue(job, queue: Sequence, threads: int) -> dict:
+    """{entry: job(entry)} over the distinct entries of `queue`, run in queue
+    order on at most `threads` workers, never more than there are entries or
+    CPUs this process may use; one worker runs them on the calling thread."""
+    workers = min(require_int(threads, "threads", 1), len(queue), _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return dict(zip(queue, pool.map(job, queue)))
+    return {entry: job(entry) for entry in queue}
 
 
 def _merge_moments(a: tuple[int, float, float],
@@ -375,23 +417,12 @@ def _mc_asc_curves(curves: Sequence[tuple[Sequence[Scenario], Sequence[TasScheme
             raise ValueError(f"Monte Carlo needs an RngStream as rng, got {rng!r}")
         checked.append((scenarios, named, rng))
     trials = require_int(trials, "trials", 2)
-    threads = require_int(threads, "threads", 1)
 
     jobs = [(curve, index, size) for curve, (scenarios, _, _) in enumerate(checked)
             for index, size in _chunk_layout(trials, scenarios[0].num_antennas)]
     queue = sorted(jobs, key=lambda job: _chunk_buffer(*checked[job[0]][:2], job[2])[0],
                    reverse=True)
-
-    def job(entry):
-        curve, index, size = entry
-        return _chunk_moments(*checked[curve], index, size)
-
-    workers = min(threads, len(queue), _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(queue, pool.map(job, queue)))
-    else:
-        done = {entry: job(entry) for entry in queue}
+    done = _run_queue(lambda job: _chunk_moments(*checked[job[0]], *job[1:]), queue, threads)
 
     estimates = []
     for curve, (scenarios, schemes, _) in enumerate(checked):
@@ -405,8 +436,7 @@ def _mc_asc_curves(curves: Sequence[tuple[Sequence[Scenario], Sequence[TasScheme
                     f"{scenario.gamma_b0:.6g}, gamma_e0={scenario.gamma_e0:.6g}; for "
                     f"{scheme.value}, use method closed or quad where the scheme has them")
             std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-            estimates[-1][scheme].append(AscEstimate(value=mean, method=Method.MC,
-                                                     trials=trials, std_error=std_error))
+            estimates[-1][scheme].append(AscEstimate(mean, Method.MC, trials, std_error))
     return estimates
 
 
@@ -458,7 +488,7 @@ def asc_quadrature(scenario: Scenario, scheme: TasScheme) -> AscEstimate:
     ConvergenceError is raised."""
     integrand, sign, scale = asc_integrand(scheme, scenario)
     value = sign * integrate_half_line(integrand, scale=scale) / _LN2
-    return AscEstimate(value=max(0.0, value), method=Method.QUAD)
+    return AscEstimate(max(0.0, value), Method.QUAD)
 
 
 # ----------------------------------------------------------------------------
@@ -505,7 +535,7 @@ def asc_btas_closed(scenario: Scenario) -> AscEstimate:
         terms.append((binom if k % 2 else -binom) * delta_e(a, inv_ge + a))
     # Clamp: for near-degenerate SNRs the sum of correctly-rounded terms can
     # land an ulp below zero.
-    return AscEstimate(value=max(0.0, math.fsum(terms) / _LN2), method=Method.CLOSED)
+    return AscEstimate(max(0.0, math.fsum(terms) / _LN2), Method.CLOSED)
 
 
 def asc_etas_closed(scenario: Scenario) -> AscEstimate:
@@ -516,4 +546,4 @@ def asc_etas_closed(scenario: Scenario) -> AscEstimate:
     """
     inv_gb = 1.0 / scenario.gamma_b0
     value = delta_e(inv_gb, scenario.num_antennas / scenario.gamma_e0 + inv_gb) / _LN2
-    return AscEstimate(value=max(0.0, value), method=Method.CLOSED)
+    return AscEstimate(max(0.0, value), Method.CLOSED)

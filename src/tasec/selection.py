@@ -87,19 +87,29 @@ def _neg_cdf_min(x, beta, m):
     return np.expm1(y, out=y)
 
 
+# Per scheme, (gamma_b0, gamma_e0, M) -> the kernel and scalars of -F_E and
+# of 1 - F_B times a sign; that sign; the two means. Keyed by member, and so
+# by name too, as a TasScheme is the str of its value.
+_KERNELS = {
+    TasScheme.BTAS: lambda gb, ge, m: (
+        (_neg_cdf_exp, (ge,)), (_neg_sf_max, (gb, m)), -1.0, (ge, gb)),
+    TasScheme.ETAS: lambda gb, ge, m: (
+        (_neg_cdf_min, (ge, m)), (_sf_exp, (gb,)), 1.0, (ge / m, gb)),
+    TasScheme.RANDOM: lambda gb, ge, m: (
+        (_neg_cdf_exp, (ge,)), (_sf_exp, (gb,)), 1.0, (ge, gb)),
+}
+
+
 def _kernels(scheme: TasScheme, scenario: Scenario):
     """(kernel, its scalars) of -F_E and of 1 - F_B times a sign; that sign; the two means."""
-    scheme = scheme if isinstance(scheme, TasScheme) else TasScheme(scheme)
-    gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
-    if scheme is TasScheme.BTAS:
-        return (_neg_cdf_exp, (ge,)), (_neg_sf_max, (gb, m)), -1.0, (ge, gb)
-    if scheme is TasScheme.ETAS:
-        return (_neg_cdf_min, (ge, m)), (_sf_exp, (gb,)), 1.0, (ge / m, gb)
-    if scheme is TasScheme.RANDOM:
-        return (_neg_cdf_exp, (ge,)), (_sf_exp, (gb,)), 1.0, (ge, gb)
-    raise UnsupportedSchemeError(
-        f"no product-form CDFs for scheme {scheme.value!r}: the selected "
-        "antenna's SNRs are dependent")
+    try:
+        kernels = _KERNELS[scheme]
+    except (KeyError, TypeError):
+        scheme = TasScheme(scheme)  # ValueError if `scheme` names no scheme
+        raise UnsupportedSchemeError(
+            f"no product-form CDFs for scheme {scheme.value!r}: the selected "
+            "antenna's SNRs are dependent") from None
+    return kernels(scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas)
 
 
 def _law(kernel, args, sign, x):
@@ -126,18 +136,19 @@ def asc_integrand(scheme: TasScheme, scenario: Scenario):
     np.errstate(all="ignore"). Below low = gamma_b0 2^-52 btas takes log1p(-1)
     (past M = 2^1000, M log1p(...) can overflow at any x); above high, 2^1000
     times the smaller mean, x over that mean overflows."""
-    (eve, eve_args), (bob, bob_args), sign, means = _kernels(scheme, scenario)
+    (eve, eve_args), (bob, bob_args), sign, (mean_e, mean_b) = _kernels(scheme, scenario)
     low = 0.0
     if bob is _neg_sf_max:
         low = bob_args[0] * 2.0 ** -52 if bob_args[1] < 2.0 ** 1000 else math.inf
-    high = min(means) * 2.0 ** 1000
+    small, large = (mean_e, mean_b) if mean_e < mean_b else (mean_b, mean_e)
+    high = small * 2.0 ** 1000
 
     def integrand(x, quiet=False):  # quiet: called again inside np.errstate
-        if not (quiet or low <= x[0] and x[-1] <= high):
+        if not (quiet or low <= x.item(0) and x.item(-1) <= high):
             with np.errstate(all="ignore"):
-                return integrand(x, quiet=True)
+                return integrand(x, True)
         y = eve(x, *eve_args)
         y *= bob(x, *bob_args)
         return y
 
-    return integrand, -sign, max(means)
+    return integrand, -sign, large

@@ -1,6 +1,9 @@
+import copy
 import math
 import operator
-from dataclasses import astuple
+import pickle
+import re
+from dataclasses import FrozenInstanceError, astuple, replace
 from itertools import product
 
 import numpy as np
@@ -40,6 +43,46 @@ def test_scenario_validation():
             Scenario(gamma_b0, gamma_e0, m)
     Scenario(1e-300, 1e-300, 64)
     Scenario(1e-307, 1.0, 8)
+
+
+def test_scenario_keeps_its_dataclass_contract():
+    # The same ValueError as before for NaN, +-inf, negative and bool inputs
+    for bad, text in ((float("nan"), "finite and > 0, got nan"),
+                      (float("inf"), "finite and > 0, got inf"),
+                      (-float("inf"), "finite and > 0, got -inf"),
+                      (-1.0, "finite and > 0, got -1.0"),
+                      (True, "a real number, got True")):
+        for args, name in (((bad, 1.0, 2), "gamma_b0"), ((1.0, bad, 2), "gamma_e0")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {text}')}$"):
+                Scenario(*args)
+    for bad in (float("nan"), float("inf"), -1, False):
+        with pytest.raises(ValueError,
+                           match=f"^num_antennas must be an integer >= 1, got {bad!r}$"):
+            Scenario(1.0, 1.0, bad)
+    point = Scenario(10.0, 2.0, 4)
+    # dataclasses.replace runs every check, and converts a numpy integer count
+    with pytest.raises(ValueError, match="gamma_e0 must be finite and > 0"):
+        replace(point, gamma_e0=-1.0)
+    with pytest.raises(ValueError, match="too small at M=64"):
+        replace(point, gamma_b0=1e-307, num_antennas=64)
+    moved = replace(point, num_antennas=np.int64(8))
+    assert type(moved.num_antennas) is int and moved == Scenario(10.0, 2.0, 8)
+    # frozen: no field can be set or deleted
+    for name in ("gamma_b0", "gamma_e0", "num_antennas"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(point, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(point, name)
+    # equal values are equal, with one hash and one repr, whatever type the
+    # antenna count came in
+    twin = Scenario(10.0, 2.0, np.uint16(4))
+    assert type(twin.num_antennas) is int
+    assert twin == point and hash(twin) == hash(point) and repr(twin) == repr(point)
+    assert repr(point) == "Scenario(gamma_b0=10.0, gamma_e0=2.0, num_antennas=4)"
+    assert point != Scenario(10.0, 2.0, 5) and astuple(point) == (10.0, 2.0, 4)
+    # copies and pickles are equal values
+    for twin in (copy.copy(point), copy.deepcopy(point), pickle.loads(pickle.dumps(point))):
+        assert twin == point and repr(twin) == repr(point)
 
 
 def test_an_int_past_the_largest_double_is_not_finite():

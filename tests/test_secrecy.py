@@ -1,8 +1,12 @@
+import copy
 import math
+import pickle
+import random
 import re
 import sys
 import threading
 import time
+from dataclasses import FrozenInstanceError, astuple, replace
 from functools import reduce
 from itertools import product
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tasec
 from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
 from tasec import secrecy
@@ -18,7 +23,8 @@ from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
                            _chunk_moments, _fold_gains, _ratio_capacities, _snr_ratios,
                            asc, asc_btas_closed, asc_etas_closed, asc_quadrature, mc_asc,
                            mc_asc_curve)
-from tasec.selection import TasScheme, select_indices
+from tasec.quadrature import integrate_half_line
+from tasec.selection import TasScheme, asc_integrand, select_indices
 
 from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains, scale_otas_ratios
 from oracles import (asc_integral_oracle, btas_closed_sum_rule, secrecy_capacity,
@@ -89,6 +95,54 @@ def test_asc_estimate_invariants():
         AscEstimate(1.0, Method.CLOSED, trials=10)
     est = AscEstimate(1.0, Method.MC, trials=10, std_error=0.1)
     assert est.method is Method.MC
+
+
+def test_asc_estimate_keeps_its_dataclass_contract():
+    # The same ValueError as before for NaN, +-inf and negative values, and
+    # for MC estimates without trials or std_error
+    for bad in (float("nan"), float("inf"), -float("inf"), -0.1):
+        for method in Method:
+            with pytest.raises(ValueError, match=f"^ASC must be finite and >= 0, got {bad!r}$"):
+                AscEstimate(bad, method, *((10, 0.1) if method is Method.MC else ()))
+    with pytest.raises(ValueError, match="^MC estimates need trials >= 1$"):
+        AscEstimate(1.0, Method.MC, std_error=0.1)
+    with pytest.raises(ValueError, match="^MC estimates need std_error >= 0$"):
+        AscEstimate(1.0, Method.MC, trials=10)
+    closed = AscEstimate(1.0, Method.CLOSED)
+    mc = AscEstimate(1.0, Method.MC, trials=10, std_error=0.1)
+    # dataclasses.replace runs every check
+    for estimate, change, text in ((closed, {"value": -1.0}, "ASC must be finite"),
+                                   (closed, {"trials": 10}, "closed estimates carry no"),
+                                   (mc, {"std_error": None}, "MC estimates need std_error"),
+                                   (mc, {"method": Method.QUAD}, "quad estimates carry no")):
+        with pytest.raises(ValueError, match=text):
+            replace(estimate, **change)
+    assert replace(mc, value=2.0) == AscEstimate(2.0, Method.MC, trials=10, std_error=0.1)
+    # frozen: no field can be set or deleted
+    for name in ("value", "method", "trials", "std_error"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(closed, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(mc, name)
+    assert repr(closed) == ("AscEstimate(value=1.0, method=<Method.CLOSED: 'closed'>, "
+                            "trials=None, std_error=None)")
+    # copies and pickles are equal values
+    for twin in (copy.copy(mc), copy.deepcopy(mc), pickle.loads(pickle.dumps(mc))):
+        assert twin == mc and hash(twin) == hash(mc) and repr(twin) == repr(mc)
+
+
+def test_route_estimates_equal_checked_ones():
+    # Each route's estimate equals one built from the same fields, with one
+    # hash and one repr
+    point = Scenario(10.0, 3.0, 8)
+    for estimate in (asc_btas_closed(point), asc_etas_closed(point),
+                     asc_quadrature(point, TasScheme.RANDOM),
+                     mc_asc(point, TasScheme.OTAS, 1000, RngStream(5))):
+        checked = AscEstimate(estimate.value, estimate.method, estimate.trials,
+                              estimate.std_error)
+        assert estimate == checked and hash(estimate) == hash(checked)
+        assert repr(estimate) == repr(checked) and astuple(estimate) == astuple(checked)
+        assert type(estimate.value) is float
 
 
 def _estimate_before_its_fast_path(value, method, trials, std_error):
@@ -166,6 +220,65 @@ def test_closed_form_monotonicity_on_grid():
         for gb_db, ge_db in product(DB_GRID, DB_GRID):
             values = [closed(scenario_db(gb_db, ge_db, m)).value for m in (1, 2, 4, 8)]
             assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+# A seeded grid of (gamma_b0 dB, gamma_e0 dB) over -30..40 dB, its corners
+# included. At M = 32 and 64 the B-TAS sum hands over to quadrature at some
+# of its points.
+BIT_GRID = [(-30.0, -30.0), (-30.0, 40.0), (40.0, -30.0), (40.0, 40.0)] + [
+    (round(rng.uniform(-30.0, 40.0), 3), round(rng.uniform(-30.0, 40.0), 3))
+    for rng in [random.Random(2029)] for _ in range(16)]
+
+
+def _checked_closed(scenario, scheme):
+    """A closed form's value, each term from the public checked
+    tasec.delta_e and the B-TAS terms summed by math.fsum."""
+    gb, ge, m = scenario.gamma_b0, scenario.gamma_e0, scenario.num_antennas
+    inv_gb, inv_ge = 1.0 / gb, 1.0 / ge
+    if scheme is TasScheme.ETAS:
+        return max(0.0, tasec.delta_e(inv_gb, m / ge + inv_gb) / math.log(2.0))
+    terms = ((math.comb(m, k) if k % 2 else -math.comb(m, k))
+             * tasec.delta_e(k * inv_gb, inv_ge + k * inv_gb) for k in range(1, m + 1))
+    return max(0.0, math.fsum(terms) / math.log(2.0))
+
+
+def _checked_quadrature(scenario, scheme):
+    """integrate_half_line on the integrand asc_integrand returns."""
+    integrand, sign, scale = asc_integrand(scheme, scenario)
+    return max(0.0, sign * integrate_half_line(integrand, scale=scale) / math.log(2.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 16, 32, 64])
+def test_scalar_routes_skip_checks_not_arithmetic(m):
+    # Every value of the closed forms and of quadrature has the bits of its
+    # reference, the B-TAS sum's where it is kept and quadrature's where it
+    # hands over
+    handed_over = 0
+    for gb_db, ge_db in BIT_GRID:
+        scenario = scenario_db(gb_db, ge_db, m)
+        for scheme in (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM):
+            assert asc_quadrature(scenario, scheme).value.hex() == \
+                _checked_quadrature(scenario, scheme).hex(), (gb_db, ge_db, scheme)
+        assert asc_etas_closed(scenario).value.hex() == \
+            _checked_closed(scenario, TasScheme.ETAS).hex(), (gb_db, ge_db)
+        btas = asc_btas_closed(scenario)
+        handed_over += btas.method is Method.QUAD
+        reference = (_checked_quadrature if btas.method is Method.QUAD else _checked_closed)
+        assert btas.value.hex() == reference(scenario, TasScheme.BTAS).hex(), (gb_db, ge_db)
+    assert handed_over > 0 or m < 32
+
+
+def test_btas_terms_past_the_largest_double_read_zero():
+    # At gamma_b0 = 3.893879252387603e-308 (about -3,074 dB), M = 7, the
+    # Scenario rule 7/gamma_b0 + 1/gamma_e0 rounds to a double, but
+    # 7 (1/gamma_b0) rounds past the largest one. Such a term's E1 values
+    # are 0, and so is the closed form, within its stated error; the checked
+    # tasec.delta_e rejects the argument.
+    scenario = Scenario(3.893879252387603e-308, 1e300, 7)
+    assert math.isinf(7 * (1.0 / scenario.gamma_b0))
+    assert asc_btas_closed(scenario) == AscEstimate(0.0, Method.CLOSED)
+    with pytest.raises(ValueError, match="a must be finite and > 0, got inf"):
+        tasec.delta_e(7 * (1.0 / scenario.gamma_b0), 1.0)
 
 
 # 60-digit evaluations of the alternating sum, (gamma_b0 dB, gamma_e0 dB, M).
@@ -994,6 +1107,10 @@ def test_capacities_of_more_rows_than_a_chunk(scheme):
     bob, eve = draw_gain_blocks(scenario, RngStream(53), 20_000)
     got = secrecy._capacities(scenario, scheme, bob, eve, RngStream(54))
     assert got.tobytes() == secrecy_capacity(3.0 * bob[:, 0], 0.5 * eve[:, 0]).tobytes()
+    # and a dirty scratch of `_capacities_scratch` elements serves as a new one
+    scratch = np.full(secrecy._capacities_scratch(*bob.shape), np.nan)
+    again = secrecy._capacities(scenario, scheme, bob, eve, RngStream(54), scratch)
+    assert again.tobytes() == got.tobytes()
 
 
 def test_points_past_a_group_match_per_point_references(monkeypatch):
@@ -1105,3 +1222,25 @@ def test_dominance_check_runs_the_monte_carlo_kernel(monkeypatch):
     result = check_otas_dominance(20000, 42)
     assert not result.passed
     assert int(result.detail.split(", ")[-1].split()[0]) > 1000
+
+
+def test_dominance_check_counts_alike_on_any_worker_count(monkeypatch):
+    # 40,000 realizations at M = 8 are three chunks on the Monte Carlo queue,
+    # each on its own substream: under a fault, so that the count is not 0,
+    # it reads the same at 1-3 threads and with the queue run from its end
+    from tasec.verification import check_otas_dominance
+
+    drop_last_antenna(monkeypatch)
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 3)
+    asked = []
+    take = secrecy._take_buffer
+    monkeypatch.setattr(secrecy, "_take_buffer", lambda n: asked.append(n) or take(n))
+    serial = check_otas_dominance(40000, 42)
+    assert not serial.passed
+    # one pooled buffer a chunk: the two gain blocks, then the kernel's scratch
+    assert asked == [2 * size * 8 + secrecy._capacities_scratch(size, 8)
+                     for _, size in _chunk_layout(40000, 8)]
+    assert all(check_otas_dominance(40000, 42, threads) == serial for threads in (2, 3))
+    pools = record_pool_sizes(monkeypatch, reverse=True)
+    assert check_otas_dominance(40000, 42, 5) == serial
+    assert pools == [3]
