@@ -175,22 +175,50 @@ def _selected_gains(scheme: TasScheme, scenario: Scenario, bob: np.ndarray,
     return bob.take(idx), eve.take(idx)
 
 
+# A curve that shares gamma_e0 is folded as g_B/E and 1/E (`_fold_link`)
+# only while every gamma0 of it is below this. There no gamma0 g overflows
+# (g would pass 2^24, and an Exp(1) draw stays below 45), so each ratio is
+# finite wherever the quotient (1 + gamma_b0 g_B)/E is; at the top of the dB
+# range the quotient's overflow, and its error, are kept.
+_FOLD_LIMIT = 2.0 ** 1000
+
+
 def _shared_side(scenarios: tuple[Scenario, ...]) -> tuple[str | None, float | None]:
-    """The link whose reference SNR every scenario shares, "eve" before
-    "bob", and that SNR; (None, None) if neither is shared."""
-    for side, gammas in (("eve", {s.gamma_e0 for s in scenarios}),
-                         ("bob", {s.gamma_b0 for s in scenarios})):
-        if len(gammas) == 1:
-            return side, gammas.pop()
+    """The link a curve of two or more scenarios folds once a chunk, and its
+    shared reference SNR: "eve" where every scenario shares gamma_e0 and
+    every gamma0 is below _FOLD_LIMIT, else "bob" where every scenario
+    shares gamma_b0; (None, None) for one scenario, which gains nothing from
+    a fold, or where neither rule holds."""
+    if len(scenarios) > 1:
+        gamma_bs = {s.gamma_b0 for s in scenarios}
+        gamma_es = {s.gamma_e0 for s in scenarios}
+        if len(gamma_es) == 1 and max(gamma_bs | gamma_es) < _FOLD_LIMIT:
+            return "eve", gamma_es.pop()
+        if len(gamma_bs) == 1:
+            return "bob", gamma_bs.pop()
     return None, None
 
 
 def _fold_gains(gains: np.ndarray, gamma0: float, out: np.ndarray) -> np.ndarray:
-    """1 + gamma0 g, a link's SNR term of `_snr_ratios`, written to and
-    returned as `out`, which may be `gains` itself."""
+    """1 + gamma0 g, a link's SNR term, written to and returned as `out`,
+    which may be `gains` itself: the unfolded sides of `_snr_ratios`, and the
+    first step of `_fold_link`."""
     np.multiply(gains, gamma0, out=out)
     out += 1.0
     return out
+
+
+def _fold_link(folded: str, gamma0: float, bob: np.ndarray, eve: np.ndarray) -> None:
+    """Fold the link `folded` of (bob, eve) gains, its reference SNR
+    `gamma0`, in place, for `_snr_ratios(..., folded=folded)`: "bob" holds
+    1 + gamma0 g_B; for "eve", with E = 1 + gamma0 g_E, bob holds g_B/E and
+    eve 1/E."""
+    if folded == "bob":
+        _fold_gains(bob, gamma0, out=bob)
+        return
+    _fold_gains(eve, gamma0, out=eve)
+    np.divide(bob, eve, out=bob)
+    np.divide(1.0, eve, out=eve)
 
 
 def _snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray,
@@ -200,16 +228,22 @@ def _snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray
 
     Computed without temporaries in `out=(bob_out, eve_out)`, arrays of the
     gains' shape (or (S, count) for 1-D gains and (S, 1) gamma0 columns),
-    and returned as `out[0]`; the gains are left untouched. A side `folded`,
-    "bob" or "eve", already holds 1 + gamma0 g (`_fold_gains`) and takes no
-    `out` array. A gamma0 g that overflows a double gives an inf or NaN
+    and returned as `out[0]`; the gains are left untouched. Gains `folded`
+    by `_fold_link` take only `out[0]`: a "bob" fold forms the quotient over
+    the eavesdropper's term, bit for bit as without the fold, and an "eve"
+    fold forms gamma_b0 (g_B/E) + 1/E, one multiply and one add. The two
+    forms differ in their last bits, each within about 3 ulp of the exact
+    ratio. A gamma0 g that overflows a double gives an inf or NaN
     ratio, or a ratio of 0.
     """
+    if folded == "eve":
+        ratios = np.multiply(bob_gains, scenario.gamma_b0, out=out[0])
+        ratios += eve_gains
+        return ratios
     tiles = iter(out)
     bob = (bob_gains if folded == "bob"
            else _fold_gains(bob_gains, scenario.gamma_b0, next(tiles)))
-    eve = (eve_gains if folded == "eve"
-           else _fold_gains(eve_gains, scenario.gamma_e0, next(tiles)))
+    eve = _fold_gains(eve_gains, scenario.gamma_e0, next(tiles))
     return np.divide(bob, eve, out=out[0])
 
 
@@ -217,17 +251,18 @@ def _ratio_capacities(scenarios: Sequence[Scenario], bob: np.ndarray, eve: np.nd
                       out: np.ndarray, scratch: np.ndarray,
                       folded: str | None = None) -> np.ndarray:
     """Each realization's secrecy capacity at each of `scenarios`, a row of
-    `out` (S, count) each, from the gains `_selected_gains` returns, the
-    `folded` side already 1 + gamma0 g: log2 of the largest of 1 and the SNR
-    ratios in a row of 2-D gains (the one ratio of 1-D gains). The gains are
-    left as they are. 1-D gains take every scenario at once, each unfolded
-    side folded with a column of the S gamma0s into `out`, then the flat
-    `scratch`. 2-D gains go a scenario and a tile of rows at a time, the
-    ratios out of place in `scratch` (`_scratch_size(M)`), and a row's
-    largest is a running maximum over the tile's columns from 1 (an axis-1
-    reduce is slow on rows this short): the ratio at the argmax, with the
-    same float operations, or 1 where log2 would clamp at 0; a NaN wins it.
-    Tiles and groups only split the work, so no value depends on their size.
+    `out` (S, count) each, from the gains `_selected_gains` returns, with
+    the link `folded` already folded (`_fold_link`): log2 of the largest of
+    1 and the SNR ratios in a row of 2-D gains (the one ratio of 1-D gains).
+    The gains are left as they are. 1-D gains take every scenario at once,
+    each unfolded side folded with a column of the S gamma0s into `out`,
+    then the flat `scratch`. 2-D gains go a scenario and a tile of rows at a
+    time, the ratios out of place in `scratch` (`_scratch_size(M)`), and a
+    row's largest is a running maximum over the tile's columns from 1 (an
+    axis-1 reduce is slow on rows this short): the ratio at the argmax, with
+    the same float operations, or 1 where log2 would clamp at 0; a NaN wins
+    it. Tiles and groups only split the work, so no value depends on their
+    size.
     """
     if bob.ndim == 1:
         gammas = np.array([(s.gamma_b0, s.gamma_e0) for s in scenarios])
@@ -330,12 +365,15 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
     once, from the substream derived for `index`, into an idle buffer (the
     blocks used are the ones the draw returns), then selected once per
     scheme; only random consumes the substream, after the draw. The link
-    `_shared_side` names is folded to 1 + gamma0 g in place, once a scheme:
+    `_shared_side` names is folded in place by `_fold_link`, once a scheme:
     in its 1-D copies, or in the drawn blocks for O-TAS, which runs last.
+    So every scheme's capacity at a point comes from the same operations on
+    the same doubles, and O-TAS's is at least each selected antenna's.
     Capacities, of a group of points (`_chunk_buffer`) or O-TAS's of one,
     are reduced in place as np.mean(cs) and np.sum((cs - mean) ** 2) would
-    per point: an axis-1 reduce sums a row pairwise, as a 1-D one does. An
-    overflowing gamma0 g gives an inf or NaN mean, and no warning."""
+    per point: an axis-1 reduce sums a row pairwise, as a 1-D one does, and
+    a group of one point takes 1-D calls. An overflowing gamma0 g gives an
+    inf or NaN mean, and no warning."""
     stream = rng.substream(index)
     m = scenarios[0].num_antennas
     block = size * m
@@ -349,8 +387,7 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
         for scheme in sorted(schemes, key=lambda s: s is TasScheme.OTAS):
             gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
             if folded:
-                side = gains[1] if folded == "eve" else gains[0]
-                _fold_gains(side, gamma0, out=side)
+                _fold_link(folded, gamma0, *gains)
             otas = scheme is TasScheme.OTAS
             step = 1 if otas else group
             moments[scheme] = []
@@ -358,6 +395,13 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
                 part = scenarios[start:start + step]
                 cs = row if otas else scratch[:len(part) * size].reshape(len(part), size)
                 _ratio_capacities(part, *gains, cs, scratch[0 if otas else cs.size:], folded)
+                if len(cs) == 1:
+                    capacities = cs[0]
+                    mean = float(np.add.reduce(capacities)) / size
+                    capacities -= mean
+                    capacities *= capacities
+                    moments[scheme].append((size, mean, float(np.add.reduce(capacities))))
+                    continue
                 means = np.add.reduce(cs, axis=1) / size
                 cs -= means[:, None]
                 cs *= cs
@@ -446,9 +490,13 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
     """Monte Carlo ASC of each of the distinct `schemes` at each of
     `scenarios`, which share one antenna count, as a list per scheme in the
     order given. Every chunk is drawn once and serves every scheme and
-    scenario (common random numbers). Each estimate is bit-identical to
-    mc_asc's on the same stream and has its own std_error; the estimates of
-    one call are correlated, positively wherever measured.
+    scenario (common random numbers). Each estimate has its own std_error;
+    the estimates of one call are correlated, positively wherever measured.
+    Each is bit-identical to mc_asc's on the same stream unless two or more
+    points share gamma_e0: there, while every gamma0 is below 2^1000, each
+    chunk folds the eavesdropper's link into the gains once (_fold_link),
+    and each ratio is gamma_b0 (g_B/E) + 1/E, within a few ulp of mc_asc's
+    quotient.
 
     Chunks of MC_CHUNK_SIZE rows, or MC_CHUNK_GAINS // M past M = 64, run
     on substreams derived from the chunk index, and each estimate's moments
@@ -459,7 +507,8 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
     buffer mid-call. At most `threads` workers run, never more than there
     are chunks in all or CPUs this process may use; their buffers stay
     pooled for the life of the process, each at most 18 MiB (M <= 131,072).
-    A link whose reference SNR every scenario shares is folded once a chunk.
+    A gamma_b0 that every scenario shares is folded once a chunk too, bit
+    for bit as without the fold.
     ValueError is raised at the top of the dB range, where a drawn gamma0*g
     overflows a double and a mean is not finite; it names the first such
     scheme, in the order given, and its first such scenario.

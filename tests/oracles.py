@@ -68,6 +68,14 @@ def snr_ratios(scenario, bob, eve):
     return (1.0 + scenario.gamma_b0 * bob) / (1.0 + scenario.gamma_e0 * eve)
 
 
+def folded_snr_ratios(scenario, bob, eve):
+    """The same ratios as a curve that folds its shared gamma_e0 forms them:
+    gamma_b0 (g_B/E) + 1/E with E = 1 + gamma_e0 g_E, as a new array, with
+    the float operations of the package's kernel."""
+    e = 1.0 + scenario.gamma_e0 * eve
+    return scenario.gamma_b0 * (bob / e) + 1.0 / e
+
+
 def secrecy_capacity(gamma_b, gamma_e):
     """[log2(1+gamma_b) - log2(1+gamma_e)]^+ as one log of the SNR ratio,
     elementwise over arrays of instantaneous SNRs."""

@@ -324,16 +324,17 @@ def test_sweep_draws_each_chunk_once_per_antenna_count(monkeypatch):
 @pytest.mark.parametrize("swept, fixed_db", [("gamma-b", 10.0), ("ratio", 5.0)])
 def test_sweep_mc_rows_never_exceed_otas_at_their_point(swept, fixed_db):
     # every scheme's capacity is at most O-TAS's on each shared realization,
-    # so its mean is too, and a normalized Monte Carlo row is at most 1
+    # so its mean is too, and a normalized Monte Carlo row is at most 1; a
+    # gamma-b sweep folds gamma_e0 into every scheme's ratios alike
     for normalize in (False, True):
         spec = closed_spec(swept=swept, start_db=-20.0, stop_db=30.0, points=6,
-                           fixed_gamma_db=fixed_db, antennas=(1, 2, 8),
+                           fixed_gamma_db=fixed_db, antennas=(1, 2, 8, 17),
                            schemes=tuple(TasScheme), mc_trials=MC_CHUNK_SIZE + 100,
                            seed=5, mc_overlay=True, normalize_to_otas=normalize)
         mc = [r for r in run_sweep(spec) if r.method == "mc"]
         otas = {(r.swept_value_db, r.antennas): r.asc for r in mc if r.scheme == "otas"}
         others = [r for r in mc if r.scheme != "otas"]
-        assert len(others) == 6 * 3 * 3
+        assert len(others) == 6 * 4 * 3
         for r in others:
             assert r.asc <= otas[r.swept_value_db, r.antennas]
             assert r.asc <= 1.0 or not normalize

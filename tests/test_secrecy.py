@@ -20,15 +20,15 @@ from tasec.channel import RngStream, Scenario, draw_gain_blocks
 from tasec.errors import UnsupportedSchemeError
 from tasec import secrecy
 from tasec.secrecy import (MC_CHUNK_SIZE, AscEstimate, Method, _chunk_layout,
-                           _chunk_moments, _fold_gains, _ratio_capacities, _snr_ratios,
+                           _chunk_moments, _fold_link, _ratio_capacities, _snr_ratios,
                            asc, asc_btas_closed, asc_etas_closed, asc_quadrature, mc_asc,
                            mc_asc_curve)
 from tasec.quadrature import integrate_half_line
 from tasec.selection import TasScheme, asc_integrand, select_indices
 
 from faults import drop_last_antenna, negate_btas_terms, scale_bob_gains, scale_otas_ratios
-from oracles import (asc_integral_oracle, btas_closed_sum_rule, secrecy_capacity,
-                     snr_ratios)
+from oracles import (asc_integral_oracle, btas_closed_sum_rule, folded_snr_ratios,
+                     secrecy_capacity, snr_ratios)
 
 # Single-antenna ASC at unit SNRs, frozen by high-precision evaluation of
 # delta_e(1, 2)/ln 2 and cross-checked against the quadrature oracle below.
@@ -70,18 +70,24 @@ def test_snr_ratios_in_place():
 
 
 def test_snr_ratios_with_a_folded_side():
-    # a side that already holds 1 + gamma0 g is read as it is, and the ratio
-    # lands in the one array given, bit for bit as without the fold
+    # gains folded by `_fold_link` are read as they are, and the ratio lands
+    # in the one array given: bit for bit as without the fold for "bob", and
+    # gamma_b0 (g_B/E) + 1/E for "eve", a few ulp from the quotient
     scenario = Scenario(3.0, 7.0, 4)
     bob, eve = draw_gain_blocks(scenario, RngStream(29, 0), 64)
     unfolded = _snr_ratios(scenario, bob, eve, out=(np.empty_like(bob), np.empty_like(eve)))
-    for folded, gains in (("bob", (_fold_gains(bob, 3.0, np.empty_like(bob)), eve)),
-                          ("eve", (bob, _fold_gains(eve, 7.0, np.empty_like(eve))))):
+    assert unfolded.tobytes() == snr_ratios(scenario, bob, eve).tobytes()
+    for folded, gamma0, expected in (("bob", 3.0, unfolded),
+                                     ("eve", 7.0, folded_snr_ratios(scenario, bob, eve))):
+        gains = (bob.copy(), eve.copy())
+        assert _fold_link(folded, gamma0, *gains) is None
         kept = [g.copy() for g in gains]
         out = np.empty_like(bob)
         assert _snr_ratios(scenario, *gains, out=(out,), folded=folded) is out
-        assert out.tobytes() == unfolded.tobytes()
+        assert out.tobytes() == expected.tobytes()
         assert all(np.array_equal(g, k) for g, k in zip(gains, kept))
+        assert np.all(np.abs(out - unfolded) <= 3 * np.spacing(unfolded))
+    assert not np.array_equal(expected, unfolded)
 
 
 def test_asc_estimate_invariants():
@@ -668,14 +674,23 @@ def test_otas_mc_dominates_closed_forms():
 # The O-TAS chunk kernel against argmax -> gather -> secrecy_capacity
 # ----------------------------------------------------------------------------
 
-def argmax_moments(scenario, bob, eve):
-    """Chunk moments the way O-TAS was first computed: select the index,
-    gather both links there, and take the clamped log of their SNR ratio."""
+def gathered_capacities(scenario, bob, eve, ratios):
+    """Secrecy capacities of gathered 1-D gains: `secrecy_capacity` where
+    `ratios` is `snr_ratios`, else the clamped log of the folded ratios."""
     with np.errstate(all="ignore"):
-        idx = np.argmax(snr_ratios(scenario, bob, eve), axis=1)
+        if ratios is snr_ratios:
+            return secrecy_capacity(scenario.gamma_b0 * bob, scenario.gamma_e0 * eve)
+        return np.maximum(0.0, np.log2(ratios(scenario, bob, eve)))
+
+
+def argmax_moments(scenario, bob, eve, ratios=snr_ratios):
+    """Chunk moments the way O-TAS was first computed: select the index,
+    gather both links there, and take the clamped log of their SNR ratio,
+    the quotient or, with `ratios=folded_snr_ratios`, the folded form."""
+    with np.errstate(all="ignore"):
+        idx = np.argmax(ratios(scenario, bob, eve), axis=1)
         rows = np.arange(bob.shape[0])
-        cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
-                              scenario.gamma_e0 * eve[rows, idx])
+        cs = gathered_capacities(scenario, bob[rows, idx], eve[rows, idx], ratios)
         mean = float(cs.mean())
         return bob.shape[0], mean, float(np.sum((cs - mean) ** 2))
 
@@ -834,13 +849,23 @@ def test_curve_matches_separate_calls_on_the_same_stream(scheme, m, monkeypatch)
             assert curve_reprs(curve[scheme]) == curve_reprs(separate)
 
 
+def folds_eve(scenarios):
+    """Whether a curve forms its ratios as gamma_b0 (g_B/E) + 1/E: two or
+    more points that share gamma_e0, and every gamma0 below 2^1000."""
+    gammas = [g for s in scenarios for g in (s.gamma_b0, s.gamma_e0)]
+    return (len(scenarios) > 1 and len({s.gamma_e0 for s in scenarios}) == 1
+            and max(gammas) < 2.0 ** 1000)
+
+
 def selected_estimates(schemes, scenarios, trials, rng):
     """{scheme: [(value, std_error) as repr, one per scenario]}, the scenarios
     of one antenna count: `argmax_moments` for O-TAS, else the plain
     `secrecy_capacity` at the antenna `select_indices` picks, merged in chunk
-    order by Chan's update. Each chunk is drawn once into new arrays and
-    serves every scheme and scenario; random consumes the chunk's substream
-    once, after the draw, as mc_asc_curve does."""
+    order by Chan's update; both take `folded_snr_ratios` where `folds_eve`.
+    Each chunk is drawn once into new arrays and serves every scheme and
+    scenario; random consumes the chunk's substream once, after the draw, as
+    mc_asc_curve does."""
+    ratios = folded_snr_ratios if folds_eve(scenarios) else snr_ratios
     moments = {scheme: [[] for _ in scenarios] for scheme in schemes}
     for i, size in _chunk_layout(trials, scenarios[0].num_antennas):
         stream = rng.substream(i)
@@ -851,11 +876,9 @@ def selected_estimates(schemes, scenarios, trials, rng):
                 idx = select_indices(scheme, scenarios[0], bob, eve, rng=stream)
             for scenario, chunks in zip(scenarios, moments[scheme]):
                 if scheme is TasScheme.OTAS:
-                    chunks.append(argmax_moments(scenario, bob, eve))
+                    chunks.append(argmax_moments(scenario, bob, eve, ratios))
                     continue
-                with np.errstate(all="ignore"):
-                    cs = secrecy_capacity(scenario.gamma_b0 * bob[rows, idx],
-                                          scenario.gamma_e0 * eve[rows, idx])
+                cs = gathered_capacities(scenario, bob[rows, idx], eve[rows, idx], ratios)
                 mean = float(cs.mean())
                 chunks.append((size, mean, float(np.sum((cs - mean) ** 2))))
 
@@ -868,12 +891,14 @@ def selected_estimates(schemes, scenarios, trials, rng):
 
 
 # Curves whose points share gamma_e0, gamma_b0, both (one point repeated)
-# or neither, in dB. A shared link is folded into the gains once per chunk;
-# the 3,065 dB points put each side, folded or not, near the top of the dB
-# range, where a gamma0 g overflows a double only for g > 56.
+# or neither, in dB. A shared link is folded into the gains once per chunk.
+# A shared gamma_e0 is folded below 2^1000 (3,010.3 dB), so the 3,010 dB
+# points put that fold near the top of its range; the 3,065 dB points put
+# the other side, folded or not, near the top of the dB range, where a
+# gamma0 g overflows a double only for g > 56.
 SHARED_CURVES_DB = {
-    "eve": ((-10.0, 5.0), (10.0, 5.0), (3065.0, 5.0)),
-    "eve-top": ((3050.0, 3065.0), (3065.0, 3065.0)),
+    "eve": ((-10.0, 5.0), (10.0, 5.0), (3010.0, 5.0)),
+    "eve-top": ((3000.0, 3010.0), (3010.0, 3010.0)),
     "bob": ((3065.0, -10.0), (3065.0, 5.0), (3065.0, 3060.0)),
     "both": ((10.0, 5.0), (10.0, 5.0)),
     "neither": CURVE_POINTS_DB,
@@ -899,6 +924,61 @@ def test_folded_curves_match_unfolded_references(shared, m, monkeypatch):
                 assert {s: curve_reprs(c) for s, c in curves.items()} == expected
 
 
+@pytest.mark.parametrize("shared", ["eve", "eve-top", "both"])
+def test_folded_eavesdropper_capacities_are_within_rounding_of_the_quotient(shared):
+    # on a curve that folds gamma_e0, each realization's capacity, O-TAS's
+    # and a selected antenna's, is within 1e-15 bits of the quotient's (its
+    # ratio's 3 ulp through log2), plus an ulp of each log2's rounding
+    scenarios = [scenario_db(gb_db, ge_db, 8) for gb_db, ge_db in SHARED_CURVES_DB[shared]]
+    assert folds_eve(scenarios)
+    blocks = draw_gain_blocks(scenarios[0], RngStream(59), MC_CHUNK_SIZE)
+    selected = tuple(g[:, 3].copy() for g in blocks)
+    scratch = np.empty(len(scenarios) * MC_CHUNK_SIZE + secrecy._scratch_size(8))
+    for bob, eve in (blocks, selected):
+        quotient, folded = np.empty((2, len(scenarios), MC_CHUNK_SIZE))
+        _ratio_capacities(scenarios, bob, eve, quotient, scratch)
+        gains = (bob.copy(), eve.copy())
+        _fold_link("eve", scenarios[0].gamma_e0, *gains)
+        _ratio_capacities(scenarios, *gains, folded, scratch, "eve")
+        assert np.all(np.abs(folded - quotient) <= 1e-15 + 2 * np.spacing(quotient))
+        assert not np.array_equal(folded, quotient)
+
+
+# Curves on the edges of the eavesdropper fold, in linear SNRs: one point, a
+# shared gamma_e0 or a gamma_b0 at 2^1000, and each past the top of the dB
+# range, where a gamma0 g overflows. None folds gamma_e0.
+FOLD_EDGE_CURVES = {
+    "one point": ((10.0, 3.0),),
+    "eve at 2^1000": ((2.0 ** 999, 2.0 ** 1000), (0.75 * 2.0 ** 1000, 2.0 ** 1000)),
+    "bob at 2^1000": ((10.0, 3.0), (2.0 ** 1000, 3.0)),
+    "one point past the top": ((1e308, 3.0),),
+    "eve past the top": ((10.0, 1e308), (100.0, 1e308)),
+    "bob past the top": ((10.0, 3.0), (1e308, 3.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", list(FOLD_EDGE_CURVES))
+def test_curves_on_the_edges_of_the_fold_keep_the_quotient(edge, monkeypatch):
+    # each curve keeps the quotient's bits, or its error where a mean is not
+    # finite. A fold would move the points at 10 dB and 2^1000; 5 trials keep
+    # an ulp's shift of a capacity in a mean, where 16,401 average it away
+    monkeypatch.setattr(secrecy, "_usable_cpus", lambda: 2)
+    scenarios = [Scenario(gamma_b0, gamma_e0, 8) for gamma_b0, gamma_e0 in FOLD_EDGE_CURVES[edge]]
+    assert not folds_eve(scenarios)
+    if max(s.gamma_b0 for s in scenarios) == 1e308:  # g_B > 1.8 overflows
+        with pytest.raises(ValueError, match=r"^Monte Carlo: gamma0\*g overflows a double at "
+                                             r"gamma_b0=1e\+308, gamma_e0=3; for otas, use"):
+            mc_asc_curve(scenarios, list(TasScheme), MC_CHUNK_SIZE + 17, RngStream(61))
+        return
+    for trials in (5, MC_CHUNK_SIZE + 17):
+        expected = selected_estimates(list(TasScheme), scenarios, trials, RngStream(61))
+        for threads in (1, 2):
+            curves = mc_asc_curve(scenarios, list(TasScheme), trials, RngStream(61),
+                                  threads=threads)
+            assert {s: curve_reprs(c) for s, c in curves.items()} == expected
+
+
 @pytest.mark.filterwarnings("error")
 def test_folded_legitimate_overflow_names_the_failing_scenario():
     # gamma_b0 = 1e308 is shared and folded; the first scheme in the order
@@ -914,8 +994,9 @@ def test_folded_legitimate_overflow_names_the_failing_scenario():
 def test_antenna_count_past_a_tile(scheme):
     # a row wider than a folded tile takes a tile of its own
     m = 2 * secrecy._TILE_ELEMENTS + 5
-    # one point folds gamma_e0; two points share neither SNR and fold nothing
-    for points in (((10.0, 5.0),), ((10.0, 5.0), (20.0, 0.0))):
+    # two points that share gamma_e0 fold it; two that share neither SNR
+    # fold nothing
+    for points in (((10.0, 5.0), (20.0, 5.0)), ((10.0, 5.0), (20.0, 0.0))):
         scenarios = [scenario_db(gb_db, ge_db, m) for gb_db, ge_db in points]
         curve = mc_asc_curve(scenarios, (scheme,), 3, RngStream(23))
         assert curve_reprs(curve[scheme]) == selected_estimates(
@@ -1077,20 +1158,21 @@ def test_curve_queue_overflow_names_the_first_curve_given():
 @pytest.mark.parametrize("folded", ["bob", "eve", None])
 def test_grouped_capacities_match_per_point_values(folded, points, rows):
     # each row of the (points, rows) capacities is bit for bit the value of
-    # that point alone; the points reach 3,065 dB, where gamma0 g overflows,
-    # and the gains are left as they are
+    # that point alone, of the folded ratios where gamma_e0 is folded; the
+    # points reach 3,065 dB, where gamma0 g overflows, and the gains are
+    # left as they are
     scenarios = [scenario_db(3065.0 if folded == "bob" else db,
                              5.0 if folded == "eve" else 3035.0 - db, 4)
                  for db in np.linspace(-30.0, 3065.0, points).tolist()]
     bob, eve = (g[:, 0].copy() for g in draw_gain_blocks(scenarios[0], RngStream(41, rows),
                                                           rows))
+    ratios = folded_snr_ratios if folded == "eve" else snr_ratios
+    expected = [gathered_capacities(s, bob, eve, ratios) for s in scenarios]
     with np.errstate(all="ignore"):
-        expected = [secrecy_capacity(s.gamma_b0 * bob, s.gamma_e0 * eve) for s in scenarios]
         gains = [bob, eve]
         if folded:
-            side = 0 if folded == "bob" else 1
             gamma0 = getattr(scenarios[0], "gamma_b0" if folded == "bob" else "gamma_e0")
-            gains[side] = _fold_gains(gains[side], gamma0, np.empty(rows))
+            _fold_link(folded, gamma0, *gains)
         kept = [g.copy() for g in gains]
         out = np.empty((points, rows))
         got = _ratio_capacities(scenarios, *gains, out, np.empty(out.size), folded)
