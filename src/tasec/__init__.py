@@ -14,7 +14,7 @@ from .secrecy import (AscEstimate, Method, asc, asc_btas_closed, asc_etas_closed
 from .selection import TasScheme, link_laws, select_indices
 from .verification import CheckResult, run_verification
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "AscEstimate", "CheckResult", "ConvergenceError", "CrossoverResult",

@@ -16,10 +16,11 @@ two links; this package has no closed form or product-form quadrature for it
 and evaluates it by Monte Carlo (ROUTES; `asc` runs a scheme's routes). MC
 runs are chunked onto derived substreams so the estimate is a pure function
 of (scenario, scheme, trials, seed, stream) for any worker count. A chunk is
-drawn once, into a pooled buffer, for every scheme and every scenario of one
-antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme, one-scenario
-case). One kernel, `_ratio_capacities`, is the one secrecy-capacity formula,
-for MC and, through `_capacities`, the self-checks; O-TAS takes
+drawn once, into a pooled buffer (`_drawn_chunk`), for every scheme and every
+scenario of one antenna count (`mc_asc_curve`; `mc_asc` is its one-scheme,
+one-scenario case), and each scheme reduces a group of points at once. One
+kernel, `_ratio_capacities`, is the one secrecy-capacity formula, for MC
+and, through `_capacities`, the self-checks; O-TAS takes
 log2 max(1, max_i R_i) over the per-antenna SNR ratios R_i, with no index.
 """
 
@@ -58,8 +59,8 @@ MC_CHUNK_GAINS = 1 << 20  # gains per link past which a chunk has fewer rows
 # `_ratio_capacities` takes 2-D gains a tile of rows (`_tile_rows`) at a
 # time, one numpy call per antenna and tile, each a GIL hand-off at two
 # threads. _TILE_ROWS caps a tile's rows, _TILE_ELEMENTS each scratch array's
-# gains (1 MiB). A group of points takes one (points, rows) array of 1-D
-# gains per unfolded side, within the gains of two such arrays.
+# gains (1 MiB). A group of points (`_chunk_buffer`) takes, beside its
+# kernel, a row a point, within the gains of two such arrays.
 _TILE_ROWS = 8_192
 _TILE_ELEMENTS = 131_072
 
@@ -247,6 +248,11 @@ def _snr_ratios(scenario: Scenario, bob_gains: np.ndarray, eve_gains: np.ndarray
     return np.divide(bob, eve, out=out[0])
 
 
+def _ratio_arrays(folded: str | None) -> int:
+    """Arrays `_snr_ratios` fills: the ratios and, unfolded, the eavesdropper's term."""
+    return 1 if folded else 2
+
+
 def _ratio_capacities(scenarios: Sequence[Scenario], bob: np.ndarray, eve: np.ndarray,
                       out: np.ndarray, scratch: np.ndarray,
                       folded: str | None = None) -> np.ndarray:
@@ -257,21 +263,21 @@ def _ratio_capacities(scenarios: Sequence[Scenario], bob: np.ndarray, eve: np.nd
     The gains are left as they are. 1-D gains take every scenario at once,
     each unfolded side folded with a column of the S gamma0s into `out`,
     then the flat `scratch`. 2-D gains go a scenario and a tile of rows at a
-    time, the ratios out of place in `scratch` (`_scratch_size(M)`), and a
-    row's largest is a running maximum over the tile's columns from 1 (an
-    axis-1 reduce is slow on rows this short): the ratio at the argmax, with
-    the same float operations, or 1 where log2 would clamp at 0; a NaN wins
-    it. Tiles and groups only split the work, so no value depends on their
-    size.
+    time, the ratios out of place in `scratch` (`_ratio_arrays` tile
+    arrays), and a row's largest is a running maximum over the tile's
+    columns from 1 (an axis-1 reduce is slow on rows this short): the ratio
+    at the argmax, with the same float operations, or 1 where log2 would
+    clamp at 0; a NaN wins it. Tiles and groups only split the work, so no
+    value depends on their size.
     """
+    arrays = _ratio_arrays(folded)
     if bob.ndim == 1:
         gammas = np.array([(s.gamma_b0, s.gamma_e0) for s in scenarios])
         columns = SimpleNamespace(gamma_b0=gammas[:, :1], gamma_e0=gammas[:, 1:])
-        tiles = (out,) if folded else (out, scratch[:out.size].reshape(out.shape))
-        np.maximum(_snr_ratios(columns, bob, eve, tiles, folded), 1.0, out=out)
+        terms = (out, *scratch[:(arrays - 1) * out.size].reshape(arrays - 1, *out.shape))
+        np.maximum(_snr_ratios(columns, bob, eve, terms, folded), 1.0, out=out)
         return np.log2(out, out=out)
     count, width = bob.shape
-    arrays = 1 if folded else 2  # scratch arrays per tile
     step = _tile_rows(width)
     for scenario, capacities in zip(scenarios, out):
         for start in range(0, count, step):
@@ -291,42 +297,39 @@ def _tile_rows(width: int) -> int:
     return max(1, min(_TILE_ROWS, _TILE_ELEMENTS // width))
 
 
-def _scratch_size(m: int) -> int:
-    """Scratch elements `_ratio_capacities` takes for (count, M) gains."""
-    return 2 * m * _tile_rows(m)
-
-
-def _capacities_scratch(count: int, m: int) -> int:
-    """Scratch elements `_capacities` takes for (count, M) gains: a 1-D side,
-    or tiles."""
-    return max(count, _scratch_size(m))
-
-
 def _capacities(scenario: Scenario, scheme: TasScheme, bob: np.ndarray,
                 eve: np.ndarray, stream: RngStream, scratch: np.ndarray | None = None
                 ) -> np.ndarray:
     """Each realization's secrecy capacity at the antenna `scheme` selects,
     from (count, M) gain blocks, left untouched, as a new array: a Monte
-    Carlo chunk's kernels at one scenario (random consumes `stream`). A flat
-    `scratch` of `_capacities_scratch` elements is used in place of a new one."""
+    Carlo chunk's kernels at one scenario (random consumes `stream`). The
+    flat `scratch` that `_drawn_chunk` yields for `scheme` at `scenario` is
+    used in place of a new one of 2 * count * M elements."""
     gains = _selected_gains(scheme, scenario, bob, eve, stream)
     if scratch is None:
-        scratch = np.empty(_capacities_scratch(*bob.shape))
+        scratch = np.empty(2 * bob.size)
     return _ratio_capacities((scenario,), *gains, np.empty((1, len(bob))), scratch)[0]
 
 
-def _chunk_buffer(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ...],
-                  size: int) -> tuple[int, int]:
-    """(elements, points): the buffer a chunk of `size` rows takes, two gain
-    blocks and the scratch, and the points a selecting scheme's capacities
-    are formed for at once, within 2 * _TILE_ELEMENTS."""
-    m = scenarios[0].num_antennas
-    scratch, points = _scratch_size(m), len(scenarios)
-    if set(schemes) - {TasScheme.OTAS}:
-        arrays = 1 if _shared_side(scenarios)[0] else 2
-        points = min(points, max(1, 2 * _TILE_ELEMENTS // (arrays * size)))
-        scratch = max(scratch, arrays * size * points)
-    return 2 * size * m + scratch, points
+def _chunk_buffer(scenarios: tuple[Scenario, ...], schemes: Sequence[TasScheme],
+                  size: int) -> tuple[int, dict[TasScheme, int]]:
+    """(elements, groups): the buffer a chunk of `size` rows takes, two gain
+    blocks and a scratch, and the points each scheme reduces at once. A
+    group takes a row of capacities a point at the scratch's head, and the
+    scheme's kernel the rest: O-TAS's tile arrays, or a second row a point
+    for an unfolded 1-D side. It holds as many points as fit beside the
+    kernel in 2 * _TILE_ELEMENTS, or for O-TAS alone in two tile arrays."""
+    m, points = scenarios[0].num_antennas, len(scenarios)
+    arrays = _ratio_arrays(_shared_side(scenarios)[0])
+    tiles = m * _tile_rows(m)
+    budget = 2 * (_TILE_ELEMENTS if set(schemes) - {TasScheme.OTAS} else tiles)
+    # each scheme's (kernel, elements a point) in the scratch
+    takes = {s: (arrays * tiles, size) if s is TasScheme.OTAS else (0, arrays * size)
+             for s in schemes}
+    groups = {s: min(points, max(1, (budget - kernel) // row))
+              for s, (kernel, row) in takes.items()}
+    scratch = max(kernel + row * groups[s] for s, (kernel, row) in takes.items())
+    return 2 * size * m + scratch, groups
 
 
 # Flat buffers that no chunk is using, as many as chunks that ever ran at
@@ -348,11 +351,19 @@ def _take_buffer(n: int) -> np.ndarray:
 
 
 @contextmanager
-def _pooled_buffer(n: int):
-    """`_take_buffer(n)` for the block, made idle again when it ends without
-    an error."""
-    buffer = _take_buffer(n)
-    yield buffer
+def _drawn_chunk(scenarios: tuple[Scenario, ...], schemes: Sequence[TasScheme],
+                 stream: RngStream, size: int):
+    """(bob, eve, scratch, groups): the blocks `draw_gain_blocks` returns for
+    a chunk of `size` rows drawn from `stream` into the head of an idle
+    buffer, the flat scratch behind them, and each scheme's group, all as
+    `_chunk_buffer` lays them out. The buffer is made idle again when the
+    block ends without an error."""
+    m = scenarios[0].num_antennas
+    elements, groups = _chunk_buffer(scenarios, schemes, size)
+    buffer = _take_buffer(elements)
+    blocks = buffer[:2 * size * m].reshape(2, size, m)
+    bob, eve = draw_gain_blocks(scenarios[0], stream, size, out=tuple(blocks))
+    yield bob, eve, buffer[blocks.size:], groups
     _idle_buffers.append(buffer)
 
 
@@ -362,46 +373,32 @@ def _chunk_moments(scenarios: tuple[Scenario, ...], schemes: tuple[TasScheme, ..
     """Secrecy-capacity sample moments (n, mean, sum of squared deviations)
     of one chunk at each (scheme, scenario) pair of `schemes` x `scenarios`,
     scheme-major; the scenarios share one antenna count. The chunk is drawn
-    once, from the substream derived for `index`, into an idle buffer (the
-    blocks used are the ones the draw returns), then selected once per
-    scheme; only random consumes the substream, after the draw. The link
-    `_shared_side` names is folded in place by `_fold_link`, once a scheme:
-    in its 1-D copies, or in the drawn blocks for O-TAS, which runs last.
-    So every scheme's capacity at a point comes from the same operations on
-    the same doubles, and O-TAS's is at least each selected antenna's.
-    Capacities, of a group of points (`_chunk_buffer`) or O-TAS's of one,
-    are reduced in place as np.mean(cs) and np.sum((cs - mean) ** 2) would
-    per point: an axis-1 reduce sums a row pairwise, as a 1-D one does, and
-    a group of one point takes 1-D calls. An overflowing gamma0 g gives an
-    inf or NaN mean, and no warning."""
+    once, from the substream derived for `index` (`_drawn_chunk`), then
+    selected once per scheme; only random consumes the substream, after the
+    draw. The link `_shared_side` names is folded in place by `_fold_link`,
+    once a scheme: in its 1-D copies, or in the drawn blocks for O-TAS,
+    which runs last. So every scheme's capacity at a point comes from the
+    same operations on the same doubles, and O-TAS's is at least each
+    selected antenna's. Every scheme forms its capacities a group of points
+    at a time (`_chunk_buffer`) in the scratch's head, and reduces them in
+    place as np.mean(cs) and np.sum((cs - mean) ** 2) would per point: an
+    axis-1 reduce sums a row pairwise, as a 1-D one does. An overflowing
+    gamma0 g gives an inf or NaN mean, and no warning."""
     stream = rng.substream(index)
-    m = scenarios[0].num_antennas
-    block = size * m
-    elements, group = _chunk_buffer(scenarios, schemes, size)
     folded, gamma0 = _shared_side(scenarios)
-    moments, row = {}, np.empty((1, size))
-    with _pooled_buffer(elements) as buffer, np.errstate(all="ignore"):
-        bob, eve = draw_gain_blocks(scenarios[0], stream, size,
-                                    out=tuple(buffer[:2 * block].reshape(2, size, m)))
-        scratch = buffer[2 * block:]
+    moments = {}
+    drawn = _drawn_chunk(scenarios, schemes, stream, size)
+    with np.errstate(all="ignore"), drawn as (bob, eve, scratch, groups):
         for scheme in sorted(schemes, key=lambda s: s is TasScheme.OTAS):
             gains = _selected_gains(scheme, scenarios[0], bob, eve, stream)
             if folded:
                 _fold_link(folded, gamma0, *gains)
-            otas = scheme is TasScheme.OTAS
-            step = 1 if otas else group
+            step = groups[scheme]
             moments[scheme] = []
             for start in range(0, len(scenarios), step):
                 part = scenarios[start:start + step]
-                cs = row if otas else scratch[:len(part) * size].reshape(len(part), size)
-                _ratio_capacities(part, *gains, cs, scratch[0 if otas else cs.size:], folded)
-                if len(cs) == 1:
-                    capacities = cs[0]
-                    mean = float(np.add.reduce(capacities)) / size
-                    capacities -= mean
-                    capacities *= capacities
-                    moments[scheme].append((size, mean, float(np.add.reduce(capacities))))
-                    continue
+                cs = scratch[:len(part) * size].reshape(len(part), size)
+                _ratio_capacities(part, *gains, cs, scratch[cs.size:], folded)
                 means = np.add.reduce(cs, axis=1) / size
                 cs -= means[:, None]
                 cs *= cs
@@ -503,10 +500,11 @@ def mc_asc_curve(scenarios: Sequence[Scenario], schemes: Sequence[TasScheme],
     merge in chunk order, so no estimate depends on `threads` or on the
     order the chunks run in: this is the one-curve case of _mc_asc_curves,
     whose one queue for several curves (a sweep's antenna counts) runs the
-    largest buffer first, rows x M leading it, so no worker drops a pooled
+    largest buffer first (_chunk_buffer), so no worker drops a pooled
     buffer mid-call. At most `threads` workers run, never more than there
     are chunks in all or CPUs this process may use; their buffers stay
-    pooled for the life of the process, each at most 18 MiB (M <= 131,072).
+    pooled for the life of the process, each at most 18 MiB and 128 KiB
+    (M <= 131,072): two gain blocks, two tile arrays and a row of capacities.
     A gamma_b0 that every scenario shares is folded once a chunk too, bit
     for bit as without the fold.
     ValueError is raised at the top of the dB range, where a drawn gamma0*g

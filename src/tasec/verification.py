@@ -11,10 +11,10 @@ from itertools import product
 
 import numpy as np
 
-from .channel import RngStream, Scenario, draw_gain_blocks
+from .channel import RngStream, Scenario
 from .experiments import db_to_linear
-from .secrecy import (AscEstimate, Method, _capacities, _capacities_scratch, _chunk_layout,
-                      _mc_asc_curves, _pooled_buffer, _run_queue, asc)
+from .secrecy import (AscEstimate, Method, _capacities, _chunk_layout, _drawn_chunk,
+                      _mc_asc_curves, _run_queue, asc)
 from .selection import TasScheme
 
 MC_GRID_DB = (0.0, 10.0, 20.0)
@@ -136,21 +136,18 @@ def check_mc_vs_closed(trials: int, seed: int, threads: int = 1) -> CheckResult:
 def check_otas_dominance(realizations: int, seed: int, threads: int = 1) -> CheckResult:
     """Per-realization optimality of O-TAS at (10, 10) dB, M=8, by the
     selection and capacity kernels Monte Carlo runs. Its chunks run on the
-    Monte Carlo worker queue, each on its own substream, so the count does
-    not depend on `threads`."""
+    Monte Carlo worker queue, each on its own substream and drawn as a Monte
+    Carlo chunk is, so the count does not depend on `threads`."""
     scenario = _scenario(10.0, 10.0, 8)
     m = scenario.num_antennas
     base = RngStream(seed)
     others = (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM)
+    schemes = (*others, TasScheme.OTAS)
 
     def violations(chunk: tuple[int, int]) -> int:
         index, size = chunk
         stream = base.substream(_BRANCH_DOMINANCE, index)
-        block = size * m
-        with _pooled_buffer(2 * block + _capacities_scratch(size, m)) as buffer:
-            bob, eve = draw_gain_blocks(scenario, stream, size,
-                                        out=tuple(buffer[:2 * block].reshape(2, size, m)))
-            scratch = buffer[2 * block:]
+        with _drawn_chunk((scenario,), schemes, stream, size) as (bob, eve, scratch, _):
             rivals = np.array([_capacities(scenario, s, bob, eve, stream, scratch)
                                for s in others])
             best = _capacities(scenario, TasScheme.OTAS, bob, eve, stream, scratch)

@@ -32,7 +32,7 @@ def test_all_is_pinned_and_resolves():
 def test_version_matches_pyproject():
     pyproject = (ROOT / "pyproject.toml").read_text()
     version = re.search(r'^version = "(.*)"$', pyproject, re.MULTILINE).group(1)
-    assert tasec.__version__ == version == "0.19.0"
+    assert tasec.__version__ == version == "0.20.0"
 
 
 def test_readme_library_example_runs(capsys):

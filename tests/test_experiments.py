@@ -314,10 +314,18 @@ def test_sweep_draws_each_chunk_once_per_antenna_count(monkeypatch):
                        mc_overlay=True, normalize_to_otas=True)
     run_sweep(spec, threads=2)
     assert sorted(draws) == [(2, 5), (2, MC_CHUNK_SIZE), (16, 5), (16, MC_CHUNK_SIZE)]
-    # one queue for both antenna counts, the widest chunks first
+    # one queue for both antenna counts, the largest buffers first: the
+    # scratch of M = 2's full chunk, a group of all four points for every
+    # scheme, outgrows M = 16's tiles for a chunk of 5 rows
+    def buffer(m, count):
+        scenarios = tuple(Scenario(db_to_linear(db), db_to_linear(10.0), m)
+                          for db in (0.0, 10.0, 20.0, 30.0))
+        return secrecy._chunk_buffer(scenarios, tuple(TasScheme), count)[0]
+
     draws.clear()
     run_sweep(spec, threads=1)
-    assert draws == [(16, MC_CHUNK_SIZE), (16, 5), (2, MC_CHUNK_SIZE), (2, 5)]
+    assert draws == sorted(draws, key=lambda draw: buffer(*draw), reverse=True)
+    assert draws == [(16, MC_CHUNK_SIZE), (2, MC_CHUNK_SIZE), (16, 5), (2, 5)]
     assert calls == [2, 2]
 
 

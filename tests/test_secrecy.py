@@ -8,7 +8,7 @@ import threading
 import time
 from dataclasses import FrozenInstanceError, astuple, replace
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -43,6 +43,14 @@ def scenario_db(gb_db, ge_db, m):
     return Scenario(10.0 ** (gb_db / 10.0), 10.0 ** (ge_db / 10.0), m)
 
 
+def chunk_scratch(scenarios, schemes, size):
+    """A new flat scratch of the elements `_drawn_chunk` yields behind the
+    gain blocks of a chunk of `size` rows of `schemes` at `scenarios`, as
+    `_chunk_buffer` sizes it."""
+    elements, _ = secrecy._chunk_buffer(tuple(scenarios), schemes, size)
+    return np.empty(elements - 2 * size * scenarios[0].num_antennas)
+
+
 # ----------------------------------------------------------------------------
 # Instantaneous secrecy capacity and the estimate container
 # ----------------------------------------------------------------------------
@@ -53,8 +61,9 @@ def test_secrecy_capacity_values():
     # per scenario
     bob, eve = np.array([5.0, 3.0, 1.0, 0.0]), np.array([5.0, 1.0, 3.0, 0.0])
     out = np.empty((1, 4))
-    values = _ratio_capacities((Scenario(1.0, 1.0, 1),), bob, eve, out,
-                               np.empty(secrecy._scratch_size(1)))
+    scenario = Scenario(1.0, 1.0, 1)
+    values = _ratio_capacities((scenario,), bob, eve, out,
+                               chunk_scratch((scenario,), (TasScheme.BTAS,), 4))
     assert values is out and values.tolist() == [[0.0, 1.0, 0.0, 0.0]]
     assert bob.tolist() == [5.0, 3.0, 1.0, 0.0] and eve.tolist() == [5.0, 1.0, 3.0, 0.0]
 
@@ -758,18 +767,51 @@ def test_reused_buffers_match_new_arrays_across_calls(monkeypatch):
         assert (repr(est.value), repr(est.std_error)) == argmax_estimate(
             scenario, trials, RngStream(77, m))
     # one thread drew every chunk into the one buffer the first chunk grew:
-    # its two gain blocks, then two 1 MiB scratch arrays for the tiles of
-    # the capacities
-    size = 2 * (64 * MC_CHUNK_SIZE + 131_072)
+    # its two gain blocks, then a row of capacities and two 1 MiB scratch
+    # arrays for the tiles of the capacities
+    widest = scenario_db(*BUFFER_SEQUENCE[0][0])
+    size = secrecy._chunk_buffer((widest,), (TasScheme.OTAS,), MC_CHUNK_SIZE)[0]
+    assert size == 2 * 64 * MC_CHUNK_SIZE + MC_CHUNK_SIZE + 2 * 131_072
     assert [b.size for b in secrecy._idle_buffers] == [size]
 
 
 def test_small_antenna_counts_reserve_only_the_scratch_their_tiles_use(monkeypatch):
-    # at M = 2 the scratch is two arrays of a chunk of the 1-D selections,
-    # so the buffer is no larger than with tiles of 16,384 gains
+    # at M = 2 the scratch is O-TAS's two tile arrays of 16,384 gains and its
+    # row of capacities, which also hold the two rows of the 1-D selections
     monkeypatch.setattr(secrecy, "_idle_buffers", [])
-    mc_asc_curve([scenario_db(10.0, 0.0, 2)], list(TasScheme), MC_CHUNK_SIZE, RngStream(3))
-    assert [b.size for b in secrecy._idle_buffers] == [2 * 2 * MC_CHUNK_SIZE + 32_768]
+    scenarios = [scenario_db(10.0, 0.0, 2)]
+    mc_asc_curve(scenarios, list(TasScheme), MC_CHUNK_SIZE, RngStream(3))
+    size = secrecy._chunk_buffer(tuple(scenarios), list(TasScheme), MC_CHUNK_SIZE)[0]
+    assert size == 2 * 2 * MC_CHUNK_SIZE + 32_768 + MC_CHUNK_SIZE
+    assert [b.size for b in secrecy._idle_buffers] == [size]
+
+
+# Antenna counts for the buffer bound: every count to 256, then each power of
+# two to the cap and its neighbours, where the rows a chunk or a tile holds
+# change.
+BOUND_ANTENNAS = sorted({*range(1, 257), *(2 ** k + d for k in range(9, 18) for d in (-1, 0, 1)
+                                          if 2 ** k + d <= 131_072)})
+
+
+def test_a_chunk_buffer_is_at_most_18_mib_and_a_row_up_to_the_cap():
+    # two gain blocks of at most 2^20 gains each, two 1 MiB tile arrays and
+    # O-TAS's row of 16,384 capacities: 18 MiB + 128 KiB, which one point
+    # at M = 64 meets, for any schemes and curve up to M = 131,072
+    bound = 8 * (2 * 2 ** 20 + 2 * secrecy._TILE_ELEMENTS + MC_CHUNK_SIZE)
+    assert bound == 18 * 2 ** 20 + 128 * 2 ** 10
+    curves = [((10.0, 5.0),), ((10.0, 5.0), (20.0, 5.0)),
+              tuple((db, 5.0) for db in range(13)), tuple((5.0, db) for db in range(13)),
+              tuple((db, 2.0 * db) for db in range(13))]
+    schemes = [c for k in range(1, 5) for c in combinations(TasScheme, k)]
+    largest = {}
+    for m in BOUND_ANTENNAS:
+        size = _chunk_layout(MC_CHUNK_SIZE, m)[0][1]
+        for points in curves:
+            scenarios = tuple(scenario_db(gb_db, ge_db, m) for gb_db, ge_db in points)
+            for chosen in schemes:
+                bytes_ = 8 * secrecy._chunk_buffer(scenarios, chosen, size)[0]
+                largest[m] = max(largest.get(m, 0), bytes_)
+    assert max(largest.values()) == bound and largest[64] == bound
 
 
 def test_concurrent_mc_calls_match_sequential_calls(monkeypatch):
@@ -933,7 +975,9 @@ def test_folded_eavesdropper_capacities_are_within_rounding_of_the_quotient(shar
     assert folds_eve(scenarios)
     blocks = draw_gain_blocks(scenarios[0], RngStream(59), MC_CHUNK_SIZE)
     selected = tuple(g[:, 3].copy() for g in blocks)
-    scratch = np.empty(len(scenarios) * MC_CHUNK_SIZE + secrecy._scratch_size(8))
+    # the unfolded quotient of 2-D blocks takes two tile arrays, and of 1-D
+    # gains a row a point: `_capacities`'s 2 * count * M elements hold either
+    scratch = np.empty(2 * blocks[0].size)
     for bob, eve in (blocks, selected):
         quotient, folded = np.empty((2, len(scenarios), MC_CHUNK_SIZE))
         _ratio_capacities(scenarios, bob, eve, quotient, scratch)
@@ -1158,24 +1202,31 @@ def test_curve_queue_overflow_names_the_first_curve_given():
 @pytest.mark.parametrize("folded", ["bob", "eve", None])
 def test_grouped_capacities_match_per_point_values(folded, points, rows):
     # each row of the (points, rows) capacities is bit for bit the value of
-    # that point alone, of the folded ratios where gamma_e0 is folded; the
-    # points reach 3,065 dB, where gamma0 g overflows, and the gains are
-    # left as they are
+    # that point alone: for a selected antenna's 1-D gains, of the folded
+    # ratios where gamma_e0 is folded, and for O-TAS's 2-D blocks, of a
+    # one-point call. The points reach 3,065 dB, where gamma0 g overflows,
+    # and the gains are left as they are
     scenarios = [scenario_db(3065.0 if folded == "bob" else db,
                              5.0 if folded == "eve" else 3035.0 - db, 4)
                  for db in np.linspace(-30.0, 3065.0, points).tolist()]
-    bob, eve = (g[:, 0].copy() for g in draw_gain_blocks(scenarios[0], RngStream(41, rows),
-                                                          rows))
+    blocks = draw_gain_blocks(scenarios[0], RngStream(41, rows), rows)
+    bob, eve = (g[:, 0].copy() for g in blocks)
     ratios = folded_snr_ratios if folded == "eve" else snr_ratios
     expected = [gathered_capacities(s, bob, eve, ratios) for s in scenarios]
-    with np.errstate(all="ignore"):
-        gains = [bob, eve]
-        if folded:
-            gamma0 = getattr(scenarios[0], "gamma_b0" if folded == "bob" else "gamma_e0")
-            _fold_link(folded, gamma0, *gains)
-        kept = [g.copy() for g in gains]
-        out = np.empty((points, rows))
-        got = _ratio_capacities(scenarios, *gains, out, np.empty(out.size), folded)
+    selected, otas = [bob, eve], [g.copy() for g in blocks]
+    for gains in (selected, otas):
+        with np.errstate(all="ignore"):
+            if folded:
+                gamma0 = getattr(scenarios[0], "gamma_b0" if folded == "bob" else "gamma_e0")
+                _fold_link(folded, gamma0, *gains)
+            kept = [g.copy() for g in gains]
+            # a row a point for a 1-D side, or two tile arrays for 2-D gains
+            scratch = np.empty(points * rows if gains is selected else 2 * blocks[0].size)
+            if gains is otas:
+                expected = [_ratio_capacities((s,), *gains, np.empty((1, rows)), scratch,
+                                              folded)[0] for s in scenarios]
+            out = np.empty((points, rows))
+            got = _ratio_capacities(scenarios, *gains, out, scratch, folded)
         assert got is out
         assert [row.tobytes() for row in got] == [c.tobytes() for c in expected]
         assert all(np.array_equal(g, k, equal_nan=True) for g, k in zip(gains, kept))
@@ -1189,8 +1240,9 @@ def test_capacities_of_more_rows_than_a_chunk(scheme):
     bob, eve = draw_gain_blocks(scenario, RngStream(53), 20_000)
     got = secrecy._capacities(scenario, scheme, bob, eve, RngStream(54))
     assert got.tobytes() == secrecy_capacity(3.0 * bob[:, 0], 0.5 * eve[:, 0]).tobytes()
-    # and a dirty scratch of `_capacities_scratch` elements serves as a new one
-    scratch = np.full(secrecy._capacities_scratch(*bob.shape), np.nan)
+    # and a dirty scratch of a chunk's size for the scheme serves as a new one
+    scratch = chunk_scratch((scenario,), (scheme,), len(bob))
+    scratch.fill(np.nan)
     again = secrecy._capacities(scenario, scheme, bob, eve, RngStream(54), scratch)
     assert again.tobytes() == got.tobytes()
 
@@ -1306,6 +1358,23 @@ def test_dominance_check_runs_the_monte_carlo_kernel(monkeypatch):
     assert int(result.detail.split(", ")[-1].split()[0]) > 1000
 
 
+def test_dominance_check_draws_through_the_monte_carlo_seam(monkeypatch):
+    # each chunk of the check is drawn by `secrecy.draw_gain_blocks`, the
+    # seam that fault injection and tracing patch, as a Monte Carlo chunk is
+    from tasec.verification import check_otas_dominance
+
+    draws = []
+    draw = secrecy.draw_gain_blocks
+
+    def counted(scenario, rng, count, out=None):
+        draws.append((scenario.num_antennas, count))
+        return draw(scenario, rng, count, out=out)
+
+    monkeypatch.setattr(secrecy, "draw_gain_blocks", counted)
+    assert check_otas_dominance(40000, 42).passed
+    assert draws == [(8, size) for _, size in _chunk_layout(40000, 8)]
+
+
 def test_dominance_check_counts_alike_on_any_worker_count(monkeypatch):
     # 40,000 realizations at M = 8 are three chunks on the Monte Carlo queue,
     # each on its own substream: under a fault, so that the count is not 0,
@@ -1319,8 +1388,10 @@ def test_dominance_check_counts_alike_on_any_worker_count(monkeypatch):
     monkeypatch.setattr(secrecy, "_take_buffer", lambda n: asked.append(n) or take(n))
     serial = check_otas_dominance(40000, 42)
     assert not serial.passed
-    # one pooled buffer a chunk: the two gain blocks, then the kernel's scratch
-    assert asked == [2 * size * 8 + secrecy._capacities_scratch(size, 8)
+    # one pooled buffer a chunk, as a Monte Carlo chunk of the four schemes
+    # at the one point sizes it: the two gain blocks, then the kernels' scratch
+    schemes = (TasScheme.BTAS, TasScheme.ETAS, TasScheme.RANDOM, TasScheme.OTAS)
+    assert asked == [secrecy._chunk_buffer((Scenario(10.0, 10.0, 8),), schemes, size)[0]
                      for _, size in _chunk_layout(40000, 8)]
     assert all(check_otas_dominance(40000, 42, threads) == serial for threads in (2, 3))
     pools = record_pool_sizes(monkeypatch, reverse=True)
